@@ -3,13 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fix lint-sarif fixcheck test race faultcheck obscheck schedcheck servecheck bench benchdiff
+.PHONY: check build vet lint lint-fix lint-sarif fixcheck test race benchcheck faultcheck obscheck schedcheck servecheck bench benchdiff
 
 # check is the full gate: build, vet, swlint, the autofix-idempotency
-# gate, tests under the race detector, the fault-injection smoke
-# matrix, the trace-export determinism check, the 4,096-rank scheduler
-# gate, and the online-serving chaos scenario.
-check: build vet lint fixcheck race faultcheck obscheck schedcheck servecheck
+# gate, tests under the race detector, the benchmark module's vet and
+# tests, the fault-injection smoke matrix, the trace-export determinism
+# check, the 4,096-rank scheduler gate, and the online-serving chaos
+# scenario.
+check: build vet lint fixcheck race benchcheck faultcheck obscheck schedcheck servecheck
 
 build:
 	$(GO) build ./...
@@ -56,6 +57,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# benchcheck vets and tests the benchmark (bench/, its own module, so
+# `go test ./...` never reaches it). Its smoke test runs every workload
+# at a small shape and checks the answers: l1-kernel and cpe-mesh
+# against sequential Lloyd, serve-read's HTTP answers bit for bit.
+benchcheck:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
 
 # bench seeds the perf trajectory: the root paper-figure benchmarks
 # and the internal/core kernels run once each (their seeds are fixed

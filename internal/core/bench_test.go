@@ -7,8 +7,9 @@ import (
 	"repro/internal/machine"
 )
 
-// BenchmarkArgminDistance measures the distance kernel at the Level-1
-// working-set shape (all centroids resident).
+// BenchmarkArgminDistance measures the reference distance loop, the
+// one sequential Lloyd keeps, at the Level-1 working-set shape (all
+// centroids resident).
 func BenchmarkArgminDistance(b *testing.B) {
 	const k, d = 64, 128
 	cents := make([]float64, k*d)
@@ -24,6 +25,70 @@ func BenchmarkArgminDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		argminDistance(x, cents, d)
 	}
+}
+
+// nearestSink keeps the benchmarked kernel calls alive.
+var nearestSink int
+
+// nearestBench is a Gaussian mixture with k components and the
+// centroids after three Lloyd iterations; seeds are the assignments of
+// the last iteration, which is what the engines seed the kernel with.
+func nearestBench(b *testing.B, n, d, k int) (m *dataset.Matrix, cents []float64, seeds []int) {
+	b.Helper()
+	g, err := dataset.NewGaussianMixture("bench", n, d, k, 0.25, 2.0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m, err = dataset.Materialize(g); err != nil {
+		b.Fatal(err)
+	}
+	res, err := Lloyd(m, k, 3, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, res.Centroids, res.Assign
+}
+
+// BenchmarkNearest measures Nearest per query at the benchmark
+// workloads' kernel shapes: l1-kernel's Level-1 assign (k=64, d=32,
+// seeded with the previous assignment), serve-read's snapshot (k=1,024,
+// d=64, the candidate carried across 4 shards) and des-4k's Level-3
+// stripe (k=16 of 2,000 centroids, d=256, unseeded).
+func BenchmarkNearest(b *testing.B) {
+	b.Run("k64_d32_seeded", func(b *testing.B) {
+		const k, d = 64, 32
+		m, cents, seeds := nearestBench(b, 4096, d, k)
+		b.SetBytes(int64(k * d * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := i % m.N()
+			nearestSink, _ = Nearest(m.Row(s), cents, d, seeds[s])
+		}
+	})
+	b.Run("k1024_d64_4shards", func(b *testing.B) {
+		const k, d, shards = 1024, 64, 4
+		m, cents, _ := nearestBench(b, 4096, d, k)
+		b.SetBytes(int64(k * d * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x := m.Row(i % m.N())
+			best, dist := -1, 0.0
+			for sh := 0; sh < shards; sh++ {
+				lo, hi := shareRange(k, shards, sh)
+				best, dist = NearestFrom(x, cents, d, lo, hi, best, dist)
+			}
+			nearestSink = best
+		}
+	})
+	b.Run("k16_d256", func(b *testing.B) {
+		const k, d = 16, 256
+		m, cents, _ := nearestBench(b, 2048, d, k)
+		b.SetBytes(int64(k * d * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nearestSink, _ = Nearest(m.Row(i%m.N()), cents, d, -1)
+		}
+	})
 }
 
 // BenchmarkLloydIteration measures a full sequential baseline

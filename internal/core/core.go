@@ -345,9 +345,9 @@ func shareRange(n, p, r int) (lo, hi int) {
 
 // argminDistance returns the index of the centroid in cents (a kLocal
 // x d row-major matrix) nearest to x under squared Euclidean distance,
-// together with that distance. Ties break to the lowest index, exactly
-// like the sequential baseline, so partitioned runs reproduce Lloyd's
-// assignments.
+// together with that distance. Ties break to the lowest index. It is
+// the plain reference loop: sequential Lloyd runs it, and the engines'
+// kernel, Nearest, must return its answer bit for bit.
 func argminDistance(x, cents []float64, d int) (int, float64) {
 	k := len(cents) / d
 	best := -1

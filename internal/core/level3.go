@@ -215,7 +215,9 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				continue
 			}
 			env.src.Sample(i, st.buf)
-			j, dist := argminDistance(st.buf, st.cents, d)
+			// Unseeded: only position-0 ranks write env.assign, so
+			// reading it here would race with them.
+			j, dist := Nearest(st.buf, st.cents, d, -1)
 			st.vals[bi] = dist
 			st.ids[bi] = int64(st.kLo + j)
 		}

@@ -83,7 +83,8 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 	}
 	// Assign step: either the full owned range (functionally strided,
 	// always charged in full) or a rotating mini-batch of it (charged
-	// as the batch).
+	// as the batch). Each sample's previous assignment seeds the
+	// kernel; only the rank that owns the sample reads or writes it.
 	localObj := 0.0
 	nLocal := st.hi - st.lo
 	chargedN := nLocal
@@ -94,7 +95,7 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 		for b := 0; b < batch; b++ {
 			i := st.lo + (start+b)%nLocal
 			env.src.Sample(i, st.buf)
-			j, dist := argminDistance(st.buf, st.cents, d)
+			j, dist := Nearest(st.buf, st.cents, d, env.assign[i])
 			env.assign[i] = j
 			localObj += dist
 			row := st.sums[j*d : (j+1)*d]
@@ -106,7 +107,7 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 	} else {
 		for i := st.lo; i < st.hi; i += cfg.SampleStride {
 			env.src.Sample(i, st.buf)
-			j, dist := argminDistance(st.buf, st.cents, d)
+			j, dist := Nearest(st.buf, st.cents, d, env.assign[i])
 			env.assign[i] = j
 			localObj += dist
 			row := st.sums[j*d : (j+1)*d]

@@ -38,6 +38,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Shard is a contiguous centroid-range stripe [Lo, Hi) of a snapshot —
@@ -114,42 +116,19 @@ func NewSnapshot(epoch uint64, cents []float64, k, d, shards int, trained int64,
 // Staleness returns the wall-clock age of the snapshot.
 func (s *Snapshot) Staleness() time.Duration { return time.Since(s.CreatedAt) }
 
-// assignShard scans one centroid stripe for the nearest centroid to x
-// and returns its global index and squared distance. It is the per-
-// reducer half of the sharded query: stripe argmins merge by min, ties
-// to the lowest index, exactly like core.argminDistance over the full
-// matrix.
-func (s *Snapshot) assignShard(x []float64, sh Shard) (int, float64) {
-	d := s.D
-	best, bestDist := -1, 0.0
-	for j := sh.Lo; j < sh.Hi; j++ {
-		c := s.Centroids[j*d : (j+1)*d]
-		acc := 0.0
-		for u := 0; u < d; u++ {
-			diff := x[u] - c[u]
-			acc += diff * diff
-		}
-		if best < 0 || acc < bestDist {
-			best, bestDist = j, acc
-		}
-	}
-	return best, bestDist
-}
-
-// Assign returns the nearest centroid to x by merging the per-shard
-// stripe argmins. visit, when non-nil, runs after each shard scan (the
-// server hooks deadline checks and chaos shard delays there); a non-nil
-// error aborts the merge.
+// Assign returns the nearest centroid to x, scanning the shards in
+// order and carrying the running best from each into the next, so the
+// answer is core.Nearest's over the whole matrix whatever the shard
+// count. visit, when non-nil, runs after each shard scan (the server
+// hooks deadline checks and chaos shard delays there); a non-nil error
+// aborts the scan.
 func (s *Snapshot) Assign(x []float64, visit func(shard int) error) (int, float64, error) {
 	if len(x) != s.D {
 		return 0, 0, fmt.Errorf("serve: query has %d dims, model wants %d", len(x), s.D)
 	}
 	best, bestDist := -1, 0.0
 	for i, sh := range s.Shards {
-		j, dist := s.assignShard(x, sh)
-		if j >= 0 && (best < 0 || dist < bestDist) {
-			best, bestDist = j, dist
-		}
+		best, bestDist = core.NearestFrom(x, s.Centroids, s.D, sh.Lo, sh.Hi, best, bestDist)
 		if visit != nil {
 			if err := visit(i); err != nil {
 				return best, bestDist, err

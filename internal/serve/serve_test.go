@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func mkSnap(t *testing.T, epoch uint64, cents []float64, k, d, shards int) *Snapshot {
@@ -62,55 +64,78 @@ func TestSnapshotCopiesCentroids(t *testing.T) {
 	}
 }
 
-// refAssign is the unsharded reference: scan the whole matrix, strict
-// less keeps the lowest index on ties — the semantics of
-// core.argminDistance the sharded merge must preserve.
-func refAssign(cents []float64, d int, x []float64) (int, float64) {
-	k := len(cents) / d
-	best, bestDist := -1, math.Inf(1)
-	for j := 0; j < k; j++ {
-		c := cents[j*d : (j+1)*d]
-		acc := 0.0
-		for u := 0; u < d; u++ {
-			diff := x[u] - c[u]
-			acc += diff * diff
-		}
-		if acc < bestDist {
-			best, bestDist = j, acc
-		}
-	}
-	return best, bestDist
-}
-
+// TestSnapshotAssignMatchesUnsharded requires every shard count 1..k
+// to answer exactly what core.Nearest answers over the whole matrix,
+// index and distance bits, including on grids with duplicate centroids
+// (ties across stripe boundaries) and non-finite centroids.
 func TestSnapshotAssignMatchesUnsharded(t *testing.T) {
 	// A deterministic centroid grid with deliberate duplicates so ties
 	// exercise the lowest-index rule across stripe boundaries.
 	const k, d = 17, 3
-	cents := make([]float64, k*d)
+	grid := make([]float64, k*d)
 	for j := 0; j < k; j++ {
 		for u := 0; u < d; u++ {
-			cents[j*d+u] = float64((j*7+u*3)%9) * 0.5
+			grid[j*d+u] = float64((j*7+u*3)%9) * 0.5
 		}
 	}
-	copy(cents[15*d:16*d], cents[2*d:3*d]) // duplicate of centroid 2
+	copy(grid[15*d:16*d], grid[2*d:3*d]) // duplicate of centroid 2
 	queries := [][]float64{
 		{0, 0, 0},
 		{1, 1.5, 2},
 		{4, 4, 4},
 		{0.99, 2.01, 3.5},
-		cents[2*d : 3*d], // exactly on the duplicated centroid
+		grid[2*d : 3*d], // exactly on the duplicated centroid
+		{1e308, -1e308, 0},
 	}
-	for _, shards := range []int{1, 2, 4, 5, 17} {
-		s := mkSnap(t, 1, cents, k, d, shards)
-		for qi, x := range queries {
-			wantJ, wantD := refAssign(cents, d, x)
-			gotJ, gotD, err := s.Assign(x, nil)
-			if err != nil {
-				t.Fatal(err)
+	nan, inf := math.NaN(), math.Inf(1)
+	// with returns the grid with the given centroid coordinates set.
+	with := func(set map[int]float64) []float64 {
+		c := append([]float64(nil), grid...)
+		for i, v := range set {
+			c[i] = v
+		}
+		return c
+	}
+	models := []struct {
+		name  string
+		cents []float64
+	}{
+		{"finite", grid},
+		{"NaN centroid 0", with(map[int]float64{1: nan})},
+		{"NaN centroids", with(map[int]float64{3 * d: nan, 8*d + 2: nan, 9 * d: nan, 16 * d: nan})},
+		{"infinite centroids", with(map[int]float64{0: inf, 4*d + 1: -inf, 9*d + 2: inf})},
+		{"mixed", with(map[int]float64{5 * d: nan, 6 * d: inf, 7*d + 1: -inf, 12 * d: 1e308})},
+	}
+	for _, m := range models {
+		for shards := 1; shards <= k; shards++ {
+			s := mkSnap(t, 1, m.cents, k, d, shards)
+			for qi, x := range queries {
+				wantJ, wantD := core.Nearest(x, m.cents, d, -1)
+				gotJ, gotD, err := s.Assign(x, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotJ != wantJ || math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("%s, shards=%d, query %d: got (%d,%g), want (%d,%g)", m.name, shards, qi, gotJ, gotD, wantJ, wantD)
+				}
 			}
-			if gotJ != wantJ || gotD != wantD {
-				t.Fatalf("shards=%d query %d: got (%d,%g), want (%d,%g)", shards, qi, gotJ, gotD, wantJ, wantD)
-			}
+		}
+	}
+}
+
+// TestSnapshotAssignNaNDoesNotHideShard is the shard-count dependence
+// a NaN at the start of a shard used to cause: with centroids
+// {5, 3, NaN, 1} and query {0}, two shards answered centroid 1 while
+// one and four answered centroid 3.
+func TestSnapshotAssignNaNDoesNotHideShard(t *testing.T) {
+	cents := []float64{5, 3, math.NaN(), 1}
+	for shards := 1; shards <= 4; shards++ {
+		j, dist, err := mkSnap(t, 1, cents, 4, 1, shards).Assign([]float64{0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j != 3 || dist < 1 || dist > 1 {
+			t.Fatalf("shards=%d: got (%d, %g), want (3, 1)", shards, j, dist)
 		}
 	}
 }

@@ -13,7 +13,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -206,18 +205,7 @@ func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64,
 		}
 		for i := 0; i < n; i++ {
 			x := w.Values[i*d : (i+1)*d]
-			best, bestD := -1, math.Inf(1)
-			for j := 0; j < k; j++ {
-				cj := cents[j*d : (j+1)*d]
-				acc := 0.0
-				for u := 0; u < d; u++ {
-					diff := x[u] - cj[u]
-					acc += diff * diff
-				}
-				if acc < bestD {
-					best, bestD = j, acc
-				}
-			}
+			best, _ := core.Nearest(x, cents, d, assign[i])
 			assign[i] = best
 			wi := w.Weights[i]
 			row := sums[best*d : (best+1)*d]

@@ -303,6 +303,27 @@ func TestWeightedKMeansAllZeroWeights(t *testing.T) {
 	}
 }
 
+// TestWeightedKMeansOverflowingDistances is a point whose squared
+// distance to every centroid overflows to +Inf: it goes to centroid 0,
+// as in core's assignment, instead of to index -1 (which panicked).
+func TestWeightedKMeansOverflowingDistances(t *testing.T) {
+	w := &Weighted{
+		Values:  []float64{0, 1e308, -1e308},
+		Weights: []float64{1, 1, 1},
+		D:       1,
+	}
+	cents, mass, err := WeightedKMeans(w, 2, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cents) != 2 || len(mass) != 2 {
+		t.Fatalf("got %d centroids and %d masses, want 2 and 2", len(cents), len(mass))
+	}
+	if total := mass[0] + mass[1]; total < 3 || total > 3 {
+		t.Fatalf("assigned mass %g, want all 3 points", total)
+	}
+}
+
 func BenchmarkStreamKMeans(b *testing.B) {
 	g := mixture(b, 2048, 8, 4)
 	b.ResetTimer()
