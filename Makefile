@@ -3,20 +3,30 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fix lint-sarif fixcheck test race benchcheck faultcheck obscheck schedcheck servecheck bench benchdiff
+.PHONY: check build vet fmtcheck lint lint-fix lint-sarif fixcheck test race benchcheck faultcheck obscheck schedcheck servecheck bench benchdiff
 
-# check is the full gate: build, vet, swlint, the autofix-idempotency
-# gate, tests under the race detector, the benchmark module's vet and
-# tests, the fault-injection smoke matrix, the trace-export determinism
-# check, the 4,096-rank scheduler gate, and the online-serving chaos
-# scenario.
-check: build vet lint fixcheck race benchcheck faultcheck obscheck schedcheck servecheck
+# check is the full gate: build, vet, the gofmt gate, swlint, the
+# autofix-idempotency gate, tests under the race detector, the
+# benchmark module's vet and tests, the fault-injection smoke matrix,
+# the trace-export determinism check, the 4,096-rank scheduler gate,
+# and the online-serving chaos scenario.
+check: build vet fmtcheck lint fixcheck race benchcheck faultcheck obscheck schedcheck servecheck
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck is the formatting gate: every Go file in the tree must be
+# gofmt-clean. It lists the files that are not and fails; `gofmt -w`
+# on them is the fix.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmtcheck: not gofmt-clean (run gofmt -w on these files):"; \
+		echo "$$out"; \
+		exit 1; \
+	fi
 
 lint:
 	$(GO) run ./cmd/swlint -stats ./...

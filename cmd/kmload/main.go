@@ -126,11 +126,11 @@ type report struct {
 	// DegradedSeen counts answers flagged degraded (trainer dead or
 	// snapshot stale) and MaxStalenessMS the largest staleness
 	// reported — proof the contract surfaced the degradation.
-	DegradedSeen   uint64  `json:"degraded_seen"`
-	MaxStalenessMS int64   `json:"max_staleness_ms"`
-	P50MS          float64 `json:"p50_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	QPS            float64 `json:"qps"`
+	DegradedSeen   uint64   `json:"degraded_seen"`
+	MaxStalenessMS int64    `json:"max_staleness_ms"`
+	P50MS          float64  `json:"p50_ms"`
+	P99MS          float64  `json:"p99_ms"`
+	QPS            float64  `json:"qps"`
 	FailureSamples []string `json:"failure_samples,omitempty"`
 }
 

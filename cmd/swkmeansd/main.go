@@ -87,17 +87,17 @@ func main() {
 }
 
 type options struct {
-	addr, addrFile                  string
-	k, d, components, streamN       int
-	seed                            uint64
-	batch, miniBatch, roundIters    int
-	interval                        time.Duration
-	shards, nodes, queue            int
-	deadline, staleAfter, backoff   time.Duration
-	plan                            fault.Plan
-	delayUnit                       time.Duration
-	metricsOut                      string
-	metricsInt, drainWait           time.Duration
+	addr, addrFile                string
+	k, d, components, streamN     int
+	seed                          uint64
+	batch, miniBatch, roundIters  int
+	interval                      time.Duration
+	shards, nodes, queue          int
+	deadline, staleAfter, backoff time.Duration
+	plan                          fault.Plan
+	delayUnit                     time.Duration
+	metricsOut                    string
+	metricsInt, drainWait         time.Duration
 }
 
 func run(o options) error {

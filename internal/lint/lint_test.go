@@ -239,11 +239,11 @@ func TestSuppressions(t *testing.T) {
 
 	filtered := CheckPackage([]Rule{FloatEqRule{}}, p)
 	checkFindings(t, filtered, []expect{
-		{"float-eq", "suppress.go", 26, "floating-point"},   // wrong rule named
-		{"bad-suppress", "suppress.go", 32, "malformed"},    // legacy reason-free form
-		{"float-eq", "suppress.go", 33, "floating-point"},   // malformed comment suppresses nothing
+		{"float-eq", "suppress.go", 26, "floating-point"},    // wrong rule named
+		{"bad-suppress", "suppress.go", 32, "malformed"},     // legacy reason-free form
+		{"float-eq", "suppress.go", 33, "floating-point"},    // malformed comment suppresses nothing
 		{"unused-suppress", "suppress.go", 39, "matched no"}, // out of range, so stale
-		{"float-eq", "suppress.go", 41, "floating-point"},   // comment out of range
+		{"float-eq", "suppress.go", 41, "floating-point"},    // comment out of range
 	})
 
 	// With err-wrap in the run, the err-wrap half of the comma-list

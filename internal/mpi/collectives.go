@@ -182,7 +182,7 @@ func (c *Comm) AllGatherFloats(contrib []float64) ([]float64, error) {
 	if c.rank != 0 || gathered == nil {
 		gathered = make([]float64, len(contrib)*c.size)
 	}
-	if err := c.bcastOp(st, 0, gathered, nil); err != nil {
+	if err := c.bcastInto(st, 0, gathered, nil); err != nil {
 		return nil, err
 	}
 	if st.fail != nil {

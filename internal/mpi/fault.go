@@ -279,10 +279,20 @@ func (st *opState) err() error {
 	return st.fail
 }
 
-// opSend is the poison-aware protocol send: a clean rank transmits the
-// payload, a poisoned rank transmits the failure marker on the same
-// edge.
+// opSend is the poison-aware protocol send: a clean rank transmits a
+// copy of the payload, a poisoned rank transmits the failure marker on
+// the same edge.
 func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
+	if st.fail != nil {
+		return c.sendPacket(dst, tag, nil, nil, st.fail)
+	}
+	return c.sendPacket(dst, tag, clonePayload(data), clonePayload(ints), nil)
+}
+
+// opForward is opSend for a payload nobody writes again, a
+// broadcast's: the packet carries the slices as they are instead of a
+// copy.
+func (c *Comm) opForward(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
 	if st.fail != nil {
 		return c.sendPacket(dst, tag, nil, nil, st.fail)
 	}

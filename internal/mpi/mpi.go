@@ -15,8 +15,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -62,6 +63,15 @@ type World struct {
 
 	commIDs sync.Mutex
 	nextID  uint64 // guarded by commIDs
+
+	// splits holds the partition of every Split in progress, keyed by
+	// its gathered table: all members hold the broadcast's one copy of
+	// it, so sibling splits never share a key. The first member to
+	// arrive derives the partition and the last to read it deletes it;
+	// runMembers starts every epoch with an empty map, dropping any a
+	// failed epoch left behind.
+	splitMu sync.Mutex
+	splits  map[*int64]*partition // guarded by splitMu
 
 	clocks []*vclock.Clock
 
@@ -187,6 +197,9 @@ func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) err
 		w.aborted[g] = make(chan struct{})
 	}
 	w.abortFail = make([]*RankFailure, w.size)
+	w.splitMu.Lock()
+	w.splits = make(map[*int64]*partition)
+	w.splitMu.Unlock()
 	if w.driver == DriverSched {
 		return w.runMembersSched(id, members, fn)
 	}
@@ -313,7 +326,15 @@ func (c *Comm) nextTag() uint64 {
 // send transmits payloads to communicator rank dst under tag.
 // The payloads are copied; the caller may reuse its buffers.
 func (c *Comm) send(dst int, tag uint64, data []float64, ints []int64) error {
-	return c.sendPacket(dst, tag, data, ints, nil)
+	return c.sendPacket(dst, tag, clonePayload(data), clonePayload(ints), nil)
+}
+
+// clonePayload copies s for a packet; an empty payload travels as nil.
+func clonePayload[T float64 | int64](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // sendPacket is send plus the fault machinery: the sender fail-stops
@@ -322,7 +343,8 @@ func (c *Comm) send(dst int, tag uint64, data []float64, ints []int64) error {
 // charged to the sender's clock, and delivery to a crashed or aborted
 // peer is dropped (dead letters would otherwise fill the peer's inbox
 // and block the sender forever). A non-nil fail marks the packet as
-// poison.
+// poison. The packet carries data and ints themselves, not a copy, so
+// nobody may write them after the call.
 func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fail *RankFailure) error {
 	if err := c.checkSelfCrash(); err != nil {
 		return err
@@ -338,13 +360,7 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 	c.w.stats.AddNet(int64(bytes))
 	// The sender is busy for the injection duration; the wire time is
 	// charged on the receive side through the timestamp.
-	p := packet{src: srcG, tag: tag, fail: fail}
-	if len(data) > 0 {
-		p.data = append(make([]float64, 0, len(data)), data...)
-	}
-	if len(ints) > 0 {
-		p.ints = append(make([]int64, 0, len(ints)), ints...)
-	}
+	p := packet{src: srcG, tag: tag, data: data, ints: ints, fail: fail}
 	srcCG, dstCG := c.w.cgOf[srcG], c.w.cgOf[dstG]
 	tt, err := c.w.transferTime(srcCG, dstCG, bytes, c.Clock().Now())
 	if err != nil {
@@ -546,7 +562,7 @@ func (c *Comm) barrier() error {
 func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 	u, m := c.obsBegin()
 	st := &opState{}
-	err := c.bcastOp(st, root, data, ints)
+	err := c.bcastInto(st, root, data, ints)
 	if err == nil {
 		err = st.err()
 	}
@@ -556,13 +572,20 @@ func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 
 // bcastOp is the poison-aware broadcast body shared by Bcast and the
 // composite collectives: a poisoned rank walks the identical tree
-// forwarding the failure marker instead of the payload.
-func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) error {
+// forwarding the failure marker instead of the payload. data and ints
+// are read on the root only, which copies them once; every other rank
+// forwards the payload it received, so the root's copy serves every
+// hop. bcastOp returns that shared payload, which nobody may write:
+// bcastInto copies it into the caller's buffers.
+func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) ([]float64, []int64, error) {
 	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: bcast root %d out of range", root)
+		return nil, nil, fmt.Errorf("mpi: bcast root %d out of range", root)
 	}
 	tag := c.nextTag()
 	rel := (c.rank - root + c.size) % c.size
+	if rel == 0 && st.fail == nil {
+		data, ints = clonePayload(data), clonePayload(ints)
+	}
 	// Find the receiving step: lowest set bit of rel.
 	mask := 1
 	for mask < c.size {
@@ -570,15 +593,9 @@ func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) erro
 			src := (c.rank - mask + c.size) % c.size
 			d, i, err := c.opRecv(st, commRank(src), tag)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			if st.fail == nil {
-				if len(d) != len(data) || len(i) != len(ints) {
-					return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
-				}
-				copy(data, d)
-				copy(ints, i)
-			}
+			data, ints = d, i
 			break
 		}
 		mask <<= 1
@@ -587,11 +604,27 @@ func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) erro
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < c.size && rel&(mask-1) == 0 && rel&mask == 0 {
 			dst := (c.rank + mask) % c.size
-			if err := c.opSend(st, dst, tag, data, ints); err != nil {
-				return err
+			if err := c.opForward(st, dst, tag, data, ints); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
+	return data, ints, nil
+}
+
+// bcastInto is bcastOp for callers that keep the result in their own
+// buffers: non-root ranks copy the broadcast payload into data and
+// ints, whose lengths must match the root's.
+func (c *Comm) bcastInto(st *opState, root int, data []float64, ints []int64) error {
+	d, i, err := c.bcastOp(st, root, data, ints)
+	if err != nil || st.fail != nil || c.rank == root {
+		return err
+	}
+	if len(d) != len(data) || len(i) != len(ints) {
+		return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
+	}
+	copy(data, d)
+	copy(ints, i)
 	return nil
 }
 
@@ -670,7 +703,7 @@ func (c *Comm) allReduceSum(data []float64, ints []int64) error {
 	if err := c.reduceOp(st, 0, data, ints); err != nil {
 		return err
 	}
-	if err := c.bcastOp(st, 0, data, ints); err != nil {
+	if err := c.bcastInto(st, 0, data, ints); err != nil {
 		return err
 	}
 	return st.err()
@@ -723,7 +756,7 @@ func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
 			}
 		}
 	}
-	if err := c.bcastOp(st, 0, vals, idxs); err != nil {
+	if err := c.bcastInto(st, 0, vals, idxs); err != nil {
 		return err
 	}
 	return st.err()
@@ -736,23 +769,31 @@ func (c *Comm) AllGatherInts(contrib []int64) ([]int64, error) {
 	u, m := c.obsBegin()
 	all, err := c.allGatherInts(contrib)
 	c.obsEnd(u, m, "mpi:allgather", int64(len(all)*ldm.ElemBytes))
-	return all, err
+	if err != nil {
+		return nil, err
+	}
+	// The table is the broadcast's one copy, shared by every rank.
+	return append(make([]int64, 0, len(all)), all...), nil
 }
 
+// allGatherInts is AllGatherInts without the private copy: every rank
+// returns the same table (on one rank, contrib itself), which nobody
+// may write.
 func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
 	n := len(contrib)
-	all := make([]int64, n*c.size)
-	copy(all[c.rank*n:], contrib)
 	if c.size == 1 {
 		if err := c.checkSelfCrash(); err != nil {
 			return nil, err
 		}
-		return all, nil
+		return contrib, nil
 	}
 	st := &opState{}
 	tag := c.nextTag()
 	// Gather to rank 0, then broadcast. Simple and deterministic.
+	var all []int64
 	if c.rank == 0 {
+		all = make([]int64, n*c.size)
+		copy(all, contrib)
 		for src := 1; src < c.size; src++ {
 			_, i, err := c.opRecv(st, src, tag)
 			if err != nil {
@@ -770,11 +811,15 @@ func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
 			return nil, err
 		}
 	}
-	if err := c.bcastOp(st, 0, nil, all); err != nil {
+	_, all, err := c.bcastOp(st, 0, nil, all)
+	if err != nil {
 		return nil, err
 	}
 	if st.fail != nil {
 		return nil, st.fail
+	}
+	if len(all) != n*c.size {
+		return nil, fmt.Errorf("mpi: allgather payload mismatch on rank %d", c.rank)
 	}
 	return all, nil
 }
@@ -791,58 +836,100 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 }
 
 func (c *Comm) split(color, key int) (*Comm, error) {
-	pairs, err := c.AllGatherInts([]int64{int64(color), int64(key)})
+	// Inside split's span section an allgather section would record
+	// nothing, so split reads the shared table without a private copy.
+	pairs, err := c.allGatherInts([]int64{int64(color), int64(key)})
 	if err != nil {
 		return nil, err
 	}
-	type mem struct{ color, key, rank int }
-	var mine []mem
-	for r := 0; r < c.size; r++ {
-		col := int(pairs[2*r])
-		if col == color {
-			mine = append(mine, mem{col, int(pairs[2*r+1]), r})
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
-		}
-		return mine[i].rank < mine[j].rank
-	})
-	members := make([]int, len(mine))
-	newRank := -1
-	for i, m := range mine {
-		members[i] = c.members[m.rank]
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	if newRank < 0 {
+	if pairs[2*c.rank] != int64(color) {
 		return nil, fmt.Errorf("mpi: rank %d missing from its own split", c.rank)
 	}
+	p := c.w.partitionOf(pairs, c.members)
+	g := p.group[c.rank]
+	members := p.groups[g]
 	// Communicator identity must agree across all members of the new
 	// communicator without extra communication, and must be unique
 	// across every communicator in the world. All ranks hold the same
 	// gathered color table and the same (parent id, parent seq), so
 	// the tuple (parent id, parent seq, index of this color among the
 	// sorted distinct colors) is both agreed and collision-free.
-	distinct := make(map[int]struct{}, c.size)
-	var colors []int
-	for r := 0; r < c.size; r++ {
-		col := int(pairs[2*r])
-		if _, ok := distinct[col]; !ok {
-			distinct[col] = struct{}{}
-			colors = append(colors, col)
-		}
-	}
-	sort.Ints(colors)
-	colorIdx := sort.SearchInts(colors, color)
-	id := (c.id*1_000_003+c.seq)*65536 + uint64(colorIdx) + 1
+	id := (c.id*1_000_003+c.seq)*65536 + uint64(g) + 1
 	return &Comm{
 		w:       c.w,
 		id:      id,
-		rank:    newRank,
+		rank:    p.rank[c.rank],
 		size:    len(members),
 		members: members,
 	}, nil
+}
+
+// partition is the outcome of one Split, a pure function of the
+// gathered (color, key) table and the parent's members. It is derived
+// once and read by every member, which keeps a split's host work
+// linear in the communicator size.
+type partition struct {
+	// groups[g] holds the world ranks of the g-th smallest distinct
+	// color, ordered by (key, parent rank): the new communicator's
+	// members, shared by all of them.
+	groups [][]int
+	// group[r] is parent rank r's color index, rank[r] its rank in
+	// that group.
+	group, rank []int
+	// unread counts the members that have not read the partition yet.
+	unread int // guarded by splitMu
+}
+
+// partitionOf returns the partition of the split whose gathered table
+// is pairs, deriving it for the first member and dropping it once the
+// last one has read it.
+func (w *World) partitionOf(pairs []int64, parent []int) *partition {
+	key := &pairs[0]
+	w.splitMu.Lock()
+	defer w.splitMu.Unlock()
+	p := w.splits[key]
+	if p == nil {
+		p = derivePartition(pairs, parent)
+		p.unread = len(parent)
+		w.splits[key] = p
+	}
+	p.unread--
+	if p.unread == 0 {
+		delete(w.splits, key)
+	}
+	return p
+}
+
+// derivePartition sorts the parent ranks by (color, key, rank) once:
+// each color's run of the order is then its new communicator, and the
+// runs come in the order of the sorted distinct colors.
+func derivePartition(pairs []int64, parent []int) *partition {
+	n := len(parent)
+	order := make([]int, n)
+	for r := range order {
+		order[r] = r
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(pairs[2*a], pairs[2*b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pairs[2*a+1], pairs[2*b+1]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	p := &partition{group: make([]int, n), rank: make([]int, n)}
+	ranks := make([]int, n)
+	start := 0
+	for i, r := range order {
+		if i > 0 && pairs[2*r] != pairs[2*order[i-1]] {
+			p.groups = append(p.groups, ranks[start:i:i])
+			start = i
+		}
+		ranks[i] = parent[r]
+		p.group[r] = len(p.groups)
+		p.rank[r] = i - start
+	}
+	p.groups = append(p.groups, ranks[start:n:n])
+	return p
 }

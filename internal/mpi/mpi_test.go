@@ -470,7 +470,7 @@ func TestNestedSplit(t *testing.T) {
 		if err := quarter.AllReduceSum(data, nil); err != nil {
 			return err
 		}
-		base := float64(c.Rank()/2*2) // pair base rank
+		base := float64(c.Rank() / 2 * 2) // pair base rank
 		if data[0] != base+(base+1) {
 			return fmt.Errorf("pair sum %g for rank %d", data[0], c.Rank())
 		}

@@ -16,7 +16,7 @@ func TestRingAllReduceCorrectness(t *testing.T) {
 				data := make([]float64, elems)
 				ints := make([]int64, elems/2)
 				for j := range data {
-					data[j] = float64((c.Rank()+1)*(j+1)) // rank-dependent
+					data[j] = float64((c.Rank() + 1) * (j + 1)) // rank-dependent
 				}
 				for j := range ints {
 					ints[j] = int64(c.Rank() + j)

@@ -13,13 +13,13 @@ func TestHistBucketBoundaries(t *testing.T) {
 		{0, 0},
 		{-1, 0},
 		{math.NaN(), 0},
-		{1e-9, 0},     // exactly 1ns: bucket 0's upper bound
-		{0.5e-9, 0},   // below base
-		{2e-9, 1},     // exactly 2ns: (1, 2] → bucket 1
+		{1e-9, 0},      // exactly 1ns: bucket 0's upper bound
+		{0.5e-9, 0},    // below base
+		{2e-9, 1},      // exactly 2ns: (1, 2] → bucket 1
 		{2.0001e-9, 2}, // just above 2ns → bucket 2
-		{4e-9, 2},     // exactly 4ns
-		{1e-6, 10},    // 1µs = 1000ns: 2^9=512 < 1000 <= 2^10=1024
-		{1.0, 30},     // 1s = 1e9ns: 2^29 ≈ 5.4e8 < 1e9 <= 2^30 ≈ 1.07e9
+		{4e-9, 2},      // exactly 4ns
+		{1e-6, 10},     // 1µs = 1000ns: 2^9=512 < 1000 <= 2^10=1024
+		{1.0, 30},      // 1s = 1e9ns: 2^29 ≈ 5.4e8 < 1e9 <= 2^30 ≈ 1.07e9
 		{math.MaxFloat64, NumHistBuckets - 1},
 	}
 	for _, c := range cases {

@@ -271,7 +271,7 @@ func (c *CPE) AllReduce(buf []float64, counts []int64) error {
 	// Phase 1: recursive doubling across the row (partner differs in
 	// column bit), phase 2: across the column.
 	for _, phase := range [2]struct{ stride, limit int }{
-		{1, machine.MeshSide},               // columns within the row
+		{1, machine.MeshSide},                 // columns within the row
 		{machine.MeshSide, machine.CPEsPerCG}, // rows within the column
 	} {
 		for step := phase.stride; step < phase.limit; step *= 2 {

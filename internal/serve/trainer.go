@@ -406,7 +406,7 @@ func (t *Trainer) nextBatch() (*dataset.Matrix, error) {
 	srcN := t.cfg.Source.N()
 	buf := make([]float64, d)
 	for ; filled < n; filled++ {
-		t.cfg.Source.Sample(int(t.cursor % int64(srcN)), buf)
+		t.cfg.Source.Sample(int(t.cursor%int64(srcN)), buf)
 		t.cursor++
 		if err := m.SetRow(filled, buf); err != nil {
 			return nil, fmt.Errorf("serve: stream row: %w", err)
