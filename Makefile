@@ -121,7 +121,9 @@ faultcheck:
 # obscheck verifies the observability determinism contract end to end:
 # the same seeded scenario run twice exports byte-identical Chrome
 # trace and metrics files (docs/OBSERVABILITY.md), for a coarse Level-3
-# run, a crash-recovery run, and a fine-grained CPE-level kernel.
+# run, a crash-recovery run, and the fine-grained CPE-level kernels:
+# fine2's point-to-point min-reduce and slice combine, and fine1's and
+# fine3's mesh allreduces (fine3 over two CGs).
 # The final scenario is the scale gate: a 4,096-rank DES epoch under
 # the rollup recorder exports its aggregate profile, folded stacks and
 # aggregate Perfetto trace byte-identically twice, and cmd/obsdiff
@@ -142,6 +144,14 @@ obscheck:
 	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $(OBSTMP)/c.json
 	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $(OBSTMP)/d.json
 	cmp $(OBSTMP)/c.json $(OBSTMP)/d.json
+	$(OBSBASE) -algo fine1 -trace-out $(OBSTMP)/e1.json -metrics-out $(OBSTMP)/e1.jsonl
+	$(OBSBASE) -algo fine1 -trace-out $(OBSTMP)/e2.json -metrics-out $(OBSTMP)/e2.jsonl
+	cmp $(OBSTMP)/e1.json $(OBSTMP)/e2.json
+	cmp $(OBSTMP)/e1.jsonl $(OBSTMP)/e2.jsonl
+	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $(OBSTMP)/g1.json -metrics-out $(OBSTMP)/g1.jsonl
+	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $(OBSTMP)/g2.json -metrics-out $(OBSTMP)/g2.jsonl
+	cmp $(OBSTMP)/g1.json $(OBSTMP)/g2.json
+	cmp $(OBSTMP)/g1.jsonl $(OBSTMP)/g2.jsonl
 	mkdir -p obscheck-out
 	$(OBS4K) -profile-out obscheck-out/profile-4k.json -folded-out obscheck-out/folded-4k.txt -trace-out obscheck-out/trace-agg-4k.json
 	$(OBS4K) -profile-out $(OBSTMP)/p4k.json -folded-out $(OBSTMP)/f4k.txt -trace-out $(OBSTMP)/t4k.json

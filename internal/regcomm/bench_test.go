@@ -1,6 +1,7 @@
 package regcomm
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -8,16 +9,28 @@ import (
 
 // BenchmarkMeshAllReduce measures the functional 8x8-mesh allreduce
 // with 64 CPE goroutines — the register-communication bottleneck of
-// the Update step.
+// the Update step — at a tiny payload and at cpe-mesh's m·k = 4,096.
+// One mesh and one Run serve every iteration, so ns/op and B/op are
+// the allreduce's own.
 func BenchmarkMeshAllReduce(b *testing.B) {
-	spec := machine.MustSpec(1)
-	for i := 0; i < b.N; i++ {
-		mesh := NewMesh(spec, nil)
-		mesh.Run(func(c *CPE) {
-			buf := []float64{float64(c.ID()), 1, 2, 3}
-			if err := c.AllReduce(buf, nil); err != nil {
-				b.Error(err)
+	for _, elems := range []int{4, 4096} {
+		b.Run(fmt.Sprintf("elems%d", elems), func(b *testing.B) {
+			mesh := NewMesh(machine.MustSpec(1), nil)
+			bufs := make([][]float64, machine.CPEsPerCG)
+			for i := range bufs {
+				bufs[i] = make([]float64, elems)
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			mesh.Run(func(c *CPE) {
+				buf := bufs[c.ID()]
+				for i := 0; i < b.N; i++ {
+					if err := c.AllReduce(buf, nil); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
 	}
 }

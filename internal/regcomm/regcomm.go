@@ -9,8 +9,10 @@
 //
 //   - Mesh/CPE: a fully functional substrate. Each CPE runs as its own
 //     goroutine; sends are restricted to row/column neighbours exactly
-//     like the hardware buses, payloads really move, and virtual clocks
-//     reconcile through message timestamps.
+//     like the hardware buses, point-to-point payloads really move, and
+//     virtual clocks reconcile through message timestamps. AllReduce is
+//     one mesh-wide rendezvous that replays, on every CPE, the clock,
+//     spans and traffic of the recursive-doubling exchange it models.
 //   - Model: closed-form costs for mesh collectives, used by the
 //     large-scale core-group executors that simulate the 64 CPE kernels
 //     of a CG inside one goroutine.
@@ -18,6 +20,7 @@ package regcomm
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ldm"
 	"repro/internal/machine"
@@ -64,18 +67,6 @@ func (m Model) AllReduceTime(elems int) float64 {
 	return 6 * m.StepTime(elems)
 }
 
-// LineReduceTime is the cost of reducing elems elements across the 8
-// CPEs of one row or column onto a leader (3 recursive-halving steps).
-func (m Model) LineReduceTime(elems int) float64 {
-	return 3 * m.StepTime(elems)
-}
-
-// LineBroadcastTime is the cost of broadcasting elems elements from a
-// leader across its row or column bus (3 doubling steps).
-func (m Model) LineBroadcastTime(elems int) float64 {
-	return 3 * m.StepTime(elems)
-}
-
 // message is one register transfer in flight.
 type message struct {
 	from int // sender mesh index
@@ -93,7 +84,8 @@ type Mesh struct {
 	// units[i] is CPE i's span sink, nil when unobserved. Installed
 	// before Run; afterwards each unit is touched only by its CPE's
 	// goroutine (Run's completion channel orders the handoff).
-	units []*obs.Unit
+	units  []*obs.Unit
+	reduce rendezvous
 }
 
 // NewMesh builds the fabric for one core group. The stats sink may be
@@ -111,6 +103,7 @@ func NewMesh(spec *machine.Spec, stats *trace.Stats) *Mesh {
 		m.inbox[i] = make(chan message, machine.CPEsPerCG)
 		m.clocks[i] = vclock.New()
 	}
+	m.reduce.cond.L = &m.reduce.mu
 	return m
 }
 
@@ -263,101 +256,184 @@ func (c *CPE) Recv(src int) ([]float64, []int64, error) {
 }
 
 // AllReduce combines buf and counts element-wise across all 64 CPEs
-// with summation and leaves the full result on every CPE, using
-// recursive doubling along rows then columns — the register-
-// communication implementation of the paper's two AllReduce operations
-// in the Update step (Algorithm 1 line 14). Either slice may be nil.
+// with summation and leaves the full result on every CPE — the
+// register-communication implementation of the paper's two AllReduce
+// operations in the Update step (Algorithm 1 line 14). Either slice may
+// be nil; every CPE must pass the same lengths, or every CPE returns an
+// error and nothing is charged.
+//
+// The modelled algorithm is recursive doubling along rows then columns:
+// six steps, each a Send of the whole payload to the partner and a Recv
+// of the partner's. The host runs it as one rendezvous: the last CPE to
+// arrive sums the partials in the doubling tree's order, which yields
+// the bits every CPE would end with, and computes every CPE's six send
+// completion times. Each CPE then copies the result and replays its
+// sends and receives on its clock, span unit and traffic counters
+// exactly as Send and Recv record them.
 func (c *CPE) AllReduce(buf []float64, counts []int64) error {
-	// Phase 1: recursive doubling across the row (partner differs in
-	// column bit), phase 2: across the column.
-	for _, phase := range [2]struct{ stride, limit int }{
-		{1, machine.MeshSide},                 // columns within the row
-		{machine.MeshSide, machine.CPEsPerCG}, // rows within the column
-	} {
-		for step := phase.stride; step < phase.limit; step *= 2 {
-			partner := c.partner(step, phase.stride)
-			if err := c.Send(partner, buf, counts); err != nil {
-				return err
-			}
-			data, ints, err := c.Recv(partner)
-			if err != nil {
-				return err
-			}
-			if len(data) != len(buf) || len(ints) != len(counts) {
-				return fmt.Errorf("regcomm: allreduce payload mismatch on CPE %d", c.id)
-			}
-			for i, v := range data {
-				buf[i] += v
-			}
-			for i, v := range ints {
-				counts[i] += v
-			}
-		}
+	r := &c.mesh.reduce
+	r.mu.Lock()
+	round := r.round
+	r.in[c.id] = deposit{buf: buf, counts: counts, clock: c.Clock().Now()}
+	r.arrived++
+	if r.arrived == machine.CPEsPerCG {
+		r.combine(c.mesh.model, &r.in)
+		clear(r.in[:])
+		r.arrived = 0
+		r.round++
+		r.cond.Broadcast()
 	}
+	for r.round == round {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+	// The round's outcome stays put until all 64 CPEs have entered the
+	// next round, so reading it unlocked is safe.
+	if r.err != nil {
+		return r.err
+	}
+	copy(buf, r.sum)
+	copy(counts, r.total)
+	c.replay(&r.sends, len(buf)+len(counts))
 	return nil
 }
 
-// RowBroadcast distributes the root column's buf across the CPE's row
-// bus: the CPE at column rootCol sends, the others receive into buf
-// (which must have equal length everywhere). Every CPE of every row
-// must call it. This is the hardware-native way one sample stripe is
-// shared along a row.
-func (c *CPE) RowBroadcast(rootCol int, buf []float64) error {
-	if rootCol < 0 || rootCol >= machine.MeshSide {
-		return fmt.Errorf("regcomm: root column %d out of range", rootCol)
+// replay charges the CPE's six recursive-doubling steps of an
+// elems-element allreduce as Send and Recv would: each step advances the
+// clock by one transfer, counts it and records its span, then waits for
+// the partner's send to complete and records the receive span.
+func (c *CPE) replay(sends *[machine.CPEsPerCG][allReduceSteps]float64, elems int) {
+	clock, unit := c.Clock(), c.mesh.Unit(c.id)
+	cost := c.mesh.model.P2PTime(elems)
+	bytes := int64(elems * ldm.ElemBytes)
+	for step := 0; step < allReduceSteps; step++ {
+		start := clock.Now()
+		clock.Advance(cost)
+		c.mesh.stats.AddReg(bytes)
+		unit.Record(obs.KindReg, start, clock.Now(), bytes, 0)
+		start = clock.Now()
+		clock.AdvanceTo(sends[partner(c.id, step)][step])
+		unit.Record(obs.KindReg, start, clock.Now(), bytes, 0)
 	}
-	return c.lineBroadcast(rootCol, c.Col(), 1, buf)
 }
 
-// ColBroadcast distributes the root row's buf down the CPE's column
-// bus; the counterpart of RowBroadcast for column sharing.
-func (c *CPE) ColBroadcast(rootRow int, buf []float64) error {
-	if rootRow < 0 || rootRow >= machine.MeshSide {
-		return fmt.Errorf("regcomm: root row %d out of range", rootRow)
-	}
-	return c.lineBroadcast(rootRow, c.Row(), machine.MeshSide, buf)
+// allReduceSteps is the depth of the recursive-doubling allreduce:
+// three steps along the row bus, then three down the column bus.
+const allReduceSteps = 6
+
+// partner is CPE id's recursive-doubling partner at step 0..5. The
+// partners differ in one bit of the mesh index: bits 0-2 are the
+// column, so steps 0-2 stay on the row bus, and bits 3-5 the row, so
+// steps 3-5 stay on the column bus.
+func partner(id, step int) int { return id ^ 1<<step }
+
+// rendezvous is the mesh-wide meeting point behind AllReduce.
+type rendezvous struct {
+	mu      sync.Mutex
+	cond    sync.Cond // on mu; broadcast when a round completes
+	round   uint64    // guarded by mu; completed rounds
+	arrived int       // guarded by mu; CPEs in the current round
+	// What each CPE brought to the current round.
+	in [machine.CPEsPerCG]deposit // guarded by mu
+	// The outcome of the last completed round, written by its last
+	// arriver. The next round's last arriver overwrites it, and by then
+	// every CPE has left this round.
+	err   error
+	sum   []float64
+	total []int64
+	sends [machine.CPEsPerCG][allReduceSteps]float64 // sends[i][step]: CPE i's clock when that step's send completes
+	// levels holds one block of the doubling tree's partial sums below
+	// the root.
+	levels [allReduceSteps - 1][sumBlock]float64
 }
 
-// lineBroadcast runs a binomial broadcast along one bus (stride 1 for
-// a row, 8 for a column). pos is the CPE's index on the bus, root the
-// sender's index.
-func (c *CPE) lineBroadcast(root, pos, stride int, buf []float64) error {
-	rel := (pos - root + machine.MeshSide) % machine.MeshSide
-	mask := 1
-	for mask < machine.MeshSide {
-		if rel&mask != 0 {
-			srcPos := (pos - mask + machine.MeshSide) % machine.MeshSide
-			src := c.id + (srcPos-pos)*stride
-			data, _, err := c.Recv(src)
-			if err != nil {
-				return err
-			}
-			if len(data) != len(buf) {
-				return fmt.Errorf("regcomm: broadcast payload mismatch on CPE %d", c.id)
-			}
-			copy(buf, data)
-			break
+// deposit is what one CPE brings to an allreduce round: its payload
+// and its clock on entry.
+type deposit struct {
+	buf    []float64
+	counts []int64
+	clock  float64
+}
+
+// sumBlock is the length of the blocks the tree sum walks the payload
+// in, so that its levels of partial sums stay in the L1 cache.
+const sumBlock = 512
+
+// combine computes a round's outcome from every CPE's deposit. The
+// caller holds mu and is the last CPE to arrive.
+func (r *rendezvous) combine(model Model, in *[machine.CPEsPerCG]deposit) {
+	n, ni := len(in[0].buf), len(in[0].counts)
+	for i, d := range in {
+		if len(d.buf) != n || len(d.counts) != ni {
+			r.err = fmt.Errorf("regcomm: allreduce payload mismatch: CPE %d brings %d floats and %d counts, CPE 0 %d and %d",
+				i, len(d.buf), len(d.counts), n, ni)
+			return
 		}
-		mask <<= 1
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < machine.MeshSide && rel&(mask-1) == 0 && rel&mask == 0 {
-			dstPos := (pos + mask) % machine.MeshSide
-			dst := c.id + (dstPos-pos)*stride
-			if err := c.Send(dst, buf, nil); err != nil {
-				return err
+	r.err = nil
+	r.sum = resize(r.sum, n)
+	for lo := 0; lo < n; lo += sumBlock {
+		treeSum(r.sum[lo:min(lo+sumBlock, n)], in[:], lo, r.levels[:])
+	}
+	// Integer addition is associative, so any order gives the tree's
+	// result.
+	r.total = resize(r.total, ni)
+	clear(r.total)
+	for _, d := range in {
+		for e, v := range d.counts {
+			r.total[e] += v
+		}
+	}
+	// Every CPE's clock through the six steps, with the arithmetic of
+	// Send (Advance by one transfer) and Recv (AdvanceTo the partner's
+	// send completion).
+	cost := model.P2PTime(n + ni)
+	var t [machine.CPEsPerCG]float64
+	for i, d := range in {
+		t[i] = d.clock
+	}
+	for step := 0; step < allReduceSteps; step++ {
+		for i := range t {
+			r.sends[i][step] = t[i] + cost
+			t[i] = r.sends[i][step]
+		}
+		for i := range t {
+			if p := r.sends[partner(i, step)][step]; p > t[i] {
+				t[i] = p
 			}
 		}
 	}
-	return nil
 }
 
-// partner computes the recursive-doubling partner at the given step
-// within a phase whose unit stride is stride (1 for row phase, 8 for
-// column phase).
-func (c *CPE) partner(step, stride int) int {
-	pos := (c.id / stride) % machine.MeshSide
-	unit := step / stride
-	ppos := pos ^ unit
-	return c.id + (ppos-pos)*stride
+// treeSum sets dst to the sum of the deposits' floats lo..lo+len(dst)
+// in recursive-doubling order: both halves summed this way, then the
+// right half added to the left. At every node this is the addition each
+// CPE of the subtree performs on its exchange, with the operands
+// possibly swapped, and IEEE addition is commutative. len(in) is a
+// power of two, at least 2; levels holds log2(len(in))-1 scratch
+// blocks.
+func treeSum(dst []float64, in []deposit, lo int, levels [][sumBlock]float64) {
+	if len(in) == 2 {
+		a, b := in[0].buf[lo:lo+len(dst)], in[1].buf[lo:lo+len(dst)]
+		for e := range dst {
+			dst[e] = a[e] + b[e]
+		}
+		return
+	}
+	half := len(in) / 2
+	right := levels[0][:len(dst)]
+	treeSum(dst, in[:half], lo, levels[1:])
+	treeSum(right, in[half:], lo, levels[1:])
+	for e := range dst {
+		dst[e] += right[e]
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -26,12 +26,6 @@ func TestModelCosts(t *testing.T) {
 	if got, want := m.AllReduceTime(64), 6*m.StepTime(64); got != want {
 		t.Errorf("AllReduceTime = %g, want %g", got, want)
 	}
-	if got, want := m.LineReduceTime(64), 3*m.StepTime(64); got != want {
-		t.Errorf("LineReduceTime = %g, want %g", got, want)
-	}
-	if got, want := m.LineBroadcastTime(64), 3*m.StepTime(64); got != want {
-		t.Errorf("LineBroadcastTime = %g, want %g", got, want)
-	}
 }
 
 func TestMeshGeometry(t *testing.T) {
@@ -280,81 +274,21 @@ func TestStatsRecorded(t *testing.T) {
 }
 
 func TestPartnerStaysOnBus(t *testing.T) {
-	// Property: every recursive-doubling partner shares a bus.
-	mesh := NewMesh(spec(), nil)
-	mesh.Run(func(c *CPE) {
-		for _, phase := range [2]struct{ stride, limit int }{{1, 8}, {8, 64}} {
-			for step := phase.stride; step < phase.limit; step *= 2 {
-				p := c.partner(step, phase.stride)
-				if p < 0 || p >= 64 || p == c.ID() || !sameBus(c.ID(), p) {
-					t.Errorf("CPE %d step %d stride %d: bad partner %d", c.ID(), step, phase.stride, p)
-				}
-				// Symmetry: partner's partner is self.
-				q := (&CPE{mesh: mesh, id: p}).partner(step, phase.stride)
-				if q != c.ID() {
-					t.Errorf("partner not symmetric: %d -> %d -> %d", c.ID(), p, q)
-				}
+	// Property: every recursive-doubling partner shares a bus, along the
+	// row for the first three steps and down the column for the rest.
+	for id := 0; id < machine.CPEsPerCG; id++ {
+		for step := 0; step < allReduceSteps; step++ {
+			p := partner(id, step)
+			if p < 0 || p >= 64 || p == id || !sameBus(id, p) {
+				t.Errorf("CPE %d step %d: bad partner %d", id, step, p)
+			}
+			if sameRow := p/machine.MeshSide == id/machine.MeshSide; sameRow != (step < 3) {
+				t.Errorf("CPE %d step %d: partner %d on the wrong bus", id, step, p)
+			}
+			// Symmetry: partner's partner is self.
+			if q := partner(p, step); q != id {
+				t.Errorf("partner not symmetric: %d -> %d -> %d", id, p, q)
 			}
 		}
-	})
-}
-
-func TestRowBroadcast(t *testing.T) {
-	mesh := NewMesh(spec(), nil)
-	results := make([][]float64, machine.CPEsPerCG)
-	mesh.Run(func(c *CPE) {
-		buf := make([]float64, 3)
-		if c.Col() == 2 {
-			buf[0] = float64(c.Row()) // row-specific payload
-			buf[1] = 7
-			buf[2] = 9
-		}
-		if err := c.RowBroadcast(2, buf); err != nil {
-			t.Errorf("CPE %d: %v", c.ID(), err)
-		}
-		results[c.ID()] = buf
-	})
-	for id, r := range results {
-		row := id / 8
-		if r[0] != float64(row) || r[1] != 7 || r[2] != 9 {
-			t.Errorf("CPE %d received %v, want [%d 7 9]", id, r, row)
-		}
 	}
-}
-
-func TestColBroadcast(t *testing.T) {
-	mesh := NewMesh(spec(), nil)
-	results := make([][]float64, machine.CPEsPerCG)
-	mesh.Run(func(c *CPE) {
-		buf := make([]float64, 2)
-		if c.Row() == 5 {
-			buf[0] = float64(c.Col())
-			buf[1] = -1
-		}
-		if err := c.ColBroadcast(5, buf); err != nil {
-			t.Errorf("CPE %d: %v", c.ID(), err)
-		}
-		results[c.ID()] = buf
-	})
-	for id, r := range results {
-		col := id % 8
-		if r[0] != float64(col) || r[1] != -1 {
-			t.Errorf("CPE %d received %v, want [%d -1]", id, r, col)
-		}
-	}
-}
-
-func TestBroadcastValidation(t *testing.T) {
-	mesh := NewMesh(spec(), nil)
-	mesh.Run(func(c *CPE) {
-		if c.ID() != 0 {
-			return
-		}
-		if err := c.RowBroadcast(-1, nil); err == nil {
-			t.Error("bad root column accepted")
-		}
-		if err := c.ColBroadcast(8, nil); err == nil {
-			t.Error("bad root row accepted")
-		}
-	})
 }

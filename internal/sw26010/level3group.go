@@ -3,7 +3,6 @@ package sw26010
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/dma"
@@ -83,12 +82,19 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		mesh.SetObserver(opt.rec, fmt.Sprintf("cg%d/", pos))
 
 		// Per-CPE persistent state across iterations, prepared by the
-		// mesh kernel on first use: centroid stripes and stripe sums.
+		// mesh kernel on first use: centroid stripes, stripe sums, the
+		// host-side sample staging and the batch's stripe-partial
+		// distances.
 		type cpeState struct {
-			cents []float64
-			sums  []float64
+			cents  []float64
+			sums   []float64
+			sample []float64
+			part   []float64
 		}
 		states := make([]*cpeState, machine.CPEsPerCG)
+		// Each CPE's share of the Update's centroid movement, summed in
+		// CPE order so the total does not depend on scheduling.
+		movements := make([]float64, machine.CPEsPerCG)
 		counts := make([]int64, max(1, kLocal))
 		// Full distance matrix for one batch against the local slice,
 		// assembled by the mesh allreduce (identical on every CPE; the
@@ -129,8 +135,10 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 						}
 					}
 					st = &cpeState{
-						cents: make([]float64, kLocal*dStripe),
-						sums:  make([]float64, kLocal*dStripe),
+						cents:  make([]float64, kLocal*dStripe),
+						sums:   make([]float64, kLocal*dStripe),
+						sample: make([]float64, d),
+						part:   make([]float64, batch*max(1, kLocal)),
 					}
 					states[cp.ID()] = st
 				}
@@ -157,8 +165,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
 					dStripe := uHi - uLo
 					st := states[cp.ID()]
-					sample := make([]float64, d)
-					part := make([]float64, m*max(1, kLocal))
+					sample, part := st.sample, st.part[:m*max(1, kLocal)]
 					for s := 0; s < m; s++ {
 						src.Sample(base+s, sample)
 						engine.Charge(cp.Clock(), dStripe)
@@ -234,7 +241,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
 					dStripe := uHi - uLo
 					st := states[cp.ID()]
-					sample := make([]float64, d)
+					sample := st.sample
 					//swlint:hot per-sample stripe accumulation
 					for s := 0; s < m; s++ {
 						w := int(ids[s])
@@ -260,8 +267,6 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 
 			// Update (on the mesh): every CPE owns its stripes; write
 			// the new slice back into the rank's centroid buffer.
-			var movementMu sync.Mutex
-			movement := 0.0
 			mesh.Run(func(cp *regcomm.CPE) {
 				engine := engine.WithObserver(mesh.Unit(cp.ID()))
 				uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
@@ -282,12 +287,14 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 					}
 				}
 				engine.Charge(cp.Clock(), kLocal*dStripe)
-				movementMu.Lock()
-				movement += local
-				movementMu.Unlock()
+				movements[cp.ID()] = local
 			})
 			if err := meshFail.get(); err != nil {
 				return err
+			}
+			movement := 0.0
+			for _, v := range movements {
+				movement += v
 			}
 			c.Clock().AdvanceTo(meshMax(mesh))
 

@@ -92,6 +92,7 @@ func BenchmarkRunLevel3Group(b *testing.B) {
 	g := mixture(b, 256, 32, 4)
 	spec := machine.MustSpec(1)
 	init, _ := core.InitialCentroids(g, 4, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunLevel3Group(spec, g, init, 2, 32, 2, 0); err != nil {
