@@ -3,14 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build vet fmtcheck lint lint-fix lint-sarif fixcheck test race benchcheck faultcheck obscheck schedcheck servecheck bench benchdiff
+.PHONY: check build vet fmtcheck lint lint-fix lint-sarif fixcheck test race fuzz benchcheck faultcheck obscheck schedcheck servecheck bench benchdiff
 
 # check is the full gate: build, vet, the gofmt gate, swlint, the
-# autofix-idempotency gate, tests under the race detector, the
-# benchmark module's vet and tests, the fault-injection smoke matrix,
-# the trace-export determinism check, the 4,096-rank scheduler gate,
-# and the online-serving chaos scenario.
-check: build vet fmtcheck lint fixcheck race benchcheck faultcheck obscheck schedcheck servecheck
+# autofix-idempotency gate, tests under the race detector, the native
+# fuzz targets, the benchmark module's vet and tests, the
+# fault-injection smoke matrix, the trace-export determinism check, the
+# 4,096-rank scheduler gate, and the online-serving chaos scenario.
+check: build vet fmtcheck lint fixcheck race fuzz benchcheck faultcheck obscheck schedcheck servecheck
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs every native fuzz target for FUZZTIME each, one at a time
+# (go test -fuzz takes one target per run): the fault-plan grammar,
+# swlint's suppression and baseline parsers, the nearest-centroid
+# kernel, and the model, binary-matrix and CSV loaders.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseIgnore$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseBaseline$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadCentroids$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 
 # benchcheck vets and tests the benchmark (bench/, its own module, so
 # `go test ./...` never reaches it). Its smoke test runs every workload

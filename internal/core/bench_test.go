@@ -121,3 +121,23 @@ func BenchmarkLevel3Iteration(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLevel3SharedGroup measures one DES iteration of two m'=8 CG
+// groups on a lazily generated d=256 mixture: des-4k's per-group shape
+// in miniature, where each group's eight ranks read every sample of the
+// group's share.
+func BenchmarkLevel3SharedGroup(b *testing.B) {
+	g, err := dataset.NewGaussianMixture("bench", 2048, 256, 16, 0.25, 2.0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := machine.MustSpec(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := Config{Spec: spec, Level: Level3, K: 128, MPrimeGroup: 8, MaxIters: 1, Seed: 1, Sched: true}
+		if _, err := Run(cfg, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -23,8 +23,9 @@ import (
 type iterEngine interface {
 	// replan shapes one epoch over the surviving world ranks before the
 	// ranks start executing: it derives the epoch plan (env.eplan), the
-	// set of participating ranks (env.active) and the model deposit
-	// slots (env.slices). At epoch 0 every rank of the original plan is
+	// set of participating ranks (env.active), the model deposit slots
+	// (env.slices) and, at Level 3, one empty staged batch per CG group
+	// (env.staged). At epoch 0 every rank of the original plan is
 	// alive and the epoch plan must equal the original plan, so
 	// fault-free runs execute the full-strength dataflow unchanged.
 	replan(env *epochEnv) error
@@ -85,10 +86,11 @@ type epochEnv struct {
 	chunkSeconds float64
 
 	// Outputs of iterEngine.replan:
-	eplan       Plan         // the plan this epoch executes
-	active      map[int]bool // world ranks participating (nil: all survivors)
-	groupOwners []int        // Level-3 droplost: epoch group -> original group
-	slices      [][]float64  // final-model deposit slots, one per centroid slice
+	eplan       Plan          // the plan this epoch executes
+	active      map[int]bool  // world ranks participating (nil: all survivors)
+	groupOwners []int         // Level-3 droplost: epoch group -> original group
+	slices      [][]float64   // final-model deposit slots, one per centroid slice
+	staged      []stagedBatch // Level 3: each epoch CG group's shared assign batch
 }
 
 // isActive reports whether world rank g works this epoch.

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/costmodel"
+	"repro/internal/dataset"
 	"repro/internal/ldm"
 	"repro/internal/mpi"
 )
@@ -70,6 +72,7 @@ func (level3Engine) replan(env *epochEnv) error {
 		env.active = active
 		env.groupOwners = owners
 		env.slices = make([][]float64, e.MPrimeGroup)
+		env.staged = make([]stagedBatch, e.Groups)
 		return nil
 	}
 
@@ -108,6 +111,7 @@ func (level3Engine) replan(env *epochEnv) error {
 	env.eplan = e
 	env.active = active
 	env.slices = make([][]float64, mPrime)
+	env.staged = make([]stagedBatch, groups)
 	return nil
 }
 
@@ -153,6 +157,7 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 	return &level3State{
 		env: env, work: work, groupComm: groupComm, posComm: posComm,
 		group: group, pos: pos, kLo: kLo, kHi: kHi,
+		staged: &env.staged[group],
 		cents:  slice,
 		sums:   make([]float64, (kHi-kLo)*d),
 		counts: make([]int64, kHi-kLo),
@@ -173,6 +178,7 @@ type level3State struct {
 	posComm    *mpi.Comm // same stripe position across CG groups
 	group, pos int
 	kLo, kHi   int
+	staged     *stagedBatch // the CG group's shared assign batch
 	cents      []float64
 	sums       []float64
 	counts     []int64
@@ -208,18 +214,21 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			st.idxs = append(st.idxs, i)
 		}
 		b := len(st.idxs)
-		for bi, i := range st.idxs {
-			if kLocal == 0 {
+		if kLocal == 0 {
+			// No centroids here: lose every comparison, stage nothing.
+			for bi := 0; bi < b; bi++ {
 				st.vals[bi] = math.Inf(1)
 				st.ids[bi] = int64(k)
-				continue
 			}
-			env.src.Sample(i, st.buf)
-			// Unseeded: only position-0 ranks write env.assign, so
-			// reading it here would race with them.
-			j, dist := Nearest(st.buf, st.cents, d, -1)
-			st.vals[bi] = dist
-			st.ids[bi] = int64(st.kLo + j)
+		} else {
+			rows := st.staged.load(env.src, st.idxs, d)
+			for bi := 0; bi < b; bi++ {
+				// Unseeded: only position-0 ranks write env.assign, so
+				// reading it here would race with them.
+				j, dist := Nearest(rows[bi*d:(bi+1)*d], st.cents, d, -1)
+				st.vals[bi] = dist
+				st.ids[bi] = int64(st.kLo + j)
+			}
 		}
 		if err := st.groupComm.AllReduceMinPairs(st.vals[:b], st.ids[:b]); err != nil {
 			return stepOut{}, err
@@ -235,6 +244,8 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				localCnt++
 			}
 			if w >= st.kLo && w < st.kHi {
+				// The winner's own copy: the next batch may already be
+				// refilling the staged rows under another member.
 				env.src.Sample(i, st.buf)
 				row := st.sums[(w-st.kLo)*d : (w-st.kLo+1)*d]
 				for u := 0; u < d; u++ {
@@ -276,6 +287,42 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	}
 	out.movement = mv[0] / float64(e.Groups)
 	return out, nil
+}
+
+// stagedBatch is one CG group's current assign batch. Every member
+// reads every sample of the group's share (the group partitions the
+// centroids, not the samples), so the first member to reach a batch
+// generates it here and the others read the same rows in place.
+//
+// One buffer is enough. A member refills it only after the group's
+// min-reduce of the previous batch returned, and that reduction needs
+// every member to have finished reading the previous rows first.
+type stagedBatch struct {
+	mu    sync.Mutex
+	first int       // guarded by mu — index of the staged batch's first sample
+	n     int       // guarded by mu — samples staged; 0 until the first fill
+	rows  []float64 // guarded by mu — n rows of d values, reused across batches
+}
+
+// load returns the samples idxs as consecutive d-wide rows, generating
+// them from src unless the group already staged this batch. A batch is
+// identified by its first index and length: within an epoch the shard
+// and stride are fixed, and samples are deterministic.
+func (s *stagedBatch) load(src dataset.Source, idxs []int, d int) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n != len(idxs) || s.first != idxs[0] {
+		need := len(idxs) * d
+		if cap(s.rows) < need {
+			s.rows = make([]float64, need)
+		}
+		s.rows = s.rows[:need]
+		for bi, i := range idxs {
+			src.Sample(i, s.rows[bi*d:(bi+1)*d])
+		}
+		s.first, s.n = idxs[0], len(idxs)
+	}
+	return s.rows
 }
 
 // gather assembles the full model on rank 0 for a coordinated

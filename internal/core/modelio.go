@@ -1,15 +1,17 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/dataset"
 )
 
 // Centroid model files use a small self-describing binary format:
@@ -52,7 +54,8 @@ func SaveCentroids(w io.Writer, cents []float64, k, d int) error {
 
 // LoadCentroids reads a centroid matrix written by SaveCentroids (v1)
 // or SaveCentroidsFile (v2, checksummed). Truncated or corrupted input
-// is rejected with an error wrapping ErrModelCorrupt.
+// is rejected with an error wrapping ErrModelCorrupt; a model holding
+// a NaN or ±Inf is rejected too.
 func LoadCentroids(r io.Reader) (cents []float64, k, d int, err error) {
 	var hdr [4]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
@@ -68,8 +71,16 @@ func LoadCentroids(r io.Reader) (cents []float64, k, d int, err error) {
 	if k < 1 || d < 1 || k > 1<<28 || d > 1<<28 {
 		return nil, 0, 0, fmt.Errorf("core: implausible model shape %dx%d", k, d)
 	}
-	payload := make([]byte, k*d*8)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := r
+	crc := crc32.NewIEEE()
+	if hdr[1] == modelVersionChecksum {
+		_ = binary.Write(crc, binary.LittleEndian, hdr[:])
+		payload = io.TeeReader(r, crc)
+	}
+	// The header's shape is not trusted for an allocation: the payload
+	// is read in bounded chunks as it arrives.
+	cents, err = dataset.ReadFloats(payload, k*d)
+	if err != nil {
 		return nil, 0, 0, fmt.Errorf(
 			"core: model payload for shape %dx%d is short (%w) — the writer likely died mid-write; restore an older checkpoint: %w",
 			k, d, err, ErrModelCorrupt)
@@ -79,18 +90,19 @@ func LoadCentroids(r io.Reader) (cents []float64, k, d int, err error) {
 		if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
 			return nil, 0, 0, fmt.Errorf("core: model checksum is missing (%w): %w", err, ErrModelCorrupt)
 		}
-		crc := crc32.NewIEEE()
-		_ = binary.Write(crc, binary.LittleEndian, hdr[:])
-		crc.Write(payload)
 		if got := crc.Sum32(); got != want {
 			return nil, 0, 0, fmt.Errorf(
 				"core: model checksum mismatch (have %#x, want %#x) — the file is corrupt; restore an older checkpoint: %w",
 				got, want, ErrModelCorrupt)
 		}
 	}
-	cents = make([]float64, k*d)
-	if err := binary.Read(bytes.NewReader(payload), binary.LittleEndian, cents); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: decoding model payload: %w", err)
+	// Checked after the checksum, so a corrupt file reports corruption.
+	for i, v := range cents {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, 0, 0, fmt.Errorf(
+				"core: model element %d (centroid %d, dimension %d) is %g — the model diverged; restore an older checkpoint",
+				i, i/d, i%d, v)
+		}
 	}
 	return cents, k, d, nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,6 +65,41 @@ func TestLoadCentroidsRejectsGarbage(t *testing.T) {
 	truncated := bytes.NewReader(buf.Bytes()[:buf.Len()-4])
 	if _, _, _, err := LoadCentroids(truncated); err == nil {
 		t.Error("truncated payload accepted")
+	}
+	// A diverged model, named by its first bad element.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		buf.Reset()
+		if err := SaveCentroids(&buf, []float64{1, 2, 3, v, 5, math.Inf(1)}, 3, 2); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := LoadCentroids(&buf)
+		if err == nil || !strings.Contains(err.Error(), "element 3") {
+			t.Errorf("model with %g: error %v, want one naming element 3", v, err)
+		}
+	}
+}
+
+// TestLoadCentroidsBareHeader: a header alone must not size an
+// allocation. Whatever shape it claims, it is rejected as truncated
+// after at most one 64 KiB read buffer was allocated.
+func TestLoadCentroidsBareHeader(t *testing.T) {
+	for _, shape := range [][2]uint32{{1 << 28, 1 << 28}, {1 << 12, 1 << 12}} {
+		for _, version := range []uint32{modelVersion, modelVersionChecksum} {
+			var hdr bytes.Buffer
+			_ = binary.Write(&hdr, binary.LittleEndian, []uint32{modelMagic, version, shape[0], shape[1]})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, _, err := LoadCentroids(bytes.NewReader(hdr.Bytes()))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrModelCorrupt) {
+				t.Errorf("v%d %dx%d header without payload: error %v, want ErrModelCorrupt",
+					version, shape[0], shape[1], err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("v%d %dx%d header without payload allocated %d bytes, want under 1 MB",
+					version, shape[0], shape[1], got)
+			}
+		}
 	}
 }
 
@@ -173,6 +211,14 @@ func TestLoadCentroidsFileRejectsCorruption(t *testing.T) {
 	}
 	if _, _, _, err := LoadCentroidsFile(trailing); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// An intact checksum does not make a diverged model loadable.
+	diverged := filepath.Join(dir, "diverged.swkm")
+	if err := SaveCentroidsFile(diverged, []float64{1, math.NaN(), 3, 4}, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadCentroidsFile(diverged); err == nil || !strings.Contains(err.Error(), "element 1") {
+		t.Fatalf("NaN model: error %v, want one naming element 1", err)
 	}
 }
 
@@ -338,4 +384,59 @@ func TestModelRoundTripThroughRun(t *testing.T) {
 			t.Fatalf("loaded model assigns sample %d to %d, original %d", i, j, res.Assign[i])
 		}
 	}
+}
+
+// FuzzLoadCentroids drives the model loader with arbitrary bytes. No
+// input may panic or allocate by the header's word alone, and whatever
+// loads is a finite model that SaveCentroids re-encodes and
+// LoadCentroids reads back to the same shape and bits.
+func FuzzLoadCentroids(f *testing.F) {
+	cents := []float64{1.5, -2.25, 3.125, 0, math.Copysign(0, -1), 1e-308}
+	var v1 bytes.Buffer
+	if err := SaveCentroids(&v1, cents, 2, 3); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "model.swkm")
+	if err := SaveCentroidsFile(path, cents, 3, 2); err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, whole := range [][]byte{v1.Bytes(), v2} {
+		for _, cut := range []int{len(whole), len(whole) - 1, len(whole) - 4, 24, 17, 16, 8, 0} {
+			f.Add(whole[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, k, d, err := LoadCentroids(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(got) != k*d {
+			t.Fatalf("loaded %d values for shape %dx%d", len(got), k, d)
+		}
+		for i, v := range got {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite element %d = %g", i, v)
+			}
+		}
+		var buf bytes.Buffer
+		if err := SaveCentroids(&buf, got, k, d); err != nil {
+			t.Fatalf("re-encoding an accepted %dx%d model: %v", k, d, err)
+		}
+		again, k2, d2, err := LoadCentroids(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded model does not load: %v", err)
+		}
+		if k2 != k || d2 != d {
+			t.Fatalf("shape %dx%d re-loaded as %dx%d", k, d, k2, d2)
+		}
+		for i := range got {
+			if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("element %d: %x re-loaded as %x", i, math.Float64bits(got[i]), math.Float64bits(again[i]))
+			}
+		}
+	})
 }

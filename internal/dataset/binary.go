@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary matrix files carry a small self-describing header (magic,
@@ -35,7 +36,8 @@ func WriteBinary(w io.Writer, src Source) error {
 	return bw.Flush()
 }
 
-// ReadBinary loads a binary matrix file fully into memory.
+// ReadBinary loads a binary matrix file fully into memory. Every
+// value must be finite.
 func ReadBinary(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint32
@@ -52,12 +54,46 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	if n < 1 || d < 1 || n > 1<<31 || d > 1<<28 {
 		return nil, fmt.Errorf("dataset: implausible binary matrix shape %dx%d", n, d)
 	}
-	m, err := NewMatrix(n, d)
+	data, err := ReadFloats(br, n*d)
 	if err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, m.data); err != nil {
 		return nil, fmt.Errorf("dataset: reading binary payload: %w", err)
 	}
-	return m, nil
+	for i, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("dataset: binary payload element %d (row %d, column %d) is %g, want a finite value",
+				i, i/d, i%d, v)
+		}
+	}
+	return &Matrix{n: n, d: d, data: data}, nil
+}
+
+// readChunk is the most values ReadFloats decodes per read: 64 KiB.
+const readChunk = 1 << 13
+
+// ReadFloats reads count little-endian float64 values, the payload
+// layout of binary matrix files and centroid model files alike. It
+// reads in chunks and grows the result only as values arrive, so a
+// header that claims more than the stream holds costs memory for the
+// bytes that did arrive plus one chunk. The short read is reported as
+// an error wrapping io.EOF or io.ErrUnexpectedEOF.
+func ReadFloats(r io.Reader, count int) ([]float64, error) {
+	buf := make([]byte, 8*min(count, readChunk))
+	var out []float64
+	for len(out) < count {
+		m := min(count-len(out), readChunk)
+		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
+			return nil, fmt.Errorf("%d of %d values read: %w", len(out), count, err)
+		}
+		if cap(out)-len(out) < m {
+			// Double, capped at count: a valid payload ends in one
+			// exactly sized slice.
+			grown := make([]float64, len(out), min(count, max(2*cap(out), len(out)+m)))
+			copy(grown, out)
+			out = grown
+		}
+		for j := 0; j < m; j++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
+		}
+	}
+	return out, nil
 }

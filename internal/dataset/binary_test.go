@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,5 +63,40 @@ func TestReadBinaryErrors(t *testing.T) {
 	raw[4] = 99
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Error("wrong version accepted")
+	}
+	// Non-finite values, named by element.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad, err := FromRows([][]float64{{1, 2}, {3, v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteBinary(&b, bad); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadBinary(&b)
+		if err == nil || !strings.Contains(err.Error(), "element 3") {
+			t.Errorf("value %g: error %v, want one naming element 3", v, err)
+		}
+	}
+}
+
+// TestReadBinaryBareHeader: a header alone must not size an allocation.
+// Whatever shape it claims, it is rejected as a short payload after at
+// most one 64 KiB read buffer was allocated.
+func TestReadBinaryBareHeader(t *testing.T) {
+	for _, shape := range [][2]uint32{{1 << 31, 1 << 28}, {1 << 12, 1 << 12}} {
+		var hdr bytes.Buffer
+		_ = binary.Write(&hdr, binary.LittleEndian, []uint32{matrixMagic, matrixVersion, shape[0], shape[1]})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(hdr.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%dx%d header without payload accepted", shape[0], shape[1])
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%dx%d header without payload allocated %d bytes, want under 1 MB", shape[0], shape[1], got)
+		}
 	}
 }

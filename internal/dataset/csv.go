@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -33,7 +34,8 @@ func WriteCSV(w io.Writer, src Source) error {
 }
 
 // ReadCSV parses comma-separated numeric rows into a Matrix. Blank
-// lines are skipped; all rows must have the same column count.
+// lines are skipped; all rows must have the same column count, and
+// every value must be finite.
 func ReadCSV(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -51,6 +53,9 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d column %d: %w", line, j+1, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: line %d column %d is %g, want a finite value", line, j+1, v)
 			}
 			row[j] = v
 		}

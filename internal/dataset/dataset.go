@@ -20,7 +20,9 @@ import (
 
 // Source is a deterministic stream of d-dimensional samples.
 // Sample must be safe for concurrent use: simulated core groups read
-// disjoint and overlapping index ranges from many goroutines.
+// disjoint and overlapping index ranges from many goroutines. Level 3
+// reads each sample once per CG group per batch for the assign, shared
+// by the group's members, and once more for the update.
 type Source interface {
 	// N returns the number of samples.
 	N() int

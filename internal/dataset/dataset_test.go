@@ -358,6 +358,16 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("1,2\n3\n")); err == nil {
 		t.Error("ragged CSV accepted")
 	}
+	for _, c := range []struct{ in, at string }{
+		{"1,NaN\n2,+Inf\n", "line 1 column 2"},
+		{"1,2\n\n-Inf,4\n", "line 3 column 1"},
+		{"1,2\n3, infinity\n", "line 2 column 2"},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.at) {
+			t.Errorf("ReadCSV(%q): error %v, want one naming %s", c.in, err, c.at)
+		}
+	}
 	m, err := ReadCSV(strings.NewReader("1,2\n\n 3 , 4 \n"))
 	if err != nil {
 		t.Fatalf("blank lines and spaces should parse: %v", err)
