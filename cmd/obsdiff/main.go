@@ -1,8 +1,7 @@
 // Command obsdiff compares two observability exports of the
-// simulator — aggregate profiles (-profile-out), JSONL metrics logs
-// (-metrics-out), or, with -bench, benchjson reports — and reports
-// per-phase deltas per unit class. The exit code is the verdict, so
-// CI can gate on it:
+// simulator — aggregate profiles (-profile-out) or JSONL metrics logs
+// (-metrics-out) — and reports per-phase deltas per unit class. The
+// exit code is the verdict, so CI can gate on it:
 //
 //	0  no row changed beyond -threshold
 //	1  at least one row did
@@ -12,7 +11,6 @@
 //
 //	obsdiff old.profile.json new.profile.json
 //	obsdiff -threshold 0.05 old.metrics.jsonl new.metrics.jsonl
-//	obsdiff -bench BENCH_host.json BENCH_now.json
 //
 // The two sides may mix formats (a profile against a metrics log):
 // both normalize to per-(unit class, phase) virtual seconds plus a
@@ -33,10 +31,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 	fs := flag.NewFlagSet("obsdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 0, "relative change (fraction, e.g. 0.05 = 5%) a row must exceed to fail the diff")
-	bench := fs.Bool("bench", false, "compare benchjson reports (ns/op per benchmark) instead of obs exports")
 	all := fs.Bool("all", false, "print identical rows too, not just changed ones")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: obsdiff [-threshold frac] [-bench] [-all] old new")
+		fmt.Fprintln(stderr, "usage: obsdiff [-threshold frac] [-all] old new")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -50,16 +47,12 @@ func run(stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "obsdiff: -threshold must be non-negative")
 		return 2
 	}
-	load := profdiff.LoadObs
-	if *bench {
-		load = profdiff.LoadBench
-	}
-	old, err := load(fs.Arg(0))
+	old, err := profdiff.LoadObs(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "obsdiff:", err)
 		return 2
 	}
-	new_, err := load(fs.Arg(1))
+	new_, err := profdiff.LoadObs(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(stderr, "obsdiff:", err)
 		return 2

@@ -76,32 +76,3 @@ func TestObsdiffExitContract(t *testing.T) {
 		t.Errorf("negative-threshold exit = %d, want 2", code)
 	}
 }
-
-func TestObsdiffBenchMode(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	old := write("old.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":100}]}`)
-	slow := write("slow.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":200}]}`)
-	var stdout, stderr bytes.Buffer
-	if code := run(&stdout, &stderr, []string{"-bench", old, old}); code != 0 {
-		t.Errorf("identical bench exit = %d", code)
-	}
-	stdout.Reset()
-	if code := run(&stdout, &stderr, []string{"-bench", old, slow}); code != 1 {
-		t.Errorf("2x bench regression exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout.String(), "bench:BenchmarkA-8") {
-		t.Errorf("bench diff output:\n%s", stdout.String())
-	}
-	// An obs profile is not a bench report.
-	prof := writeProfile(t, dir, "p.json", 0)
-	if code := run(&stdout, &stderr, []string{"-bench", prof, prof}); code != 2 {
-		t.Errorf("profile in bench mode exit = %d, want 2", code)
-	}
-}

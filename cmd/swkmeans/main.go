@@ -519,19 +519,7 @@ func runInference(o options, src dataset.Source, labeler func(int) int) error {
 	buf := make([]float64, d)
 	for i := 0; i < src.N(); i++ {
 		src.Sample(i, buf)
-		best, bestD := -1, 0.0
-		for j := 0; j < k; j++ {
-			cj := cents[j*d : (j+1)*d]
-			acc := 0.0
-			for u := 0; u < d; u++ {
-				diff := buf[u] - cj[u]
-				acc += diff * diff
-			}
-			if best < 0 || acc < bestD {
-				best, bestD = j, acc
-			}
-		}
-		assign[i] = best
+		assign[i], _ = core.Nearest(buf, cents, d, -1)
 	}
 	if labeler != nil {
 		return printQuality(o.out, src, cents, d, assign, labeler)

@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"repro"
 	"repro/internal/accel"
@@ -104,24 +103,11 @@ func main() {
 
 func assignAll(src dataset.Source, cents []float64) []int {
 	d := src.D()
-	k := len(cents) / d
 	assign := make([]int, src.N())
 	buf := make([]float64, d)
 	for i := 0; i < src.N(); i++ {
 		src.Sample(i, buf)
-		best, bestD := -1, math.Inf(1)
-		for j := 0; j < k; j++ {
-			cj := cents[j*d : (j+1)*d]
-			acc := 0.0
-			for u := 0; u < d; u++ {
-				diff := buf[u] - cj[u]
-				acc += diff * diff
-			}
-			if acc < bestD {
-				best, bestD = j, acc
-			}
-		}
-		assign[i] = best
+		assign[i], _ = core.Nearest(buf, cents, d, -1)
 	}
 	return assign
 }

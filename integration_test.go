@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -148,6 +149,108 @@ func TestAllExecutionPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("elkan", e.Assign)
+}
+
+// TestAllExecutionPathsAgreeOnNonFiniteInput: on overflowing, ±Inf
+// and NaN input every engine returns sequential Lloyd's iteration: the
+// same in-range assignments, and centroids with NaN and ±Inf in the
+// same places. The Level-2 and Level-3 engines cut the k=8 centroids
+// into four slices of two rows, so a NaN in row 2 or 4 opens a slice
+// and a NaN in row 5 sits inside one.
+func TestAllExecutionPathsAgreeOnNonFiniteInput(t *testing.T) {
+	const n, d, k, mPrime = 32, 4, 8, 4
+	g, err := dataset.NewGaussianMixture("nonfinite", n, d, 4, 0.15, 2.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := dataset.Materialize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanInit, err := core.InitialCentroids(g, k, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		edit func(x *dataset.Matrix, init []float64)
+	}{
+		{"every distance overflows", func(x *dataset.Matrix, init []float64) {
+			for i := 0; i < n; i++ {
+				row := x.Row(i)
+				for u := range row {
+					row[u] = 5e200 * (1 + row[u]/64)
+				}
+			}
+			for u := range init {
+				init[u] = -5e200 * (1 + init[u]/64)
+			}
+		}},
+		{"NaN sample", func(x *dataset.Matrix, init []float64) { x.Row(9)[2] = nan }},
+		{"NaN in centroid 0", func(x *dataset.Matrix, init []float64) { init[1] = nan }},
+		{"NaN opening slice 1", func(x *dataset.Matrix, init []float64) { init[2*d] = nan }},
+		{"NaN opening slice 2", func(x *dataset.Matrix, init []float64) { init[4*d+3] = nan }},
+		{"NaN inside slice 2", func(x *dataset.Matrix, init []float64) { init[5*d+1] = nan }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := dataset.Materialize(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := append([]float64(nil), cleanInit...)
+			c.edit(x, init)
+			ref, err := core.LloydFrom(x, init, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(name string, assign []int, cents []float64) {
+				t.Helper()
+				for i, want := range ref.Assign {
+					if assign[i] != want {
+						t.Errorf("%s: sample %d assigned %d, Lloyd %d", name, i, assign[i], want)
+					}
+				}
+				for i, want := range ref.Centroids {
+					got := cents[i]
+					if math.IsNaN(got) != math.IsNaN(want) || math.IsInf(got, 1) != math.IsInf(want, 1) ||
+						math.IsInf(got, -1) != math.IsInf(want, -1) ||
+						math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+						t.Errorf("%s: centroid element %d = %g, Lloyd %g", name, i, got, want)
+					}
+				}
+			}
+			for _, sched := range []bool{false, true} {
+				for _, lv := range []Level{Level1, Level2, Level3} {
+					res, err := Run(Config{
+						Spec: machine.MustSpec(2), Level: lv, K: k, MPrimeGroup: mPrime,
+						MaxIters: 1, Initial: init, Sched: sched,
+					}, x)
+					if err != nil {
+						t.Fatalf("%v sched=%v: %v", lv, sched, err)
+					}
+					check(fmt.Sprintf("%v sched=%v", lv, sched), res.Assign, res.Centroids)
+				}
+			}
+			spec := machine.MustSpec(1)
+			f1, err := sw26010.RunLevel1CG(spec, x, init, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("fine1", f1.Assign, f1.Centroids)
+			f2, err := sw26010.RunLevel2CG(spec, x, init, 4, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("fine2", f2.Assign, f2.Centroids)
+			f3, err := sw26010.RunLevel3Group(spec, x, init, mPrime, 8, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("fine3", f3.Assign, f3.Centroids)
+		})
+	}
 }
 
 // TestPreprocessedPipeline: standardization view feeding the engine,

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -42,13 +43,9 @@ type Result struct {
 	Counters  Counters
 }
 
+// dist is the Euclidean distance the triangle-inequality bounds need.
 func dist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		diff := a[i] - b[i]
-		s += diff * diff
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(core.SqDist(a, b))
 }
 
 // validate checks the shared preconditions.

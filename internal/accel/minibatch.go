@@ -2,8 +2,8 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -47,14 +47,8 @@ func MiniBatch(src dataset.Source, initial []float64, steps, batch int, seed uin
 		for b := 0; b < batch; b++ {
 			i := int(next() % uint64(n))
 			src.Sample(i, buf)
-			best, bestD := 0, math.Inf(1)
-			for j := 0; j < k; j++ {
-				dd := dist(buf, cents[j*d:(j+1)*d])
-				res.Counters.Distances++
-				if dd < bestD {
-					best, bestD = j, dd
-				}
-			}
+			best, _ := core.Nearest(buf, cents, d, -1)
+			res.Counters.Distances += int64(k)
 			counts[best]++
 			eta := 1 / float64(counts[best])
 			row := cents[best*d : (best+1)*d]
@@ -67,15 +61,8 @@ func MiniBatch(src dataset.Source, initial []float64, steps, batch int, seed uin
 	res.Assign = make([]int, n)
 	for i := 0; i < n; i++ {
 		src.Sample(i, buf)
-		best, bestD := 0, math.Inf(1)
-		for j := 0; j < k; j++ {
-			dd := dist(buf, cents[j*d:(j+1)*d])
-			res.Counters.Distances++
-			if dd < bestD {
-				best, bestD = j, dd
-			}
-		}
-		res.Assign[i] = best
+		res.Assign[i], _ = core.Nearest(buf, cents, d, -1)
+		res.Counters.Distances += int64(k)
 	}
 	res.Converged = true
 	return res, nil

@@ -367,11 +367,12 @@ func argminDistance(x, cents []float64, d int) (int, float64) {
 	return best, bestDist
 }
 
-// applyUpdate recomputes centroids from accumulated sums and counts,
+// ApplyUpdate recomputes centroids from accumulated sums and counts,
 // keeping the previous centroid for empty clusters, and returns the
 // total squared movement. cents and sums are kLocal-by-d row-major;
-// counts has kLocal entries.
-func applyUpdate(cents, sums []float64, counts []int64, d int) float64 {
+// counts has kLocal entries. A caller that owns a stripe of d columns
+// passes the stripe and its width as d.
+func ApplyUpdate(cents, sums []float64, counts []int64, d int) float64 {
 	movement := 0.0
 	k := len(counts)
 	//swlint:hot centroid update: touches every centroid coordinate

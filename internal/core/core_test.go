@@ -170,7 +170,7 @@ func TestApplyUpdate(t *testing.T) {
 	cents := []float64{0, 0, 9, 9}
 	sums := []float64{4, 8, 0, 0}
 	counts := []int64{2, 0}
-	mv := applyUpdate(cents, sums, counts, 2)
+	mv := ApplyUpdate(cents, sums, counts, 2)
 	if cents[0] != 2 || cents[1] != 4 {
 		t.Errorf("centroid 0 = %v", cents[:2])
 	}
@@ -258,6 +258,6 @@ func TestLloydObjectiveNonIncreasing(t *testing.T) {
 			t.Fatalf("objective increased at iter %d: %g -> %g", iter, prev, obj)
 		}
 		prev = obj
-		applyUpdate(cents, sums, counts, d)
+		ApplyUpdate(cents, sums, counts, d)
 	}
 }

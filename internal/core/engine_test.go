@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/machine"
-	"repro/internal/quality"
 	"repro/internal/trace"
 )
 
@@ -163,31 +162,6 @@ func TestSampleStrideTimingMode(t *testing.T) {
 	}
 	if unprocessed == 0 {
 		t.Error("stride 8 left no unprocessed samples")
-	}
-}
-
-func TestRunRecoversMixture(t *testing.T) {
-	g := mixture(t, 600, 12, 6)
-	for _, level := range []Level{Level1, Level2, Level3} {
-		cfg := Config{Spec: machine.MustSpec(2), Level: level, K: 6, MaxIters: 40, Seed: 6, Init: InitKMeansPlusPlus}
-		if level == Level3 {
-			cfg.MPrimeGroup = 2
-		}
-		res, err := Run(cfg, g)
-		if err != nil {
-			t.Fatalf("%v: %v", level, err)
-		}
-		truth := make([]int, g.N())
-		for i := range truth {
-			truth[i] = g.TrueLabel(i)
-		}
-		ari, err := quality.ARI(res.Assign, truth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ari < 0.999 {
-			t.Errorf("%v: ARI = %g, want ~1 on separable data", level, ari)
-		}
 	}
 }
 

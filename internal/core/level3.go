@@ -215,7 +215,8 @@ func (st *level3State) step(iter int) (stepOut, error) {
 		}
 		b := len(st.idxs)
 		if kLocal == 0 {
-			// No centroids here: lose every comparison, stage nothing.
+			// No centroids here: NearestSlice's empty-slice sentinel
+			// loses every comparison, and nothing is staged.
 			for bi := 0; bi < b; bi++ {
 				st.vals[bi] = math.Inf(1)
 				st.ids[bi] = int64(k)
@@ -225,9 +226,9 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			for bi := 0; bi < b; bi++ {
 				// Unseeded: only position-0 ranks write env.assign, so
 				// reading it here would race with them.
-				j, dist := Nearest(rows[bi*d:(bi+1)*d], st.cents, d, -1)
+				j, dist := NearestSlice(rows[bi*d:(bi+1)*d], st.cents, d, st.kLo, k)
 				st.vals[bi] = dist
-				st.ids[bi] = int64(st.kLo + j)
+				st.ids[bi] = int64(j)
 			}
 		}
 		if err := st.groupComm.AllReduceMinPairs(st.vals[:b], st.ids[:b]); err != nil {
@@ -275,7 +276,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			out.objective = obj[0] / float64(cnt[0])
 		}
 	}
-	movement := applyUpdate(st.cents, st.sums, st.counts, d)
+	movement := ApplyUpdate(st.cents, st.sums, st.counts, d)
 
 	// Convergence is a global property of all slices: sum the
 	// per-slice movements across the epoch communicator. Every group

@@ -68,7 +68,7 @@ func LloydFrom(src dataset.Source, initial []float64, maxIters int, tolerance fl
 		}
 		res.Objectives = append(res.Objectives, obj/float64(n))
 		// Update step.
-		movement := applyUpdate(cents, sums, counts, d)
+		movement := ApplyUpdate(cents, sums, counts, d)
 		res.Iters++
 		if movement <= tolerance*tolerance {
 			res.Converged = true

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Nearest returns the index of the centroid in cents (a k-by-d
 // row-major matrix, k ≥ 1) nearest to x under squared Euclidean
 // distance, together with that distance. On every input, NaN and ±Inf
@@ -13,7 +15,7 @@ package core
 // answer never depends on it; a seed outside [0, k) means none.
 func Nearest(x, cents []float64, d, seed int) (int, float64) {
 	k := len(cents) / d
-	best, bestDist := 0, sqDist(x[:d], cents[:d])
+	best, bestDist := 0, SqDist(x[:d], cents[:d])
 	if seed < 1 || seed >= k {
 		return scan(x, cents, d, 1, k, best, bestDist)
 	}
@@ -38,10 +40,53 @@ func NearestFrom(x, cents []float64, d, lo, hi, best int, bestDist float64) (int
 		return best, bestDist
 	}
 	if best < 0 {
-		best, bestDist = lo, sqDist(x[:d], cents[lo*d:(lo+1)*d])
+		best, bestDist = lo, SqDist(x[:d], cents[lo*d:(lo+1)*d])
 		lo++
 	}
 	return scan(x, cents, d, lo, hi, best, bestDist)
+}
+
+// NearestSlice is Nearest for a caller that holds only the centroid
+// rows [kLo, kLo+len(slice)/d) of a k-row matrix, as a rank of a
+// Level-2 or Level-3 partition does. It returns the slice's candidate,
+// with its index in the whole matrix. Combining every slice's
+// candidate with mpi.MinPairLess gives Nearest's answer over the whole
+// matrix, whatever the cut and the combining order.
+//
+// The slice holding row 0 starts as Nearest does: its first row is
+// taken whatever its distance, and a NaN there is final. Any other
+// slice whose first distance is NaN starts again from the losing
+// sentinel (k, +Inf), so a NaN row never wins there. An empty or
+// all-NaN slice returns the sentinel.
+func NearestSlice(x, slice []float64, d, kLo, k int) (int, float64) {
+	kLocal := len(slice) / d
+	if kLocal == 0 {
+		return k, math.Inf(1)
+	}
+	best, bestDist := 0, SqDist(x[:d], slice[:d])
+	if kLo > 0 && math.IsNaN(bestDist) {
+		best, bestDist = k-kLo, math.Inf(1)
+	}
+	best, bestDist = scan(x, slice, d, 1, kLocal, best, bestDist)
+	return kLo + best, bestDist
+}
+
+// NearestSliceDists is NearestSlice over precomputed distances: dists[j]
+// is the query's distance to centroid row kLo+j, however it was summed.
+func NearestSliceDists(dists []float64, kLo, k int) (int, float64) {
+	if len(dists) == 0 {
+		return k, math.Inf(1)
+	}
+	best, bestDist := 0, dists[0]
+	if kLo > 0 && math.IsNaN(bestDist) {
+		best, bestDist = k-kLo, math.Inf(1)
+	}
+	for j := 1; j < len(dists); j++ {
+		if closer(dists[j], j, bestDist, best) {
+			best, bestDist = j, dists[j]
+		}
+	}
+	return kLo + best, bestDist
 }
 
 // pruneStride is how many coordinates a block accumulates between two

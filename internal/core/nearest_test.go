@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 // nearestSpecials are the values that stress the kernel's exactness
@@ -16,9 +18,15 @@ var nearestSpecials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
-// checkNearest pins Nearest, and NearestFrom carried through every
-// two-stripe cut of [0, k), to argminDistance: same index, same
-// distance bits.
+// checkNearest pins Nearest, NearestFrom carried through every
+// two-stripe cut of [0, k), and the partitioned search to
+// argminDistance: same index, same distance bits. The partitioned
+// search cuts the rows into 1..8 slices as the engines do (shareRange,
+// empty slices included), takes each slice's NearestSlice candidate,
+// and combines the candidates with mpi.MinPairLess in a left fold, in
+// AllReduceMinPairs's binomial tree and, for power-of-two slice counts,
+// in the CPE min-reduce's recursive doubling. NearestSliceDists over
+// SqDist's distances must return each slice's candidate.
 func checkNearest(t *testing.T, x, cents []float64, d int) {
 	t.Helper()
 	k := len(cents) / d
@@ -38,6 +46,60 @@ func checkNearest(t *testing.T, x, cents []float64, d int) {
 		j, dist := NearestFrom(x, cents, d, 0, cut, -1, 0)
 		j, dist = NearestFrom(x, cents, d, cut, k, j, dist)
 		same("cut", cut, j, dist)
+	}
+
+	type pair struct {
+		v float64
+		i int64
+	}
+	less := func(a, b pair) bool { return mpi.MinPairLess(a.v, a.i, b.v, b.i) }
+	for p := 1; p <= 8; p++ {
+		cands := make([]pair, p)
+		for r := range cands {
+			lo, hi := shareRange(k, p, r)
+			j, dist := NearestSlice(x, cents[lo*d:hi*d], d, lo, k)
+			dists := make([]float64, hi-lo)
+			for i := range dists {
+				dists[i] = SqDist(x[:d], cents[(lo+i)*d:(lo+i+1)*d])
+			}
+			if tj, tdist := NearestSliceDists(dists, lo, k); tj != j || math.Float64bits(tdist) != math.Float64bits(dist) {
+				t.Fatalf("k=%d d=%d slice %d/%d: NearestSliceDists (%d, %v), NearestSlice (%d, %v)\nx=%v\ncents=%v",
+					k, d, r, p, tj, tdist, j, dist, x, cents)
+			}
+			cands[r] = pair{dist, int64(j)}
+		}
+		fold := cands[0]
+		for _, c := range cands[1:] {
+			if less(c, fold) {
+				fold = c
+			}
+		}
+		same("slices, left fold", p, int(fold.i), fold.v)
+		tree := append([]pair(nil), cands...)
+		for mask := 1; mask < p; mask <<= 1 {
+			for r := 0; r+mask < p; r += 2 * mask {
+				if less(tree[r+mask], tree[r]) {
+					tree[r] = tree[r+mask]
+				}
+			}
+		}
+		same("slices, binomial tree", p, int(tree[0].i), tree[0].v)
+		if p&(p-1) != 0 {
+			continue
+		}
+		for step := 1; step < p; step *= 2 {
+			next := make([]pair, p)
+			for r := range next {
+				next[r] = cands[r]
+				if less(cands[r^step], cands[r]) {
+					next[r] = cands[r^step]
+				}
+			}
+			cands = next
+		}
+		for _, c := range cands {
+			same("slices, recursive doubling", p, int(c.i), c.v)
+		}
 	}
 }
 
@@ -121,10 +183,11 @@ func TestNearestNaNPlacement(t *testing.T) {
 	}
 }
 
-// FuzzNearest drives Nearest and NearestFrom with arbitrary shapes,
-// seeds and values against argminDistance. Each value takes one byte
-// from a table of specials and small integers (for ties), or, after a
-// 0xFF marker, eight raw bytes (any float64, NaN payloads included).
+// FuzzNearest drives Nearest, NearestFrom, NearestSlice and
+// NearestSliceDists with arbitrary shapes, seeds, cuts and values
+// against argminDistance. Each value takes one byte from a table of
+// specials and small integers (for ties), or, after a 0xFF marker,
+// eight raw bytes (any float64, NaN payloads included).
 func FuzzNearest(f *testing.F) {
 	f.Add(uint8(4), uint8(1), []byte{2, 3, 1, 0xFF, 0, 0, 0, 0, 0, 0, 0xF8, 0x7F, 5})
 	f.Add(uint8(7), uint8(9), []byte{7, 8, 9, 10, 11, 12, 13, 1, 2, 3})

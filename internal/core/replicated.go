@@ -151,7 +151,7 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 	if cfg.MiniBatch > 0 {
 		out.movement = applyMiniBatchUpdate(st.cents, st.sums, st.counts, st.cumCounts, d)
 	} else {
-		out.movement = applyUpdate(st.cents, st.sums, st.counts, d)
+		out.movement = ApplyUpdate(st.cents, st.sums, st.counts, d)
 	}
 	return out, nil
 }

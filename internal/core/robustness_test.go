@@ -6,49 +6,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/quality"
 )
-
-// TestEnginesOnHardMixture: anisotropic noise, imbalanced masses and
-// uniform outliers must not break engine/Lloyd agreement, and the
-// clustering must still separate the dominant structure.
-func TestEnginesOnHardMixture(t *testing.T) {
-	h, err := dataset.NewHardMixture("hard", 600, 10, 4, 0.12, 2.0, 3, 0.08, 0.6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Lloyd(h, 4, 25, 0, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, level := range []Level{Level1, Level2, Level3} {
-		res, err := Run(Config{Spec: machine.MustSpec(1), Level: level, K: 4, MaxIters: 25, Seed: 11}, h)
-		if err != nil {
-			t.Fatalf("%v: %v", level, err)
-		}
-		for i := range ref.Assign {
-			if res.Assign[i] != ref.Assign[i] {
-				t.Fatalf("%v diverges from Lloyd at %d on hard data", level, i)
-			}
-		}
-	}
-	// Quality on the non-outlier samples only: the clean structure must
-	// be recovered despite the noise (NMI over clean indexes).
-	var cleanPred, cleanTruth []int
-	for i := 0; i < h.N(); i++ {
-		if lbl := h.TrueLabel(i); lbl < h.Components() {
-			cleanPred = append(cleanPred, ref.Assign[i])
-			cleanTruth = append(cleanTruth, lbl)
-		}
-	}
-	nmi, err := quality.NMI(cleanPred, cleanTruth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmi < 0.6 {
-		t.Errorf("NMI on clean structure = %g", nmi)
-	}
-}
 
 // TestKMeansPlusPlusResistsOutliers: with k = true components, seeding
 // must not waste all its centroids on the outlier background.

@@ -17,6 +17,7 @@ package mpi
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -721,6 +722,19 @@ func (c *Comm) AllReduceMinPairs(vals []float64, idxs []int64) error {
 	return err
 }
 
+// MinPairLess reports whether the pair (v, i) orders before (bv, bi)
+// in AllReduceMinPairs: a smaller value, or an equal one with a
+// smaller payload. A NaN value orders before any pair with a larger
+// payload, and no other value orders before a NaN. That keeps a NaN
+// distance at row 0 final, as a nearest-centroid search over the whole
+// matrix does. Only the candidate of the slice holding row 0 can carry
+// a NaN (core.NearestSlice), so on such candidates the order is total
+// and every reduction tree combines them to the same pair.
+func MinPairLess(v float64, i int64, bv float64, bi int64) bool {
+	//swlint:ignore float-eq -- exact-value tie breaks to the lowest index, the paper's deterministic combining order
+	return v < bv || (v == bv && i < bi) || (i < bi && math.IsNaN(v))
+}
+
 func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
 	if len(vals) != len(idxs) {
 		return fmt.Errorf("mpi: min-pairs length mismatch %d vs %d", len(vals), len(idxs))
@@ -748,8 +762,7 @@ func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
 					return fmt.Errorf("mpi: min-pairs payload mismatch on rank %d", c.rank)
 				}
 				for j := range vals {
-					//swlint:ignore float-eq -- exact-value tie breaks to the lowest index, the paper's deterministic combining order
-					if d[j] < vals[j] || (d[j] == vals[j] && i[j] < idxs[j]) {
+					if MinPairLess(d[j], i[j], vals[j], idxs[j]) {
 						vals[j], idxs[j] = d[j], i[j]
 					}
 				}

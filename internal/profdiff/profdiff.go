@@ -1,10 +1,9 @@
 // Package profdiff compares two observability exports — aggregate
-// profiles (swkm-profile/1), JSONL metrics logs, or benchjson reports
-// — as flat tables of named scalars with absolute and relative
-// deltas. It is the shared engine of cmd/obsdiff and `benchjson
-// -diff`: loaders normalize each format into the same row space, so
-// "did this run regress" is one code path regardless of which export
-// the runs kept.
+// profiles (swkm-profile/1) or JSONL metrics logs — as flat tables of
+// named scalars with absolute and relative deltas. It is the engine of
+// cmd/obsdiff: the loader normalizes both formats into the same row
+// space, so "did this run regress" is one code path regardless of
+// which export the runs kept.
 package profdiff
 
 import (
@@ -242,34 +241,4 @@ func sumPhases(a, b obs.ProfilePhases) obs.ProfilePhases {
 		Recovery: a.Recovery + b.Recovery, Other: a.Other + b.Other,
 		Total: a.Total + b.Total,
 	}
-}
-
-// benchReport is the subset of cmd/benchjson's schema the diff needs.
-type benchReport struct {
-	Host    string `json:"host"`
-	Results []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"benchmarks"`
-}
-
-// LoadBench loads a benchjson report as a table of ns/op per
-// benchmark name.
-func LoadBench(path string) (*Table, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, fmt.Errorf("profdiff: %s: parsing bench report: %w", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return nil, fmt.Errorf("profdiff: %s: no benchmarks in report", path)
-	}
-	t := NewTable(path)
-	for _, r := range rep.Results {
-		t.Add("bench:"+r.Name, r.NsPerOp)
-	}
-	return t, nil
 }

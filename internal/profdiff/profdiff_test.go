@@ -141,45 +141,34 @@ func TestLoadObsRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoadBenchAndDiff(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	old := write("old.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":100},{"name":"BenchmarkB-8","iters":10,"ns_per_op":200}]}`)
-	cur := write("new.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":150},{"name":"BenchmarkC-8","iters":10,"ns_per_op":50}]}`)
-	to, err := LoadBench(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := LoadBench(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestDiffNewAndGoneRows: a key on one side only is a row of its own,
+// "new" or "gone", and a new-only row's relative change is +Inf.
+func TestDiffNewAndGoneRows(t *testing.T) {
+	to, tn := NewTable("old"), NewTable("new")
+	to.Add("a", 100)
+	to.Add("b", 200)
+	tn.Add("a", 150)
+	tn.Add("c", 50)
 	rows := Diff(to, tn)
 	byKey := map[string]Row{}
 	for _, r := range rows {
 		byKey[r.Key] = r
 	}
-	if r := byKey["bench:BenchmarkA-8"]; math.Abs(r.Rel()-0.5) > 1e-9 {
-		t.Errorf("A rel %g, want 0.5", r.Rel())
+	if r := byKey["a"]; math.Abs(r.Rel()-0.5) > 1e-9 {
+		t.Errorf("a rel %g, want 0.5", r.Rel())
 	}
-	if r := byKey["bench:BenchmarkB-8"]; r.InNew {
-		t.Error("B should be gone in new")
+	if r := byKey["b"]; r.InNew {
+		t.Error("b should be gone in new")
 	}
-	if r := byKey["bench:BenchmarkC-8"]; r.InOld || !math.IsInf(r.Rel(), 1) {
-		t.Errorf("C should be new-only with +Inf rel, got %+v", r)
+	if r := byKey["c"]; r.InOld || !math.IsInf(r.Rel(), 1) {
+		t.Errorf("c should be new-only with +Inf rel, got %+v", r)
 	}
 	var buf bytes.Buffer
 	if err := Render(&buf, rows, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"bench:BenchmarkA-8", "+50.00%", "new", "gone"} {
+	for _, want := range []string{"+50.00%", "new", "gone"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

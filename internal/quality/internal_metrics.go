@@ -4,19 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// sqDist is the squared Euclidean distance between equal-length
-// vectors.
-func sqDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		diff := a[i] - b[i]
-		s += diff * diff
-	}
-	return s
-}
 
 // DaviesBouldin computes the Davies-Bouldin index of a clustering:
 // the mean over clusters of the worst ratio (s_i + s_j) / d(c_i, c_j),
@@ -44,7 +34,7 @@ func DaviesBouldin(src dataset.Source, centroids []float64, d int, assign []int)
 			return 0, fmt.Errorf("quality: sample %d assigned to %d, want [0,%d)", i, j, k)
 		}
 		src.Sample(i, buf)
-		scatter[j] += math.Sqrt(sqDist(buf, centroids[j*d:(j+1)*d]))
+		scatter[j] += math.Sqrt(core.SqDist(buf, centroids[j*d:(j+1)*d]))
 		counts[j]++
 	}
 	active := 0
@@ -67,7 +57,7 @@ func DaviesBouldin(src dataset.Source, centroids []float64, d int, assign []int)
 			if j == i || counts[j] == 0 {
 				continue
 			}
-			sep := math.Sqrt(sqDist(centroids[i*d:(i+1)*d], centroids[j*d:(j+1)*d]))
+			sep := math.Sqrt(core.SqDist(centroids[i*d:(i+1)*d], centroids[j*d:(j+1)*d]))
 			//swlint:ignore float-eq -- exact zero separation means coincident centroids, reported as an error
 			if sep == 0 {
 				return 0, fmt.Errorf("quality: clusters %d and %d share a centroid", i, j)
@@ -127,7 +117,7 @@ func Silhouette(src dataset.Source, assign []int, sampleN int) (float64, error) 
 				continue
 			}
 			src.Sample(j, xj)
-			dd := math.Sqrt(sqDist(xi, xj))
+			dd := math.Sqrt(core.SqDist(xi, xj))
 			sumDist[assign[j]] += dd
 			countIn[assign[j]]++
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -37,11 +38,7 @@ func Objective(src dataset.Source, centroids []float64, d int, assign []int) (fl
 			return 0, fmt.Errorf("quality: sample %d assigned to centroid %d, want [0,%d)", i, j, k)
 		}
 		src.Sample(i, buf)
-		c := centroids[j*d : (j+1)*d]
-		for u := 0; u < d; u++ {
-			diff := buf[u] - c[u]
-			total += diff * diff
-		}
+		total += core.SqDist(buf, centroids[j*d:(j+1)*d])
 	}
 	return total / float64(n), nil
 }
@@ -207,11 +204,7 @@ func ObjectiveSurviving(src dataset.Source, centroids []float64, d int, assign [
 			return 0, 0, fmt.Errorf("quality: sample %d assigned to centroid %d, want [0,%d)", i, j, k)
 		}
 		src.Sample(i, buf)
-		c := centroids[j*d : (j+1)*d]
-		for u := 0; u < d; u++ {
-			diff := buf[u] - c[u]
-			total += diff * diff
-		}
+		total += core.SqDist(buf, centroids[j*d:(j+1)*d])
 		alive++
 	}
 	if alive == 0 {

@@ -36,6 +36,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -153,10 +154,17 @@ func (st *Store) Current() *Snapshot { return st.cur.Load() }
 // Publish atomically swaps the live snapshot. It enforces the epoch
 // contract — a publish whose epoch is not strictly greater than the
 // live snapshot's is rejected with an error — so concurrent or replayed
-// publishers can never move the store backwards.
+// publishers can never move the store backwards. It also refuses a
+// model with a NaN or ±Inf coordinate, naming the centroid and the
+// dimension, so a diverged trainer cannot replace the last good
+// snapshot.
 func (st *Store) Publish(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("serve: cannot publish a nil snapshot")
+	}
+	if i := firstNonFinite(s.Centroids); i >= 0 {
+		return fmt.Errorf("serve: cannot publish epoch %d: centroid %d dimension %d is %v",
+			s.Epoch, i/s.D, i%s.D, s.Centroids[i])
 	}
 	for {
 		old := st.cur.Load()
@@ -168,6 +176,38 @@ func (st *Store) Publish(s *Snapshot) error {
 			return nil
 		}
 	}
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in x, or
+// -1 if every value is finite. Once a NaN or ±Inf enters a sum, the
+// sum stays NaN or ±Inf, so a finite sum proves every term finite. The
+// common finite matrix therefore costs one addition per value in four
+// independent chains, several times less than a per-value test, which
+// matters because a publish is on the server's start-up path. Only a
+// non-finite sum, or one that overflowed, pays for the per-value
+// search.
+func firstNonFinite(x []float64) int {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		y := x[i : i+4 : i+4]
+		s0 += y[0]
+		s1 += y[1]
+		s2 += y[2]
+		s3 += y[3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i]
+	}
+	if t := s0 + s1 + s2 + s3; !math.IsNaN(t) && !math.IsInf(t, 0) {
+		return -1
+	}
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Rejected returns how many publishes the store refused as stale.

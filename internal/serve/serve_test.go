@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -189,6 +190,42 @@ func TestStorePublishMonotonic(t *testing.T) {
 	}
 	if st.Current().Epoch != 10 {
 		t.Fatalf("live epoch %d, want 10", st.Current().Epoch)
+	}
+}
+
+func TestStorePublishRejectsNonFinite(t *testing.T) {
+	var st Store
+	live := mkSnap(t, 1, []float64{0, 0, 1, 1, 2, 2}, 3, 2, 2)
+	if err := st.Publish(live); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// Element 1 is summed in the four-value blocks, element 5 in
+		// the tail.
+		for _, at := range []int{1, 5} {
+			cents := []float64{0, 0, 1, 1, 2, 2}
+			cents[at] = v
+			err := st.Publish(mkSnap(t, 2, cents, 3, 2, 2))
+			want := fmt.Sprintf("centroid %d dimension %d", at/2, at%2)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("publishing %v at %d: error %v, want one naming %s", v, at, err, want)
+			}
+			if st.Current() != live {
+				t.Fatalf("publishing %v replaced the live snapshot", v)
+			}
+		}
+	}
+	if st.Rejected() != 0 {
+		t.Fatalf("Rejected = %d, want 0: a non-finite model is not a stale one", st.Rejected())
+	}
+	// The refused epoch is still free for a finite model, and finite
+	// values whose sum overflows are finite.
+	huge := []float64{math.MaxFloat64, math.MaxFloat64, 1, 1, math.MaxFloat64, -1}
+	if err := st.Publish(mkSnap(t, 2, huge, 3, 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Current().Epoch != 2 {
+		t.Fatalf("live epoch %d, want 2", st.Current().Epoch)
 	}
 }
 

@@ -174,7 +174,7 @@ func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64,
 	copy(cents[:d], w.Values[first*d:(first+1)*d])
 	minDist := make([]float64, n)
 	for i := 0; i < n; i++ {
-		minDist[i] = sq(w.Values[i*d:(i+1)*d], cents[:d])
+		minDist[i] = core.SqDist(w.Values[i*d:(i+1)*d], cents[:d])
 	}
 	for j := 1; j < k; j++ {
 		best, bestScore := 0, -1.0
@@ -187,7 +187,7 @@ func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64,
 		row := cents[j*d : (j+1)*d]
 		copy(row, w.Values[best*d:(best+1)*d])
 		for i := 0; i < n; i++ {
-			if dd := sq(w.Values[i*d:(i+1)*d], row); dd < minDist[i] {
+			if dd := core.SqDist(w.Values[i*d:(i+1)*d], row); dd < minDist[i] {
 				minDist[i] = dd
 			}
 		}
@@ -236,13 +236,4 @@ func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64,
 		}
 	}
 	return cents, mass, nil
-}
-
-func sq(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		diff := a[i] - b[i]
-		s += diff * diff
-	}
-	return s
 }

@@ -2,12 +2,13 @@ package sw26010
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dma"
 	"repro/internal/ldm"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/regcomm"
 	"repro/internal/trace"
@@ -123,18 +124,7 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 				//swlint:ignore hot-path-alloc -- DMA span tracing appends to the unit's span buffer; growth is amortized and only the observed run pays it
 				engine.Charge(c.Clock(), d)
 				// Partial argmin over the local slice.
-				bestJ, bestD := k, math.Inf(1)
-				for j := 0; j < kLocal; j++ {
-					cj := cents[j*d : (j+1)*d]
-					acc := 0.0
-					for u := 0; u < d; u++ {
-						diff := sample[u] - cj[u]
-						acc += diff * diff
-					}
-					if acc < bestD {
-						bestJ, bestD = kLo+j, acc
-					}
-				}
+				bestJ, bestD := core.NearestSlice(sample, cents, d, kLo, k)
 				if kLocal > 0 {
 					stats.AddFlops(int64(d) * int64(3*kLocal))
 					t0 := c.Clock().Now()
@@ -191,21 +181,7 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 				}
 			}
 			// Every slice holder derives identical new slice means.
-			movement := 0.0
-			for j := 0; j < kLocal; j++ {
-				if counts[j] == 0 {
-					continue
-				}
-				inv := 1 / float64(counts[j])
-				row := cents[j*d : (j+1)*d]
-				srow := sums[j*d : (j+1)*d]
-				for u := 0; u < d; u++ {
-					nv := srow[u] * inv
-					diff := nv - row[u]
-					movement += diff * diff
-					row[u] = nv
-				}
-			}
+			movement := core.ApplyUpdate(cents, sums, counts, d)
 			// Group 0's members write their slices back, then the mesh
 			// synchronizes and agrees on total movement.
 			if group == 0 && kLocal > 0 {
@@ -244,11 +220,12 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 }
 
 // minReduceGroup combines (index, distance) pairs across the mgroup
-// CPEs starting at base, returning the minimum distance with ties to
-// the lowest index, identically on every member. Recursive doubling:
-// partners differ in one bit, so every exchange stays on a row or
-// column bus. fbuf and ibuf are caller-owned 1-element scratch
-// payloads (Send copies), keeping the per-sample path allocation-free.
+// CPEs starting at base under mpi.MinPairLess's order (the minimum
+// distance, ties to the lowest index), identically on every member.
+// Recursive doubling: partners differ in one bit, so every exchange
+// stays on a row or column bus. fbuf and ibuf are caller-owned
+// 1-element scratch payloads (Send copies), keeping the per-sample
+// path allocation-free.
 func minReduceGroup(c *regcomm.CPE, mgroup, j int, dist float64, fbuf []float64, ibuf []int64) (int, float64, error) {
 	for step := 1; step < mgroup; step *= 2 {
 		partner := c.ID() ^ step
@@ -263,8 +240,7 @@ func minReduceGroup(c *regcomm.CPE, mgroup, j int, dist float64, fbuf []float64,
 		if len(dd) != 1 || len(ii) != 1 {
 			return 0, 0, fmt.Errorf("sw26010: min-reduce payload mismatch on CPE %d", c.ID())
 		}
-		//swlint:ignore float-eq -- exact-value tie breaks to the lowest index, the paper's deterministic combining order
-		if dd[0] < dist || (dd[0] == dist && int(ii[0]) < j) {
+		if mpi.MinPairLess(dd[0], ii[0], dist, int64(j)) {
 			dist, j = dd[0], int(ii[0])
 		}
 	}

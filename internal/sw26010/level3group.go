@@ -2,8 +2,8 @@ package sw26010
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dma"
 	"repro/internal/ldm"
@@ -166,17 +166,12 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 					dStripe := uHi - uLo
 					st := states[cp.ID()]
 					sample, part := st.sample, st.part[:m*max(1, kLocal)]
+					x := sample[uLo:uHi]
 					for s := 0; s < m; s++ {
 						src.Sample(base+s, sample)
 						engine.Charge(cp.Clock(), dStripe)
 						for j := 0; j < kLocal; j++ {
-							cj := st.cents[j*dStripe : (j+1)*dStripe]
-							acc := 0.0
-							for u := 0; u < dStripe; u++ {
-								diff := sample[uLo+u] - cj[u]
-								acc += diff * diff
-							}
-							part[s*kLocal+j] = acc
+							part[s*kLocal+j] = core.SqDist(x, st.cents[j*dStripe:(j+1)*dStripe])
 						}
 					}
 					if dStripe > 0 && kLocal > 0 {
@@ -204,19 +199,9 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				// mesh's completion time.
 				c.Clock().AdvanceTo(meshMax(mesh))
 				for s := 0; s < m; s++ {
-					if kLocal == 0 {
-						vals[s] = math.Inf(1)
-						ids[s] = int64(k)
-						continue
-					}
-					best, bestD := 0, dists[s*kLocal]
-					for j := 1; j < kLocal; j++ {
-						if dists[s*kLocal+j] < bestD {
-							best, bestD = j, dists[s*kLocal+j]
-						}
-					}
-					vals[s] = bestD
-					ids[s] = int64(kLo + best)
+					j, dist := core.NearestSliceDists(dists[s*kLocal:(s+1)*kLocal], kLo, k)
+					vals[s] = dist
+					ids[s] = int64(j)
 				}
 				if err := c.AllReduceMinPairs(vals[:m], ids[:m]); err != nil {
 					return err
@@ -272,22 +257,14 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
 				dStripe := uHi - uLo
 				st := states[cp.ID()]
-				local := 0.0
+				// The stripe copy still holds this iteration's centroids,
+				// so updating it and copying it back is the update of
+				// the rank's buffer.
+				movements[cp.ID()] = core.ApplyUpdate(st.cents, st.sums, counts[:kLocal], dStripe)
 				for j := 0; j < kLocal; j++ {
-					if counts[j] == 0 {
-						continue
-					}
-					inv := 1 / float64(counts[j])
-					row := st.sums[j*dStripe : (j+1)*dStripe]
-					for u := 0; u < dStripe; u++ {
-						nv := row[u] * inv
-						diff := nv - cents[j*d+uLo+u]
-						local += diff * diff
-						cents[j*d+uLo+u] = nv
-					}
+					copy(cents[j*d+uLo:j*d+uHi], st.cents[j*dStripe:(j+1)*dStripe])
 				}
 				engine.Charge(cp.Clock(), kLocal*dStripe)
-				movements[cp.ID()] = local
 			})
 			if err := meshFail.get(); err != nil {
 				return err

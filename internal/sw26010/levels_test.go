@@ -87,6 +87,10 @@ func TestRunLevel2CGValidation(t *testing.T) {
 	}
 }
 
+// The TestRunLevel3CG and TestLevel3CG tests run Level 3 on one core
+// group: RunLevel3Group with m'=1, where the CPE mesh stripes the
+// dimensions and the MPI min-reduce has a single rank.
+
 func TestRunLevel3CGMatchesLloyd(t *testing.T) {
 	// d=96 stripes as 1.5 dims per CPE (uneven shares exercised).
 	g := mixture(t, 256, 96, 4)
@@ -96,7 +100,7 @@ func TestRunLevel3CGMatchesLloyd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 7, 64} {
-		res, err := RunLevel3CG(spec, g, init, batch, 25, 0)
+		res, err := RunLevel3Group(spec, g, init, 1, batch, 25, 0)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -112,7 +116,7 @@ func TestRunLevel3CGFewerDimsThanCPEs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLevel3CG(machine.MustSpec(1), g, init, 16, 20, 0)
+	res, err := RunLevel3Group(machine.MustSpec(1), g, init, 1, 16, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +127,13 @@ func TestRunLevel3CGValidation(t *testing.T) {
 	g := mixture(t, 64, 8, 2)
 	spec := machine.MustSpec(1)
 	init := make([]float64, 2*8)
-	if _, err := RunLevel3CG(spec, g, init[:5], 8, 5, 0); err == nil {
+	if _, err := RunLevel3Group(spec, g, init[:5], 1, 8, 5, 0); err == nil {
 		t.Error("ragged init accepted")
 	}
-	if _, err := RunLevel3CG(spec, g, init, 0, 5, 0); err == nil {
+	if _, err := RunLevel3Group(spec, g, init, 1, 0, 5, 0); err == nil {
 		t.Error("batch=0 accepted")
 	}
-	if _, err := RunLevel3CG(spec, g, init, 8, 0, 0); err == nil {
+	if _, err := RunLevel3Group(spec, g, init, 1, 8, 0, 0); err == nil {
 		t.Error("maxIters=0 accepted")
 	}
 }
@@ -145,7 +149,7 @@ func TestLevel3CGHostsHighDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := machine.MustSpec(1)
-	res, err := RunLevel3CG(spec, g, init, 16, 2, 0)
+	res, err := RunLevel3Group(spec, g, init, 1, 16, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestLevelCGsAgreeWithEachOther(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := RunLevel3CG(spec, g, init, 32, 15, 0)
+	r3, err := RunLevel3Group(spec, g, init, 1, 32, 15, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +202,13 @@ func BenchmarkRunLevel2CG(b *testing.B) {
 	}
 }
 
-func BenchmarkRunLevel3CG(b *testing.B) {
+func BenchmarkRunLevel3GroupOneCG(b *testing.B) {
 	g := mixture(b, 512, 64, 4)
 	spec := machine.MustSpec(1)
 	init, _ := core.InitialCentroids(g, 8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunLevel3CG(spec, g, init, 64, 2, 0); err != nil {
+		if _, err := RunLevel3Group(spec, g, init, 1, 64, 2, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

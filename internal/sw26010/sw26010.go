@@ -15,6 +15,7 @@ package sw26010
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dma"
 	"repro/internal/ldm"
@@ -141,18 +142,9 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 				//swlint:hot per-sample CPE compute loop (Algorithm 1 lines 9-13)
 				for s := 0; s < m; s++ {
 					x := stream[s*d : (s+1)*d]
-					best, bestD := -1, 0.0
-					for j := 0; j < k; j++ {
-						cj := cents[j*d : (j+1)*d]
-						acc := 0.0
-						for u := 0; u < d; u++ {
-							diff := x[u] - cj[u]
-							acc += diff * diff
-						}
-						if best < 0 || acc < bestD {
-							best, bestD = j, acc
-						}
-					}
+					// Seeded with the previous assignment, which only
+					// this CPE writes.
+					best, _ := core.Nearest(x, cents, d, assign[base+s])
 					assign[base+s] = best
 					row := sums[best*d : (best+1)*d]
 					for u := 0; u < d; u++ {
@@ -172,21 +164,7 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 				return
 			}
 			// Every CPE derives the identical new centroid set.
-			movement := 0.0
-			for j := 0; j < k; j++ {
-				if counts[j] == 0 {
-					continue
-				}
-				inv := 1 / float64(counts[j])
-				row := cents[j*d : (j+1)*d]
-				srow := sums[j*d : (j+1)*d]
-				for u := 0; u < d; u++ {
-					nv := srow[u] * inv
-					diff := nv - row[u]
-					movement += diff * diff
-					row[u] = nv
-				}
-			}
+			movement := core.ApplyUpdate(cents, sums, counts, d)
 			// CPE 0 writes the result back to main memory, then the
 			// mesh synchronizes (an empty allreduce is a barrier) so
 			// no CPE starts the next iteration's centroid load before
