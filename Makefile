@@ -71,7 +71,8 @@ race:
 # fuzz runs every native fuzz target for FUZZTIME each, one at a time
 # (go test -fuzz takes one target per run): the fault-plan grammar,
 # swlint's suppression and baseline parsers, the nearest-centroid
-# kernel, and the model, binary-matrix and CSV loaders.
+# kernel, the collective rendezvous against its point-to-point
+# reference, and the model, binary-matrix and CSV loaders.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseIgnore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseBaseline$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpi -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadCentroids$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)

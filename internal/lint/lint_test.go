@@ -190,8 +190,8 @@ func TestRuleFixtures(t *testing.T) {
 			want: []expect{
 				{"collective-match", "collective.go", 13, "no matching Bcast"},
 				{"collective-match", "collective.go", 45, "no matching Barrier"},
-				{"collective-match", "collective.go", 53, "no matching Gather"},
-				{"collective-match", "collective.go", 85, "no matching Reduce"},
+				{"collective-match", "collective.go", 53, "no matching AllReduceSum"},
+				{"collective-match", "collective.go", 85, "no matching AllReduceSumAuto"},
 			},
 		},
 		{

@@ -53,14 +53,11 @@ func (CollectiveMatchRule) Doc() string {
 var collectiveOps = map[string]string{
 	"Barrier":           "Barrier",
 	"Bcast":             "Bcast",
-	"Reduce":            "Reduce",
 	"AllReduceSum":      "AllReduceSum",
 	"AllReduceSumAuto":  "AllReduceSumAuto",
+	"AllReduceSumRing":  "AllReduceSumRing",
 	"AllReduceMinPairs": "AllReduceMinPairs",
-	"AllGatherFloats":   "AllGatherFloats",
 	"AllGatherInts":     "AllGatherInts",
-	"Gather":            "Gather",
-	"Scatter":           "Scatter",
 	"Split":             "Split",
 	"Send":              "p2p",
 	"Recv":              "p2p",

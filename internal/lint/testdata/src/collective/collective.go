@@ -50,7 +50,7 @@ func EarlyExitBarrier(c *mpi.Comm) error {
 func DerivedRank(c *mpi.Comm, data []float64) error {
 	pos := c.Rank() % 4
 	if pos == 0 {
-		_, err := c.Gather(0, data)
+		err := c.AllReduceSum(data, nil)
 		return err
 	}
 	return nil
@@ -82,7 +82,7 @@ func SwitchPaired(c *mpi.Comm, group int, data []float64) error {
 func SwitchLone(c *mpi.Comm, data []float64) error {
 	switch {
 	case c.Rank() == 0:
-		return c.Reduce(0, data, nil)
+		return c.AllReduceSumAuto(data, nil)
 	default:
 		return nil
 	}

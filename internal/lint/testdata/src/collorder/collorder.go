@@ -23,37 +23,37 @@ func Swapped(c *mpi.Comm, data []float64) error {
 	}
 }
 
-// EarlyExitSwapped: the non-root arm returns early after Gather then
-// Barrier; the root's continuation runs Barrier then Gather. The
-// sibling arm is the code after the early exit, a CFG fact.
-func EarlyExitSwapped(c *mpi.Comm, data []float64) error {
+// EarlyExitSwapped: the non-root arm returns early after an allgather
+// then Barrier; the root's continuation runs Barrier then allgathers.
+// The sibling arm is the code after the early exit, a CFG fact.
+func EarlyExitSwapped(c *mpi.Comm, ids []int64) error {
 	if c.Rank() != 0 {
-		c.Gather(0, data) // flagged
+		c.AllGatherInts(ids) // flagged
 		return c.Barrier()
 	}
 	if err := c.Barrier(); err != nil {
 		return err
 	}
-	_, err := c.Gather(0, data)
+	_, err := c.AllGatherInts(ids)
 	return err
 }
 
-// OptionalReduce guards the root's Reduce behind a data condition
-// while the other ranks reduce unconditionally: on the quiet path the
-// root enters Barrier while everyone else sits in Reduce. The
-// multisets still agree (both arms mention Reduce and Barrier), so
-// collective-match stays silent; only the path enumeration sees the
-// Barrier-first sequence.
+// OptionalReduce guards the root's AllReduceSum behind a data
+// condition while the other ranks reduce unconditionally: on the quiet
+// path the root enters Barrier while everyone else sits in
+// AllReduceSum. The multisets still agree (both arms mention
+// AllReduceSum and Barrier), so collective-match stays silent; only
+// the path enumeration sees the Barrier-first sequence.
 func OptionalReduce(c *mpi.Comm, data []float64, verbose bool) error {
 	if c.Rank() == 0 {
 		if verbose {
-			if err := c.Reduce(0, data, nil); err != nil { // flagged
+			if err := c.AllReduceSum(data, nil); err != nil { // flagged
 				return err
 			}
 		}
 		return c.Barrier()
 	}
-	if err := c.Reduce(0, data, nil); err != nil {
+	if err := c.AllReduceSum(data, nil); err != nil {
 		return err
 	}
 	return c.Barrier()

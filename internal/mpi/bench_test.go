@@ -1,76 +1,38 @@
 package mpi
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
 )
 
-// BenchmarkAllReduceSum measures the host cost of the functional
-// AllReduce across 16 ranks, the dominant collective of the Update
-// step (Algorithm 1 line 14).
-func BenchmarkAllReduceSum(b *testing.B) {
-	w := MustWorld(machine.MustSpec(4), nil, 16)
-	data := make([]float64, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(c *Comm) error {
-			buf := make([]float64, len(data))
-			copy(buf, data)
-			return c.AllReduceSum(buf, nil)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+// collectiveShapes are the worlds the collective benchmarks run on:
+// des4096 is the Figure 6b shape (4,096 ranks) on the DES driver,
+// goroutine16 a 16-rank world on the goroutine driver.
+var collectiveShapes = []struct {
+	name   string
+	size   int
+	driver Driver
+}{
+	{"des4096", 4096, DriverSched},
+	{"goroutine16", 16, DriverGoroutine},
 }
 
-// BenchmarkAllReduceMinPairs measures the assignment min-reduce of
-// Algorithms 2 and 3.
-func BenchmarkAllReduceMinPairs(b *testing.B) {
-	w := MustWorld(machine.MustSpec(4), nil, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(c *Comm) error {
-			vals := make([]float64, 256)
-			idxs := make([]int64, 256)
-			for j := range vals {
-				vals[j] = float64((c.Rank()*31 + j) % 97)
-				idxs[j] = int64(c.Rank())
-			}
-			return c.AllReduceMinPairs(vals, idxs)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSplit measures the host cost of Level 3's two splits, by CG
-// group (Rank()/m') and by position across groups (Rank()%m'), with
-// B/op beside ns/op: des4096 is the Figure 6b shape (4,096 ranks,
-// m'=128) on the DES driver, goroutine16 a 16-rank world (m'=4) on the
-// goroutine driver.
-func BenchmarkSplit(b *testing.B) {
-	for _, bc := range []struct {
-		name         string
-		size, mPrime int
-		driver       Driver
-	}{
-		{"des4096", 4096, 128, DriverSched},
-		{"goroutine16", 16, 4, DriverGoroutine},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			w := MustWorld(machine.MustSpec(bc.size/4), nil, bc.size)
-			w.SetDriver(bc.driver)
+// benchCollective times one Run of op per iteration on each shape,
+// with B/op beside ns/op. bufs hands every rank its buffers, made once
+// outside the timed loop.
+func benchCollective(b *testing.B, bufs func(size int) func(c *Comm) error) {
+	for _, sh := range collectiveShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			w := MustWorld(machine.MustSpec(sh.size/4), nil, sh.size)
+			w.SetDriver(sh.driver)
+			op := bufs(sh.size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.Run(func(c *Comm) error {
-					if _, err := c.Split(c.Rank()/bc.mPrime, c.Rank()); err != nil {
-						return err
-					}
-					_, err := c.Split(c.Rank()%bc.mPrime, c.Rank())
-					return err
-				}); err != nil {
+				if err := w.Run(op); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,13 +40,120 @@ func BenchmarkSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrier measures the dissemination barrier.
-func BenchmarkBarrier(b *testing.B) {
-	w := MustWorld(machine.MustSpec(4), nil, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(c *Comm) error { return c.Barrier() }); err != nil {
-			b.Fatal(err)
+// sumOp is an AllReduceSum of 4,096 floats per rank, the Update-step
+// shape (Algorithm 1 line 14).
+func sumOp(size int) func(c *Comm) error {
+	bufs := make([][]float64, size)
+	for r := range bufs {
+		bufs[r] = make([]float64, 4096)
+	}
+	return func(c *Comm) error { return c.AllReduceSum(bufs[c.Rank()], nil) }
+}
+
+// minPairsOp is an AllReduceMinPairs of 256 pairs per rank, the
+// assignment min-reduce of Algorithms 2 and 3.
+func minPairsOp(size int) func(c *Comm) error {
+	vals, idxs := make([][]float64, size), make([][]int64, size)
+	for r := range vals {
+		vals[r], idxs[r] = make([]float64, 256), make([]int64, 256)
+	}
+	return func(c *Comm) error {
+		v, ix := vals[c.Rank()], idxs[c.Rank()]
+		for j := range v {
+			v[j] = float64((c.Rank()*31 + j) % 97)
+			ix[j] = int64(c.Rank())
+		}
+		return c.AllReduceMinPairs(v, ix)
+	}
+}
+
+func barrierOp(int) func(c *Comm) error { return (*Comm).Barrier }
+
+// splitOp is Level 3's two splits, by CG group (Rank()/m') and by
+// position across groups (Rank()%m'), at m' = 128 for 4,096 ranks and
+// m' = 4 for 16.
+func splitOp(size int) func(c *Comm) error {
+	mPrime := max(size/32, 4)
+	return func(c *Comm) error {
+		if _, err := c.Split(c.Rank()/mPrime, c.Rank()); err != nil {
+			return err
+		}
+		_, err := c.Split(c.Rank()%mPrime, c.Rank())
+		return err
+	}
+}
+
+// BenchmarkAllReduceSum measures the allreduce of the Update step.
+func BenchmarkAllReduceSum(b *testing.B) { benchCollective(b, sumOp) }
+
+// BenchmarkAllReduceMinPairs measures the assignment min-reduce.
+func BenchmarkAllReduceMinPairs(b *testing.B) { benchCollective(b, minPairsOp) }
+
+// BenchmarkBarrier measures the barrier.
+func BenchmarkBarrier(b *testing.B) { benchCollective(b, barrierOp) }
+
+// BenchmarkSplit measures the host cost of Level 3's two splits.
+func BenchmarkSplit(b *testing.B) { benchCollective(b, splitOp) }
+
+// runAlloc returns the bytes one DES Run of op allocates at size ranks
+// beyond an empty Run.
+func runAlloc(t *testing.T, size int, mk func(size int) func(c *Comm) error) uint64 {
+	t.Helper()
+	w := MustWorld(machine.MustSpec(size/4), nil, size)
+	w.SetDriver(DriverSched)
+	op := mk(size)
+	measure := func(fn func(c *Comm) error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := w.Run(fn)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The first Run of a world allocates its epoch state; after it, the
+	// least of three runs filters out what other goroutines allocate
+	// meanwhile.
+	measure(op)
+	full, empty := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		full = min(full, measure(op))
+		empty = min(empty, measure(func(*Comm) error { return nil }))
+	}
+	return full - min(full, empty)
+}
+
+// TestCollectiveHostCost is the host-cost guard of the rendezvous: one
+// DES collective over 4,096 ranks must allocate, beyond the ranks' own
+// buffers and an empty Run, less than its bound, and four times the
+// ranks must allocate less than five times the bytes. The bounds leave
+// room for a few words per member and call (about 0.55 MB for each of
+// the first three, 2 MB for Level 3's two splits) but not for a packet
+// per protocol edge or a payload copy per rank (138 MB for a
+// 4,096-float AllReduceSum, 7.7 MB for a Barrier, 3.5 MB for the two
+// splits).
+func TestCollectiveHostCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4,096-rank worlds in -short mode")
+	}
+	for _, tc := range []struct {
+		name  string
+		op    func(size int) func(c *Comm) error
+		bound uint64 // bytes at 4,096 ranks
+	}{
+		{"AllReduceSum", sumOp, 1 << 20},
+		{"AllReduceMinPairs", minPairsOp, 1 << 20},
+		{"Barrier", barrierOp, 1 << 20},
+		{"Split", splitOp, 5 << 19},
+	} {
+		small, large := runAlloc(t, 1024, tc.op), runAlloc(t, 4096, tc.op)
+		t.Logf("%s allocates %d B at 1,024 ranks, %d B at 4,096", tc.name, small, large)
+		if large >= tc.bound {
+			t.Errorf("%s allocates %d B at 4,096 ranks, want < %d", tc.name, large, tc.bound)
+		}
+		if large >= 5*small {
+			t.Errorf("%s: 4x the ranks allocates %.1fx the bytes (%d -> %d), want < 5x", tc.name, float64(large)/float64(small), small, large)
 		}
 	}
 }

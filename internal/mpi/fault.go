@@ -10,24 +10,31 @@ package mpi
 // heartbeat timeout with a typed *RankFailure error instead of
 // deadlocking.
 //
-// Determinism. Whether a receive sees a real message or a failure is a
-// pure function of the virtual execution, not of goroutine scheduling:
-// a crashing rank finishes all its sends before it closes its crash
-// channel (program order plus channel happens-before), so a receiver
-// that observes the closed channel already has every packet the dead
-// rank ever sent sitting in its inbox. The receiver drains the inbox
-// first and prefers a real matching packet; only when none exists does
-// it report the failure.
+// Determinism. Whether a point-to-point receive sees a real message or
+// a failure is a pure function of the virtual execution, not of
+// goroutine scheduling: a crashing rank finishes all its sends before
+// it closes its crash channel (program order plus channel
+// happens-before), so a receiver that observes the closed channel
+// already has every packet the dead rank ever sent sitting in its
+// inbox. The receiver drains the inbox first and prefers a real
+// matching packet; only when none exists does it report the failure,
+// and it reports a crashed peer as crashed even when the peer's abort
+// is visible too.
 //
-// Mid-collective failure propagates deterministically through two
-// mechanisms. First, a live rank that discovers a failure inside a
-// collective completes the identical communication pattern with
-// poison-marked packets, so every peer still consumes and produces
-// exactly its protocol edges (no deadlock, and the collective's tag
-// sequence stays synchronized across survivors). Second, a rank whose
-// callback returns an error closes its per-epoch abort channel after
-// the return, so any peer still waiting on it observes the abort and
-// fails over with the same root-cause failure instead of blocking.
+// Collectives run as one rendezvous per call (rendezvous.go), and the
+// replay keeps the point-to-point protocol's failure semantics edge by
+// edge. A member fail-stops at the first message boundary at which its
+// clock has reached its crash time, or when a message exhausts its
+// retries, and sends nothing after that. A member that discovers a
+// failure — a packet its peer never sent, or a poison packet — keeps
+// walking the identical communication pattern with poison-marked
+// packets, so every survivor's clock, traffic and error are what the
+// packets would have produced. A member that never arrives because it
+// crashed or its callback returned an error is replaced on every edge
+// by its crash report, or by the failure its abort published; its
+// notice completes the call when it was the last member missing.
+// Because a rank decides its own death and publishes it before its
+// notice, the replay never has to guess which of the two applies.
 
 import (
 	"errors"
@@ -131,12 +138,14 @@ func (w *World) abortChOf(g int) chan struct{} {
 // value. Under the DES driver, peers parked in a receive on the dead
 // rank additionally get a wake-up at the heartbeat detection time; the
 // goroutine driver gets the same effect from the select on crashCh.
+// Collective calls still waiting for the rank stop waiting for it.
 func (w *World) markCrashed(g int, at float64) {
 	w.crashedAt[g] = at
 	close(w.crashCh[g])
 	if w.des != nil {
 		w.desWakeWaitersOn(g, at+w.inj.HeartbeatTimeout())
 	}
+	w.noteGone(g)
 }
 
 // isCrashed reports whether a global rank has fail-stopped.
@@ -246,10 +255,9 @@ func (w *World) abortFailureFor(g int, err error, now float64) *RankFailure {
 	return &RankFailure{Rank: g, CG: w.cgOf[g], CrashedAt: now, DetectedAt: now}
 }
 
-// opState accumulates the failure discovered during one collective
-// operation. A poisoned rank keeps executing the identical protocol
-// edges (sending poison instead of data) so no peer deadlocks and the
-// communicator's tag sequence stays synchronized.
+// opState accumulates the failure one member discovers during one
+// collective. A poisoned member keeps executing the identical protocol
+// edges, sending poison instead of data.
 type opState struct {
 	fail *RankFailure
 }
@@ -277,39 +285,4 @@ func (st *opState) err() error {
 		return nil
 	}
 	return st.fail
-}
-
-// opSend is the poison-aware protocol send: a clean rank transmits a
-// copy of the payload, a poisoned rank transmits the failure marker on
-// the same edge.
-func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
-	if st.fail != nil {
-		return c.sendPacket(dst, tag, nil, nil, st.fail)
-	}
-	return c.sendPacket(dst, tag, clonePayload(data), clonePayload(ints), nil)
-}
-
-// opForward is opSend for a payload nobody writes again, a
-// broadcast's: the packet carries the slices as they are instead of a
-// copy.
-func (c *Comm) opForward(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
-	if st.fail != nil {
-		return c.sendPacket(dst, tag, nil, nil, st.fail)
-	}
-	return c.sendPacket(dst, tag, data, ints, nil)
-}
-
-// opRecv is the poison-aware protocol receive: poison packets and
-// detected crashes fold into st (returning nil payloads) while hard
-// errors — the caller's own crash — propagate.
-func (c *Comm) opRecv(st *opState, src int, tag uint64) ([]float64, []int64, error) {
-	d, i, fail, err := c.recvFull(src, tag)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fail != nil {
-		st.merge(fail)
-		return nil, nil, nil
-	}
-	return d, i, nil
 }

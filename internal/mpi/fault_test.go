@@ -126,10 +126,6 @@ func TestMidCollectiveFailurePropagatesToAll(t *testing.T) {
 			_, err := c.AllGatherInts([]int64{int64(c.Rank())})
 			return err
 		},
-		"allgather-floats": func(c *Comm) error {
-			_, err := c.AllGatherFloats([]float64{1})
-			return err
-		},
 	}
 	for name, op := range collectives {
 		t.Run(name, func(t *testing.T) {

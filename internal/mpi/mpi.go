@@ -1,11 +1,14 @@
 // Package mpi implements the message-passing substrate of the
 // simulator: the role MPI plays on the real Sunway TaihuLight. Ranks
 // are core groups (each CG's managing processing element drives the
-// network), point-to-point messages really move data between rank
-// goroutines, and collectives are built from point-to-point messages
-// with the classic binomial-tree and dissemination algorithms so that
-// message counts, volumes and the emergent critical path match what a
-// real MPI library would produce on the two-level fat tree.
+// network) and point-to-point messages really move data between rank
+// goroutines. The collectives model the classic binomial-tree,
+// dissemination, ring and gather algorithms message by message, so
+// that message counts, volumes and the emergent critical path match
+// what a real MPI library would produce on the two-level fat tree, but
+// the host runs each call as one rendezvous of the communicator's
+// members that combines the payloads once and replays every member's
+// messages (rendezvous.go).
 //
 // Virtual time: every rank owns a vclock.Clock. A message carries the
 // sender's clock at completion of the send; the receive completes at
@@ -65,14 +68,12 @@ type World struct {
 	commIDs sync.Mutex
 	nextID  uint64 // guarded by commIDs
 
-	// splits holds the partition of every Split in progress, keyed by
-	// its gathered table: all members hold the broadcast's one copy of
-	// it, so sibling splits never share a key. The first member to
-	// arrive derives the partition and the last to read it deletes it;
-	// runMembers starts every epoch with an empty map, dropping any a
-	// failed epoch left behind.
-	splitMu sync.Mutex
-	splits  map[*int64]*partition // guarded by splitMu
+	// rvMu orders the collective rendezvous (rendezvous.go): arrivals,
+	// the notices of ranks that crash or abort, and the calls still
+	// waiting for members. runMembers starts every epoch with no open
+	// call, dropping any a failed epoch left behind.
+	rvMu  sync.Mutex
+	calls []*call // guarded by rvMu
 
 	clocks []*vclock.Clock
 
@@ -198,39 +199,48 @@ func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) err
 		w.aborted[g] = make(chan struct{})
 	}
 	w.abortFail = make([]*RankFailure, w.size)
-	w.splitMu.Lock()
-	w.splits = make(map[*int64]*partition)
-	w.splitMu.Unlock()
+	w.rvMu.Lock()
+	w.calls = nil
+	w.rvMu.Unlock()
+	grp := &group{members: members}
 	if w.driver == DriverSched {
-		return w.runMembersSched(id, members, fn)
+		return w.runMembersSched(id, grp, fn)
 	}
-	return w.runMembersGoroutine(id, members, fn)
+	return w.runMembersGoroutine(id, grp, fn)
+}
+
+// abort publishes the failure of a rank whose callback returned err:
+// peers blocked on it adopt the root cause instead of deadlocking.
+func (w *World) abort(g int, err error) {
+	w.abortFail[g] = w.abortFailureFor(g, err, w.clocks[g].Now())
+	close(w.aborted[g])
+	if w.des != nil {
+		w.desWakeWaitersOn(g, w.abortFail[g].DetectedAt)
+	}
+	w.noteGone(g)
 }
 
 // runMembersGoroutine is runMembers' epoch body under the default
 // driver: one live goroutine per member, packets through the buffered
 // inbox channels.
-func (w *World) runMembersGoroutine(id uint64, members []int, fn func(c *Comm) error) error {
+func (w *World) runMembersGoroutine(id uint64, grp *group, fn func(c *Comm) error) error {
 	if w.inbox[0] == nil {
 		for g := range w.inbox {
 			w.inbox[g] = make(chan packet, 4*w.size+16)
 		}
 	}
+	members := grp.members
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup
 	for i, g := range members {
 		wg.Add(1)
 		go func(i, g int) {
 			defer wg.Done()
-			comm := &Comm{w: w, id: id, rank: i, size: len(members), members: members}
+			comm := &Comm{w: w, id: id, rank: i, size: len(members), grp: grp}
 			err := fn(comm)
 			errs[i] = err
 			if err != nil {
-				// Publish the failure before closing: peers blocked on
-				// this rank observe the close and adopt the root cause
-				// instead of deadlocking.
-				w.abortFail[g] = w.abortFailureFor(g, err, w.clocks[g].Now())
-				close(w.aborted[g])
+				w.abort(g, err)
 			}
 		}(i, g)
 	}
@@ -256,12 +266,12 @@ func (w *World) newCommID() uint64 {
 // is passed to Run's callback; sub-communicators come from Split.
 // A Comm is confined to its rank's goroutine.
 type Comm struct {
-	w       *World
-	id      uint64
-	rank    int   // rank within this communicator
-	size    int   // communicator size
-	members []int // communicator rank -> global rank
-	seq     uint64
+	w    *World
+	id   uint64
+	rank int    // rank within this communicator
+	size int    // communicator size
+	grp  *group // what the members share: their world ranks, the rendezvous
+	seq  uint64
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -271,7 +281,7 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.size }
 
 // Global returns the caller's global (world) rank.
-func (c *Comm) Global() int { return c.members[c.rank] }
+func (c *Comm) Global() int { return c.grp.members[c.rank] }
 
 // CG returns the global core-group index this rank is placed on.
 func (c *Comm) CG() int { return c.w.cgOf[c.Global()] }
@@ -313,15 +323,15 @@ func (c *Comm) obsEnd(u *obs.Unit, m obs.Mark, kind string, bytes int64) {
 	u.End(m, kind, c.Clock().Now(), bytes, 0)
 }
 
-// nextTag mints the tag for the next collective operation (or the
-// next step of a multi-step collective). All ranks of a communicator
-// execute the same sequence of collective steps, so their sequence
-// counters agree. Tags are unique per (communicator, step): the
-// communicator identity occupies the bits above the 20-bit step
-// counter and user tags live in a separate namespace (bit 63).
-func (c *Comm) nextTag() uint64 {
-	c.seq++
-	return c.id<<20 | (c.seq & (1<<20 - 1))
+// collectiveTag is the tag of a communicator's step-th collective
+// step. All ranks of a communicator execute the same sequence of
+// collective steps, so their step counters agree. Tags are unique per
+// (communicator, step): the communicator identity occupies the bits
+// above the 20-bit step counter and user tags live in a separate
+// namespace (bit 63). The fault plan's message rolls and Split's
+// communicator ids read them.
+func collectiveTag(id, step uint64) uint64 {
+	return id<<20 | (step & (1<<20 - 1))
 }
 
 // send transmits payloads to communicator rank dst under tag.
@@ -356,7 +366,7 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 	if dst == c.rank {
 		return fmt.Errorf("mpi: rank %d sending to itself", c.rank)
 	}
-	srcG, dstG := c.Global(), c.members[dst]
+	srcG, dstG := c.Global(), c.grp.members[dst]
 	bytes := (len(data) + len(ints)) * ldm.ElemBytes
 	c.w.stats.AddNet(int64(bytes))
 	// The sender is busy for the injection duration; the wire time is
@@ -409,8 +419,7 @@ func (w *World) transferTime(srcCG, dstCG, bytes int, at float64) (float64, erro
 // recv blocks until the message with the given tag from communicator
 // rank src arrives, reconciles the clock and returns the payloads.
 // Failures (poison packets, crashed or aborted peers) surface as hard
-// errors here; collective internals use recvFull to fold them into an
-// opState instead.
+// errors here.
 func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
 	d, i, fail, err := c.recvFull(src, tag)
 	if err != nil {
@@ -427,7 +436,8 @@ func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
 // as a *RankFailure with nil payloads. See the determinism argument at
 // the top of fault.go: the inbox drain on crash/abort wake-up
 // guarantees a real matching packet always wins over a failure report,
-// independent of goroutine scheduling.
+// and a crashed peer is reported as crashed even once its callback has
+// aborted, independent of goroutine scheduling.
 func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, error) {
 	if err := c.checkSelfCrash(); err != nil {
 		return nil, nil, nil, err
@@ -435,7 +445,7 @@ func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, 
 	if src < 0 || src >= c.size {
 		return nil, nil, nil, fmt.Errorf("mpi: recv source %d out of range [0,%d)", src, c.size)
 	}
-	srcG := c.members[src]
+	srcG := c.grp.members[src]
 	me := c.Global()
 	// First, scan messages held back earlier.
 	if p, ok := c.takeHeld(me, srcG, tag); ok {
@@ -464,6 +474,9 @@ func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, 
 				return c.deliver(p)
 			}
 			fail := c.w.abortFail[srcG]
+			if c.w.isCrashed(srcG) {
+				fail = c.w.crashFailure(srcG)
+			}
 			c.Clock().AdvanceTo(fail.DetectedAt)
 			return nil, nil, fail, nil
 		}
@@ -530,184 +543,63 @@ func (c *Comm) Recv(src int, tag int) ([]float64, []int64, error) {
 	return data, ints, err
 }
 
+// collective runs a payload collective: a size-1 communicator only
+// checks the caller's own fail-stop, larger ones meet at a rendezvous
+// and settle the caller's outcome.
+func (c *Comm) collective(op opKind, root int, data []float64, ints []int64) error {
+	if c.size == 1 {
+		return c.checkSelfCrash()
+	}
+	x, err := c.rendezvous(op, root, data, ints)
+	if err != nil {
+		return err
+	}
+	return c.settle(x)
+}
+
 // Barrier blocks until every rank of the communicator has entered,
-// using the dissemination algorithm (works for any size, log2 rounds).
-// A failure anywhere poisons every survivor: dissemination is an
+// modelled as the dissemination algorithm (any size, log2 rounds). A
+// failure anywhere poisons every survivor: dissemination is an
 // allgather pattern, so the failure marker reaches all ranks.
 func (c *Comm) Barrier() error {
 	u, m := c.obsBegin()
-	err := c.barrier()
+	var err error
+	if c.size > 1 {
+		err = c.collective(opBarrier, 0, nil, nil)
+	}
 	c.obsEnd(u, m, "mpi:barrier", 0)
 	return err
 }
 
-func (c *Comm) barrier() error {
-	st := &opState{}
-	for step := 1; step < c.size; step *= 2 {
-		tag := c.nextTag()
-		to := (c.rank + step) % c.size
-		from := (c.rank - step + c.size) % c.size
-		if err := c.opSend(st, to, tag, nil, nil); err != nil {
-			return err
-		}
-		if _, _, err := c.opRecv(st, from, tag); err != nil {
-			return err
-		}
-	}
-	return st.err()
-}
-
-// Bcast distributes root's data and ints to every rank using a
+// Bcast distributes root's data and ints to every rank, modelled as a
 // binomial tree. Non-root ranks receive into the provided slices,
 // which must have the same lengths as root's.
 func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 	u, m := c.obsBegin()
-	st := &opState{}
-	err := c.bcastInto(st, root, data, ints)
-	if err == nil {
-		err = st.err()
+	var err error
+	switch {
+	case root < 0 || root >= c.size:
+		err = fmt.Errorf("mpi: bcast root %d out of range", root)
+	case c.size == 1:
+		c.seq++
+	default:
+		err = c.collective(opBcast, root, data, ints)
 	}
 	c.obsEnd(u, m, "mpi:bcast", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
 }
 
-// bcastOp is the poison-aware broadcast body shared by Bcast and the
-// composite collectives: a poisoned rank walks the identical tree
-// forwarding the failure marker instead of the payload. data and ints
-// are read on the root only, which copies them once; every other rank
-// forwards the payload it received, so the root's copy serves every
-// hop. bcastOp returns that shared payload, which nobody may write:
-// bcastInto copies it into the caller's buffers.
-func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) ([]float64, []int64, error) {
-	if root < 0 || root >= c.size {
-		return nil, nil, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	tag := c.nextTag()
-	rel := (c.rank - root + c.size) % c.size
-	if rel == 0 && st.fail == nil {
-		data, ints = clonePayload(data), clonePayload(ints)
-	}
-	// Find the receiving step: lowest set bit of rel.
-	mask := 1
-	for mask < c.size {
-		if rel&mask != 0 {
-			src := (c.rank - mask + c.size) % c.size
-			d, i, err := c.opRecv(st, commRank(src), tag)
-			if err != nil {
-				return nil, nil, err
-			}
-			data, ints = d, i
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to children: steps above the receiving step.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < c.size && rel&(mask-1) == 0 && rel&mask == 0 {
-			dst := (c.rank + mask) % c.size
-			if err := c.opForward(st, dst, tag, data, ints); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return data, ints, nil
-}
-
-// bcastInto is bcastOp for callers that keep the result in their own
-// buffers: non-root ranks copy the broadcast payload into data and
-// ints, whose lengths must match the root's.
-func (c *Comm) bcastInto(st *opState, root int, data []float64, ints []int64) error {
-	d, i, err := c.bcastOp(st, root, data, ints)
-	if err != nil || st.fail != nil || c.rank == root {
-		return err
-	}
-	if len(d) != len(data) || len(i) != len(ints) {
-		return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
-	}
-	copy(data, d)
-	copy(ints, i)
-	return nil
-}
-
-// commRank is an identity helper that documents rank-space: all
-// internal tree arithmetic is already in communicator rank space.
-func commRank(r int) int { return r }
-
-// Reduce combines data and ints element-wise with summation onto the
-// root rank using a binomial tree. On non-root ranks the slices are
-// left in an unspecified partially-combined state; callers that need
-// the result everywhere use AllReduceSum.
-func (c *Comm) Reduce(root int, data []float64, ints []int64) error {
-	u, m := c.obsBegin()
-	st := &opState{}
-	err := c.reduceOp(st, root, data, ints)
-	if err == nil {
-		err = st.err()
-	}
-	c.obsEnd(u, m, "mpi:reduce", int64((len(data)+len(ints))*ldm.ElemBytes))
-	return err
-}
-
-// reduceOp is the poison-aware binomial reduce body. A failure in any
-// subtree propagates up to the root, which is what lets the composite
-// AllReduceSum distribute it to every survivor in the broadcast phase.
-func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: reduce root %d out of range", root)
-	}
-	tag := c.nextTag()
-	rel := (c.rank - root + c.size) % c.size
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := (c.rank - mask + c.size) % c.size
-			return c.opSend(st, dst, tag, data, ints)
-		}
-		if rel+mask < c.size {
-			src := (c.rank + mask) % c.size
-			d, i, err := c.opRecv(st, commRank(src), tag)
-			if err != nil {
-				return err
-			}
-			if st.fail == nil {
-				if len(d) != len(data) || len(i) != len(ints) {
-					return fmt.Errorf("mpi: reduce payload mismatch on rank %d", c.rank)
-				}
-				for j, v := range d {
-					data[j] += v
-				}
-				for j, v := range i {
-					ints[j] += v
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // AllReduceSum sums data and ints element-wise across all ranks and
-// leaves the identical result on every rank (reduce to rank 0, then
-// broadcast, so results are bitwise identical everywhere). On failure
-// every survivor returns the same *RankFailure: the broadcast phase
-// always runs, distributing the poison the reduce phase collected.
+// leaves the identical result on every rank, modelled as a binomial
+// reduce to rank 0 followed by a binomial broadcast, so results are
+// bitwise identical everywhere. On failure every survivor returns the
+// same *RankFailure: the broadcast phase always runs, distributing the
+// poison the reduce phase collected.
 func (c *Comm) AllReduceSum(data []float64, ints []int64) error {
 	u, m := c.obsBegin()
-	err := c.allReduceSum(data, ints)
+	err := c.collective(opAllReduce, 0, data, ints)
 	c.obsEnd(u, m, "mpi:allreduce", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
-}
-
-func (c *Comm) allReduceSum(data []float64, ints []int64) error {
-	if c.size == 1 {
-		return c.checkSelfCrash()
-	}
-	st := &opState{}
-	if err := c.reduceOp(st, 0, data, ints); err != nil {
-		return err
-	}
-	if err := c.bcastInto(st, 0, data, ints); err != nil {
-		return err
-	}
-	return st.err()
 }
 
 // AllReduceMinPairs reduces (value, payload) pairs with lexicographic
@@ -717,7 +609,12 @@ func (c *Comm) allReduceSum(data []float64, ints []int64) error {
 // All ranks receive identical results.
 func (c *Comm) AllReduceMinPairs(vals []float64, idxs []int64) error {
 	u, m := c.obsBegin()
-	err := c.allReduceMinPairs(vals, idxs)
+	var err error
+	if len(vals) != len(idxs) {
+		err = fmt.Errorf("mpi: min-pairs length mismatch %d vs %d", len(vals), len(idxs))
+	} else {
+		err = c.collective(opMinPairs, 0, vals, idxs)
+	}
 	c.obsEnd(u, m, "mpi:minpairs", int64((len(vals)+len(idxs))*ldm.ElemBytes))
 	return err
 }
@@ -735,46 +632,6 @@ func MinPairLess(v float64, i int64, bv float64, bi int64) bool {
 	return v < bv || (v == bv && i < bi) || (i < bi && math.IsNaN(v))
 }
 
-func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
-	if len(vals) != len(idxs) {
-		return fmt.Errorf("mpi: min-pairs length mismatch %d vs %d", len(vals), len(idxs))
-	}
-	if c.size == 1 {
-		return c.checkSelfCrash()
-	}
-	st := &opState{}
-	tag := c.nextTag()
-	// Binomial reduce to rank 0 with min combiner.
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if c.rank&mask != 0 {
-			if err := c.opSend(st, c.rank-mask, tag, vals, idxs); err != nil {
-				return err
-			}
-			break
-		}
-		if c.rank+mask < c.size {
-			d, i, err := c.opRecv(st, c.rank+mask, tag)
-			if err != nil {
-				return err
-			}
-			if st.fail == nil {
-				if len(d) != len(vals) {
-					return fmt.Errorf("mpi: min-pairs payload mismatch on rank %d", c.rank)
-				}
-				for j := range vals {
-					if MinPairLess(d[j], i[j], vals[j], idxs[j]) {
-						vals[j], idxs[j] = d[j], i[j]
-					}
-				}
-			}
-		}
-	}
-	if err := c.bcastInto(st, 0, vals, idxs); err != nil {
-		return err
-	}
-	return st.err()
-}
-
 // AllGatherInts gathers each rank's ints contribution and returns the
 // concatenation ordered by rank, identical on every rank. All
 // contributions must have the same length.
@@ -785,56 +642,29 @@ func (c *Comm) AllGatherInts(contrib []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The table is the broadcast's one copy, shared by every rank.
+	// The table is the call's one copy, shared by every rank.
 	return append(make([]int64, 0, len(all)), all...), nil
 }
 
 // allGatherInts is AllGatherInts without the private copy: every rank
 // returns the same table (on one rank, contrib itself), which nobody
-// may write.
+// may write. It is modelled as a gather to rank 0 followed by a
+// binomial broadcast of the table.
 func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
-	n := len(contrib)
 	if c.size == 1 {
 		if err := c.checkSelfCrash(); err != nil {
 			return nil, err
 		}
 		return contrib, nil
 	}
-	st := &opState{}
-	tag := c.nextTag()
-	// Gather to rank 0, then broadcast. Simple and deterministic.
-	var all []int64
-	if c.rank == 0 {
-		all = make([]int64, n*c.size)
-		copy(all, contrib)
-		for src := 1; src < c.size; src++ {
-			_, i, err := c.opRecv(st, src, tag)
-			if err != nil {
-				return nil, err
-			}
-			if st.fail == nil {
-				if len(i) != n {
-					return nil, fmt.Errorf("mpi: allgather size mismatch from rank %d: %d vs %d", src, len(i), n)
-				}
-				copy(all[src*n:], i)
-			}
-		}
-	} else {
-		if err := c.opSend(st, 0, tag, nil, contrib); err != nil {
-			return nil, err
-		}
-	}
-	_, all, err := c.bcastOp(st, 0, nil, all)
+	x, err := c.rendezvous(opAllGather, 0, nil, contrib)
 	if err != nil {
 		return nil, err
 	}
-	if st.fail != nil {
-		return nil, st.fail
+	if err := c.settle(x); err != nil {
+		return nil, err
 	}
-	if len(all) != n*c.size {
-		return nil, fmt.Errorf("mpi: allgather payload mismatch on rank %d", c.rank)
-	}
-	return all, nil
+	return x.table, nil
 }
 
 // Split partitions the communicator: ranks passing equal color form a
@@ -848,19 +678,31 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	return sub, err
 }
 
+// split gathers the (color, key) table like allGatherInts; the call's
+// replay derives the partition once, with one shared group per new
+// communicator.
 func (c *Comm) split(color, key int) (*Comm, error) {
-	// Inside split's span section an allgather section would record
-	// nothing, so split reads the shared table without a private copy.
-	pairs, err := c.allGatherInts([]int64{int64(color), int64(key)})
-	if err != nil {
-		return nil, err
+	pair := []int64{int64(color), int64(key)}
+	var p *partition
+	var subs []*group
+	if c.size == 1 {
+		if err := c.checkSelfCrash(); err != nil {
+			return nil, err
+		}
+		p = derivePartition(pair, c.grp.members)
+		subs = []*group{{members: p.groups[0]}}
+	} else {
+		x, err := c.rendezvous(opSplit, 0, nil, pair)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.settle(x); err != nil {
+			return nil, err
+		}
+		p, subs = x.part, x.subs
 	}
-	if pairs[2*c.rank] != int64(color) {
-		return nil, fmt.Errorf("mpi: rank %d missing from its own split", c.rank)
-	}
-	p := c.w.partitionOf(pairs, c.members)
 	g := p.group[c.rank]
-	members := p.groups[g]
+	grp := subs[g]
 	// Communicator identity must agree across all members of the new
 	// communicator without extra communication, and must be unique
 	// across every communicator in the world. All ranks hold the same
@@ -868,19 +710,12 @@ func (c *Comm) split(color, key int) (*Comm, error) {
 	// the tuple (parent id, parent seq, index of this color among the
 	// sorted distinct colors) is both agreed and collision-free.
 	id := (c.id*1_000_003+c.seq)*65536 + uint64(g) + 1
-	return &Comm{
-		w:       c.w,
-		id:      id,
-		rank:    p.rank[c.rank],
-		size:    len(members),
-		members: members,
-	}, nil
+	return &Comm{w: c.w, id: id, rank: p.rank[c.rank], size: len(grp.members), grp: grp}, nil
 }
 
 // partition is the outcome of one Split, a pure function of the
-// gathered (color, key) table and the parent's members. It is derived
-// once and read by every member, which keeps a split's host work
-// linear in the communicator size.
+// gathered (color, key) table and the parent's members, derived once
+// per split by the call's replay.
 type partition struct {
 	// groups[g] holds the world ranks of the g-th smallest distinct
 	// color, ordered by (key, parent rank): the new communicator's
@@ -889,28 +724,6 @@ type partition struct {
 	// group[r] is parent rank r's color index, rank[r] its rank in
 	// that group.
 	group, rank []int
-	// unread counts the members that have not read the partition yet.
-	unread int // guarded by splitMu
-}
-
-// partitionOf returns the partition of the split whose gathered table
-// is pairs, deriving it for the first member and dropping it once the
-// last one has read it.
-func (w *World) partitionOf(pairs []int64, parent []int) *partition {
-	key := &pairs[0]
-	w.splitMu.Lock()
-	defer w.splitMu.Unlock()
-	p := w.splits[key]
-	if p == nil {
-		p = derivePartition(pairs, parent)
-		p.unread = len(parent)
-		w.splits[key] = p
-	}
-	p.unread--
-	if p.unread == 0 {
-		delete(w.splits, key)
-	}
-	return p
 }
 
 // derivePartition sorts the parent ranks by (color, key, rank) once:

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/ldm"
-)
+import "repro/internal/ldm"
 
 // ringThresholdElems selects the allreduce algorithm: payloads of at
 // least this many elements use the bandwidth-optimal ring, smaller
@@ -35,80 +31,50 @@ func (c *Comm) AllReduceSumAuto(data []float64, ints []int64) error {
 // algorithm — the classic large-message trade.
 func (c *Comm) AllReduceSumRing(data []float64, ints []int64) error {
 	u, m := c.obsBegin()
-	err := c.allReduceSumRing(data, ints)
+	err := c.collective(opRing, 0, data, ints)
 	c.obsEnd(u, m, "mpi:allreduce", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
 }
 
-func (c *Comm) allReduceSumRing(data []float64, ints []int64) error {
-	p := c.size
-	if p == 1 {
-		return c.checkSelfCrash()
+// ring replays the ring allreduce. In reduce-scatter step t member r
+// sends segment r-t to r+1 and adds segment r-t-1 from r-1 into its
+// own; after p-1 steps it holds the reduced segment r+1, and in
+// allgather step t it sends segment r-t+1 and copies segment r-t. Each
+// step is one exchange: a member reads and writes different segments
+// within a step, so taking every payload from the sender's buffer in
+// place reads what the sender sent. A failure travels one hop per step
+// as poison, so the 2(p-1) steps reach every survivor.
+func (x *call) ring(w *World) {
+	p := len(x.slots)
+	nf, ni := len(x.slots[x.first()].data), len(x.slots[x.first()].ints)
+	elems := func(s int) int {
+		fLo, fHi := segment(nf, p, s)
+		iLo, iHi := segment(ni, p, s)
+		return fHi - fLo + iHi - iLo
 	}
-	st := &opState{}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	segF := func(s int) (int, int) { return segment(len(data), p, s) }
-	segI := func(s int) (int, int) { return segment(len(ints), p, s) }
-
-	// Reduce-scatter: in step t, send segment (rank-t) and receive and
-	// accumulate segment (rank-t-1). After p-1 steps, rank r holds the
-	// fully reduced segment (r+1) mod p. A failure travels forward one
-	// hop per step as poison, so the 2(p-1) total steps are enough to
-	// reach every survivor.
+	next := func(r int) int { return (r + 1) % p }
 	for t := 0; t < p-1; t++ {
-		tag := c.nextTag()
-		sendSeg := mod(c.rank-t, p)
-		recvSeg := mod(c.rank-t-1, p)
-		fLo, fHi := segF(sendSeg)
-		iLo, iHi := segI(sendSeg)
-		if err := c.opSend(st, next, tag, data[fLo:fHi], ints[iLo:iHi]); err != nil {
-			return err
-		}
-		d, ii, err := c.opRecv(st, prev, tag)
-		if err != nil {
-			return err
-		}
-		if st.fail == nil {
-			fLo, fHi = segF(recvSeg)
-			iLo, iHi = segI(recvSeg)
-			if len(d) != fHi-fLo || len(ii) != iHi-iLo {
-				return fmt.Errorf("mpi: ring reduce-scatter segment mismatch on rank %d step %d", c.rank, t)
+		x.exchange(w, next, func(r int) int { return elems(mod(r-t, p)) }, func(r, from int) {
+			dst, src := &x.slots[r], &x.slots[from]
+			fLo, fHi := segment(nf, p, mod(r-t-1, p))
+			iLo, iHi := segment(ni, p, mod(r-t-1, p))
+			for j := fLo; j < fHi; j++ {
+				dst.data[j] += src.data[j]
 			}
-			for j, v := range d {
-				data[fLo+j] += v
+			for j := iLo; j < iHi; j++ {
+				dst.ints[j] += src.ints[j]
 			}
-			for j, v := range ii {
-				ints[iLo+j] += v
-			}
-		}
+		})
 	}
-	// Allgather: circulate the finished segments. In step t, send
-	// segment (rank-t+1) and receive segment (rank-t).
 	for t := 0; t < p-1; t++ {
-		tag := c.nextTag()
-		sendSeg := mod(c.rank-t+1, p)
-		recvSeg := mod(c.rank-t, p)
-		fLo, fHi := segF(sendSeg)
-		iLo, iHi := segI(sendSeg)
-		if err := c.opSend(st, next, tag, data[fLo:fHi], ints[iLo:iHi]); err != nil {
-			return err
-		}
-		d, ii, err := c.opRecv(st, prev, tag)
-		if err != nil {
-			return err
-		}
-		if st.fail == nil {
-			fLo, fHi = segF(recvSeg)
-			iLo, iHi = segI(recvSeg)
-			if len(d) != fHi-fLo || len(ii) != iHi-iLo {
-				return fmt.Errorf("mpi: ring allgather segment mismatch on rank %d step %d", c.rank, t)
-			}
-			copy(data[fLo:fHi], d)
-			copy(ints[iLo:iHi], ii)
-		}
+		x.exchange(w, next, func(r int) int { return elems(mod(r-t+1, p)) }, func(r, from int) {
+			dst, src := &x.slots[r], &x.slots[from]
+			fLo, fHi := segment(nf, p, mod(r-t, p))
+			iLo, iHi := segment(ni, p, mod(r-t, p))
+			copy(dst.data[fLo:fHi], src.data[fLo:fHi])
+			copy(dst.ints[iLo:iHi], src.ints[iLo:iHi])
+		})
 	}
-	return st.err()
 }
 
 // segment splits n elements into p near-equal contiguous segments and

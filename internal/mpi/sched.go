@@ -3,34 +3,41 @@ package mpi
 // The discrete-event (DES) World driver. The default driver runs one
 // live goroutine per rank and moves packets through buffered channels;
 // this one runs ranks as coroutine tasks of a sched.Sim, so blocking
-// points — Recv waits, the final delivery hand-off of a send to a dead
-// peer, collective protocol edges — become park/wake pairs on the
-// scheduler's deterministic event heap. Nothing about the message
-// protocol changes: packets, tags, timestamps, poison propagation and
-// the fault plan's crash/straggler/degraded-link behaviour are shared
-// code, which is why the two drivers are bit-identical (locked by the
-// golden-parity suite and TestDriverParity*).
+// points become park/wake pairs on the scheduler's deterministic event
+// heap: a point-to-point Recv parks until its packet is deposited or
+// its peer crashes or aborts, and a collective parks once per call
+// until the rendezvous completes (rendezvous.go). Nothing about the
+// modelled protocol changes: packets, tags, timestamps, the
+// collectives' replay and the fault plan's crash/straggler/
+// degraded-link behaviour are shared code, which is why the two
+// drivers are bit-identical (locked by the golden-parity suite and
+// TestDriverParity*).
 //
 // Why bit-exactness holds. A rank's computation depends only on the
 // packets it matches — identified by (src, tag), unique per
-// communicator step — their timestamps, and its own clock; never on
-// the interleaving of other ranks. The goroutine driver realizes one
-// dependency-respecting interleaving chosen by the Go runtime, the
-// DES driver another chosen by the event heap; both deliver the same
-// packets with the same timestamps, so every per-rank float, clock
-// and span is identical. The fault paths keep the property: a rank's
-// deposits all precede its crash/abort publication in virtual
-// execution order (here simply program order under the scheduler's
-// serialization), and a receiver always prefers a buffered match over
-// a failure report, mirroring drainAndTake.
+// communicator step — their timestamps, the outcomes of the
+// collective calls it joins, and its own clock; never on the
+// interleaving of other ranks. A collective's outcome is a pure
+// function of what its members deposited and of the published failures
+// of those that never arrived, whichever member computes it. The
+// goroutine driver realizes one dependency-respecting interleaving
+// chosen by the Go runtime, the DES driver another chosen by the event
+// heap; both deliver the same packets and outcomes, so every per-rank
+// float, clock and span is identical. The fault paths keep the
+// property: a rank's deposits all precede its crash/abort publication
+// in virtual execution order (here simply program order under the
+// scheduler's serialization), and a receiver always prefers a buffered
+// match over a failure report, mirroring drainAndTake.
 //
 // Why this driver scales. No per-rank inbox channels (capacity
 // 4·size+16 each — quadratic in world size) are ever allocated: the
 // held buffers double as mailboxes because deposits happen directly
-// under the scheduler's serialization. The only per-rank costs are a
-// parked goroutine (one page of stack) and a few words of wait state,
-// which is what lets a 4,096-rank Figure 6(b) epoch — and 100k-rank
-// collective microbenchmarks — run in-process.
+// under the scheduler's serialization. A collective costs each member
+// one park and one wake-up at its replayed exit clock instead of one
+// per protocol edge. The only per-rank costs are a parked goroutine
+// (one page of stack) and a few words of wait state, which is what
+// lets a 4,096-rank Figure 6(b) epoch — and 100k-rank collective
+// microbenchmarks — run in-process.
 
 import (
 	"fmt"
@@ -97,7 +104,7 @@ type desWorld struct {
 // runMembersSched is runMembers' epoch body under the DES driver: the
 // members become scheduler tasks whose initial events fire at their
 // current clocks, and one Sim.Run dispatches the whole epoch.
-func (w *World) runMembersSched(id uint64, members []int, fn func(c *Comm) error) error {
+func (w *World) runMembersSched(id uint64, grp *group, fn func(c *Comm) error) error {
 	des := &desWorld{
 		sim:     sched.New(),
 		tasks:   make([]*sched.Task, w.size),
@@ -110,20 +117,16 @@ func (w *World) runMembersSched(id uint64, members []int, fn func(c *Comm) error
 	w.des = des
 	defer func() { w.des = nil }()
 
+	members := grp.members
 	errs := make([]error, len(members))
 	for i, g := range members {
 		i, g := i, g
-		comm := &Comm{w: w, id: id, rank: i, size: len(members), members: members}
+		comm := &Comm{w: w, id: id, rank: i, size: len(members), grp: grp}
 		des.tasks[g] = des.sim.Spawn(g, w.clocks[g].Now(), func(*sched.Task) {
 			err := fn(comm)
 			errs[i] = err
 			if err != nil {
-				// Publish the failure before the abort wake-ups, exactly
-				// like the goroutine driver publishes before close: peers
-				// that observe the abort adopt the root cause.
-				w.abortFail[g] = w.abortFailureFor(g, err, w.clocks[g].Now())
-				close(w.aborted[g])
-				w.desWakeWaitersOn(g, w.abortFail[g].DetectedAt)
+				w.abort(g, err)
 			}
 		})
 	}

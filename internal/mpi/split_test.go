@@ -16,7 +16,14 @@ import (
 // by (key, rank), and derive the id from this color's index among the
 // sorted distinct colors. The shared partition must reproduce it.
 func refSplit(c *Comm, color, key int) (*Comm, error) {
-	pairs, err := c.AllGatherInts([]int64{int64(color), int64(key)})
+	u, m := c.obsBegin()
+	sub, err := refSplitBody(c, color, key)
+	c.obsEnd(u, m, "mpi:split", 0)
+	return sub, err
+}
+
+func refSplitBody(c *Comm, color, key int) (*Comm, error) {
+	pairs, err := refAllGatherIntsShared(c, []int64{int64(color), int64(key)})
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +43,7 @@ func refSplit(c *Comm, color, key int) (*Comm, error) {
 	members := make([]int, len(mine))
 	newRank := -1
 	for i, m := range mine {
-		members[i] = c.members[m.rank]
+		members[i] = c.grp.members[m.rank]
 		if m.rank == c.rank {
 			newRank = i
 		}
@@ -56,12 +63,12 @@ func refSplit(c *Comm, color, key int) (*Comm, error) {
 	sort.Ints(colors)
 	colorIdx := sort.SearchInts(colors, color)
 	id := (c.id*1_000_003+c.seq)*65536 + uint64(colorIdx) + 1
-	return &Comm{w: c.w, id: id, rank: newRank, size: len(members), members: members}, nil
+	return &Comm{w: c.w, id: id, rank: newRank, size: len(members), grp: &group{members: members}}, nil
 }
 
 // commDigest is everything a split decides for one rank.
 func commDigest(c *Comm) string {
-	return fmt.Sprintf("size=%d rank=%d id=%#x members=%v", c.Size(), c.Rank(), c.id, c.members)
+	return fmt.Sprintf("size=%d rank=%d id=%#x members=%v", c.Size(), c.Rank(), c.id, c.grp.members)
 }
 
 // splitTable is one seeded (color, key) assignment per world rank.
@@ -146,11 +153,11 @@ func TestSplitMatchesReference(t *testing.T) {
 								t.Fatalf("nested=%v rank %d:\n got %s\nwant %s", nest != nil, r, got[r], want[r])
 							}
 						}
-						w.splitMu.Lock()
-						left := len(w.splits)
-						w.splitMu.Unlock()
+						w.rvMu.Lock()
+						left := len(w.calls)
+						w.rvMu.Unlock()
 						if left != 0 {
-							t.Fatalf("nested=%v: %d partitions left behind after the epoch", nest != nil, left)
+							t.Fatalf("nested=%v: %d calls left open after the epoch", nest != nil, left)
 						}
 					}
 				})
@@ -261,8 +268,8 @@ func TestAllGatherIntsResultIsPrivate(t *testing.T) {
 					members = append(members, r)
 				}
 			}
-			if !slices.Equal(sub.members, members) || members[sub.Rank()] != c.Rank() {
-				return fmt.Errorf("rank %d: sub rank %d members %v, want members %v", c.Rank(), sub.Rank(), sub.members, members)
+			if !slices.Equal(sub.grp.members, members) || members[sub.Rank()] != c.Rank() {
+				return fmt.Errorf("rank %d: sub rank %d members %v, want members %v", c.Rank(), sub.Rank(), sub.grp.members, members)
 			}
 			return nil
 		})

@@ -23,7 +23,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -38,8 +37,10 @@ type event struct {
 }
 
 // eventHeap orders events by (time, unit, seq). The seq component is
-// strictly increasing across pushes, so the order is total and Pop is
-// deterministic.
+// strictly increasing across pushes, so the order is total and pop is
+// deterministic. It is a binary min-heap on a plain slice: boxing each
+// event into an interface, as container/heap does, would allocate
+// twice per dispatch.
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -53,14 +54,44 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
+
+// push adds ev, sifting it up to its place.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.Less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the least event, sifting the last one down
+// from the root.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0], q[n] = q[n], event{}
+	q = q[:n]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if r := least + 1; r < n && q.Less(r, least) {
+			least = r
+		}
+		if !q.Less(least, i) {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
 	return ev
 }
 
@@ -154,7 +185,7 @@ func (t *Task) Wake(at float64) {
 	s := t.sim
 	t.state = taskQueued
 	s.seq++
-	heap.Push(&s.events, event{time: at, unit: t.unit, seq: s.seq, task: t})
+	s.events.push(event{time: at, unit: t.unit, seq: s.seq, task: t})
 	s.stats.Wakes++
 	if n := s.events.Len(); n > s.stats.MaxQueue {
 		s.stats.MaxQueue = n
@@ -197,7 +228,7 @@ func (s *Sim) Run() error {
 		if s.events.Len() == 0 {
 			return s.deadlockError()
 		}
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		t := ev.task
 		if t.state != taskQueued {
 			// A task can only be de-queued by dispatch, so a popped event

@@ -31,6 +31,8 @@ type Metrics struct {
 	Panics atomic.Uint64
 	// BadRequest counts malformed queries (HTTP 400).
 	BadRequest atomic.Uint64
+	// TooLarge counts request bodies over their size bound (HTTP 413).
+	TooLarge atomic.Uint64
 	// TransientRetries counts chaos-injected processing faults absorbed
 	// by the internal retry.
 	TransientRetries atomic.Uint64
@@ -109,6 +111,7 @@ type MetricsSnapshot struct {
 	NotReady         uint64 `json:"not_ready"`
 	Panics           uint64 `json:"panics"`
 	BadRequest       uint64 `json:"bad_request"`
+	TooLarge         uint64 `json:"too_large"`
 	TransientRetries uint64 `json:"transient_retries"`
 	Points           uint64 `json:"points"`
 	Ingested         uint64 `json:"ingested"`
@@ -143,6 +146,7 @@ func (m *Metrics) Snap(store *Store, trainer *Trainer, start time.Time, prevServ
 		NotReady:         m.NotReady.Load(),
 		Panics:           m.Panics.Load(),
 		BadRequest:       m.BadRequest.Load(),
+		TooLarge:         m.TooLarge.Load(),
 		TransientRetries: m.TransientRetries.Load(),
 		Points:           m.Points.Load(),
 		Ingested:         m.Ingested.Load(),

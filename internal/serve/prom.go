@@ -69,6 +69,7 @@ func writeProm(w io.Writer, ps promSnap) error {
 	counter("not_ready", "Requests refused before the first snapshot or while draining (HTTP 503).", s.NotReady)
 	counter("panics", "Handler panics absorbed by per-connection recovery (HTTP 500).", s.Panics)
 	counter("bad_request", "Malformed queries (HTTP 400).", s.BadRequest)
+	counter("too_large", "Request bodies over their size bound (HTTP 413).", s.TooLarge)
 	counter("transient_retries", "Chaos-injected processing faults absorbed by the internal retry.", s.TransientRetries)
 	counter("points", "Individual sample points assigned.", s.Points)
 	counter("ingested", "Samples accepted by the ingest endpoint.", s.Ingested)

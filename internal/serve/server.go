@@ -147,9 +147,46 @@ type ingestRequest struct {
 	Points [][]float64 `json:"points"`
 }
 
+// Request bodies are bounded before they are decoded: a body longer
+// than the bound is answered 413 as soon as the decoder reads past it.
+// A number takes at most jsonNumberBytes characters with its separator
+// and some whitespace, a point jsonPointBytes more for its brackets,
+// and the envelope jsonEnvelopeBytes.
+const (
+	jsonNumberBytes   = 32
+	jsonPointBytes    = 8
+	jsonEnvelopeBytes = 256
+)
+
+// bodyLimit is the largest request body accepted for points rows of d
+// values each.
+func bodyLimit(points, d int) int64 {
+	return jsonEnvelopeBytes + int64(points)*(jsonPointBytes+int64(d)*jsonNumberBytes)
+}
+
+// decodeBody decodes a request body of at most limit bytes into v. It
+// writes the 413 or 400 answer itself and reports whether v is usable.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.cfg.Metrics.TooLarge.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+			Error: "too_large", Reason: fmt.Sprintf("request body exceeds %d bytes", limit),
+		})
+	default:
+		s.cfg.Metrics.BadRequest.Add(1)
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_request", Reason: fmt.Sprintf("decoding body: %v", err)})
+	}
+	return false
+}
+
 // handleAssign is the query path. Outcomes are exactly the degradation
 // contract of docs/SERVING.md: 200 answered, 429 shed at admission,
-// 503 not ready/draining, 504 deadline, 400 malformed.
+// 503 not ready/draining, 504 deadline, 400 malformed, 413 too large.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	if s.draining.Load() {
@@ -179,9 +216,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req assignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.cfg.Metrics.BadRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_request", Reason: fmt.Sprintf("decoding body: %v", err)})
+	if !s.decodeBody(w, r, bodyLimit(s.cfg.MaxPoints, snap.D), &req) {
 		return
 	}
 	if len(req.Points) == 0 || len(req.Points) > s.cfg.MaxPoints {
@@ -257,7 +292,8 @@ func (s *Server) deadlineOut(w http.ResponseWriter) {
 }
 
 // handleIngest feeds samples into the trainer's bounded buffer,
-// shedding the overflow with 429.
+// shedding the overflow with 429. A body is bounded by what the buffer
+// can hold at most.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.cfg.Metrics.NotReady.Add(1)
@@ -269,9 +305,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.cfg.Metrics.BadRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_request", Reason: fmt.Sprintf("decoding body: %v", err)})
+	tc := s.cfg.Trainer.cfg
+	if !s.decodeBody(w, r, bodyLimit(4*tc.BatchSamples, tc.Source.D()), &req) {
 		return
 	}
 	accepted, err := s.cfg.Trainer.Ingest(req.Points)

@@ -302,3 +302,62 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("stats %+v", snap)
 	}
 }
+
+// TestBodyCap: assign and ingest bodies are bounded before they are
+// decoded. A body padded to exactly its bound gets the usual answer,
+// one byte more is answered 413 with the JSON error body and counted
+// on /v1/stats and /metrics.
+func TestBodyCap(t *testing.T) {
+	src, err := dataset.NewGaussianMixture("serve-cap", 64, 2, 2, 0.15, 2.0, 0xCAB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, st := newTestServer(t, func(cfg *ServerConfig) { cfg.MaxPoints = 3 })
+	tr, err := NewTrainer(TrainerConfig{Store: st, Metrics: s.cfg.Metrics, Source: src, K: 2, BatchSamples: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cfg.Trainer = tr
+	h := s.Handler()
+	post := func(path string, body any, size int64) *httptest.ResponseRecorder {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Leading whitespace is valid JSON the decoder must read
+		// through before it reaches the value.
+		pad := bytes.Repeat([]byte(" "), int(size)-len(raw))
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(append(pad, raw...)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	for _, tc := range []struct {
+		path  string
+		body  any
+		limit int64
+		ok    int
+	}{
+		{"/v1/assign", assignRequest{Points: [][]float64{{9, 1}}}, bodyLimit(3, 2), http.StatusOK},
+		{"/v1/ingest", ingestRequest{Points: [][]float64{{1, 2}}}, bodyLimit(4*2, 2), http.StatusOK},
+	} {
+		if w := post(tc.path, tc.body, tc.limit); w.Code != tc.ok {
+			t.Errorf("%s at the bound: status %d, want %d: %s", tc.path, w.Code, tc.ok, w.Body)
+		}
+		w := post(tc.path, tc.body, tc.limit+1)
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusRequestEntityTooLarge || eb.Error != "too_large" {
+			t.Errorf("%s one byte over: status %d body %s, want 413 too_large", tc.path, w.Code, w.Body)
+		}
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(getPath(h, "/v1/stats").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.TooLarge != 2 || snap.BadRequest != 0 {
+		t.Errorf("stats too_large %d bad_request %d, want 2 and 0", snap.TooLarge, snap.BadRequest)
+	}
+	if m := getPath(h, "/metrics").Body.String(); !strings.Contains(m, "swkmeansd_too_large_total 2\n") {
+		t.Errorf("/metrics lacks swkmeansd_too_large_total 2:\n%s", m)
+	}
+}

@@ -91,6 +91,15 @@ func (s *Stats) AddNet(n int64) {
 	s.netMessages.Add(1)
 }
 
+// AddNetMessages records n network messages of bytes bytes in total.
+func (s *Stats) AddNetMessages(n, bytes int64) {
+	if s == nil {
+		return
+	}
+	s.netBytes.Add(bytes)
+	s.netMessages.Add(n)
+}
+
 // AddFlops records n floating-point operations executed by compute
 // kernels.
 func (s *Stats) AddFlops(n int64) {
