@@ -72,7 +72,8 @@ race:
 # (go test -fuzz takes one target per run): the fault-plan grammar,
 # swlint's suppression and baseline parsers, the nearest-centroid
 # kernel, the collective rendezvous against its point-to-point
-# reference, and the model, binary-matrix and CSV loaders.
+# reference, the model, binary-matrix and CSV loaders, the daemon's
+# /v1/assign and /v1/ingest handlers, and obsdiff's export parser.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -84,6 +85,9 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadCentroids$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAssign$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/profdiff -run '^$$' -fuzz '^FuzzParseObs$$' -fuzztime $(FUZZTIME)
 
 # benchcheck vets and tests the benchmark (bench/, its own module, so
 # `go test ./...` never reaches it). Its smoke test runs every workload

@@ -30,18 +30,18 @@
 // An engine contributes
 //
 //   - replan: shape one epoch over the surviving ranks — the epoch
-//     plan, the participating ranks and the model deposit slots. At
-//     epoch 0 (and on every fault-free run) the epoch plan equals the
-//     full-strength plan.
+//     plan, the participating ranks and the shared model, one centroid
+//     stripe per CG-group position. At epoch 0 (and on every
+//     fault-free run) the epoch plan equals the full-strength plan.
 //   - setup: build a rank's per-epoch state from the full centroid
-//     matrix (initial or restored), carving out stripes and shards.
+//     matrix (initial or restored), carving out shards; the first rank
+//     at each position copies its stripe in.
 //   - step: one iteration — assign, partial sums, reduce, centroid
 //     update — reporting the epoch-global movement, the charged local
 //     cost, and the objective.
 //   - gather: assemble the full model on rank 0 for a coordinated
 //     checkpoint (free when rank 0 holds it; a stripe gather at
 //     Level 3).
-//   - deposit: publish the rank's share of the final model.
 //
 // The loop owns everything else: iteration count, tolerance and
 // convergence, objective tracking, per-iteration time and phase
@@ -57,6 +57,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -374,33 +375,50 @@ func argminDistance(x, cents []float64, d int) (int, float64) {
 // passes the stripe and its width as d.
 func ApplyUpdate(cents, sums []float64, counts []int64, d int) float64 {
 	movement := 0.0
-	k := len(counts)
-	//swlint:hot centroid update: touches every centroid coordinate
-	for j := 0; j < k; j++ {
-		if counts[j] == 0 {
-			continue
-		}
-		inv := 1 / float64(counts[j])
-		row := cents[j*d : (j+1)*d]
-		srow := sums[j*d : (j+1)*d]
-		for u := 0; u < d; u++ {
-			nv := srow[u] * inv
-			diff := nv - row[u]
-			movement += diff * diff
-			row[u] = nv
+	for j, n := range counts {
+		if n != 0 {
+			movement = updateRow(cents[j*d:(j+1)*d], sums[j*d:(j+1)*d], n, movement)
 		}
 	}
 	return movement
 }
 
-// applyMiniBatchUpdate moves each centroid toward its batch mean with
+// applyRows is ApplyUpdate over a row-sparse sum: rows in ascending
+// order, an absent row being an empty cluster ApplyUpdate skips, so
+// the centroids and the movement are ApplyUpdate's bit for bit.
+func applyRows(cents []float64, sums *mpi.RowSums, d int) float64 {
+	movement := 0.0
+	for j := 0; j < sums.Rows(); j++ {
+		if srow, n := sums.Row(j); n != 0 {
+			movement = updateRow(cents[j*d:(j+1)*d], srow, n, movement)
+		}
+	}
+	return movement
+}
+
+// updateRow moves one centroid to the mean of its n samples, whose sum
+// is srow, and returns movement plus its squared movement, added
+// coordinate by coordinate.
+func updateRow(row, srow []float64, n int64, movement float64) float64 {
+	inv := 1 / float64(n)
+	//swlint:hot centroid update: touches every centroid coordinate
+	for u := range row {
+		nv := srow[u] * inv
+		diff := nv - row[u]
+		movement += diff * diff
+		row[u] = nv
+	}
+	return movement
+}
+
+// applyMiniBatchRows moves each centroid toward its batch mean with
 // the cumulative-count learning rate of Sculley's mini-batch k-means:
 // the batched equivalent of per-sample c += (x-c)/count. cumCounts is
 // updated in place and must persist across iterations.
-func applyMiniBatchUpdate(cents, sums []float64, counts, cumCounts []int64, d int) float64 {
+func applyMiniBatchRows(cents []float64, sums *mpi.RowSums, cumCounts []int64, d int) float64 {
 	movement := 0.0
-	for j := range counts {
-		m := counts[j]
+	for j := 0; j < sums.Rows(); j++ {
+		srow, m := sums.Row(j)
 		if m == 0 {
 			continue
 		}
@@ -408,7 +426,6 @@ func applyMiniBatchUpdate(cents, sums []float64, counts, cumCounts []int64, d in
 		w := float64(m) / float64(cumCounts[j])
 		batchInv := 1 / float64(m)
 		row := cents[j*d : (j+1)*d]
-		srow := sums[j*d : (j+1)*d]
 		for u := 0; u < d; u++ {
 			mean := srow[u] * batchInv
 			nv := row[u] + w*(mean-row[u])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/dataset"
@@ -23,25 +24,20 @@ import (
 type iterEngine interface {
 	// replan shapes one epoch over the surviving world ranks before the
 	// ranks start executing: it derives the epoch plan (env.eplan), the
-	// set of participating ranks (env.active), the model deposit slots
-	// (env.slices) and, at Level 3, one empty staged batch per CG group
-	// (env.staged). At epoch 0 every rank of the original plan is
-	// alive and the epoch plan must equal the original plan, so
-	// fault-free runs execute the full-strength dataflow unchanged.
+	// set of participating ranks (env.active), the shared model, one
+	// empty stripe per CG-group position (env.stripes), and, at Level
+	// 3, one empty staged batch per CG group (env.staged). At epoch 0
+	// every rank of the original plan is alive and the epoch plan must
+	// equal the original plan, so fault-free runs execute the
+	// full-strength dataflow unchanged.
 	replan(env *epochEnv) error
 	// setup builds a rank's per-epoch state on the working communicator
 	// from the full k-by-d centroid matrix (the deterministic initial
-	// centroids or a restored checkpoint). Engines that stripe the
-	// model carve their slice out of it here, which is what re-stripes
-	// centroids after a Level-3 re-plan changed the CG-group size.
+	// centroids or a restored checkpoint), which every rank shares
+	// read-only. The first rank at each position copies its stripe out
+	// of it, which is what re-stripes centroids after a Level-3
+	// re-plan changed the CG-group size.
 	setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error)
-	// adoptsModel reports whether setup keeps (and mutates) the full
-	// cents matrix it was given. Replicated engines do, so every rank
-	// needs a private copy; striping engines copy their stripe out and
-	// may share one read-only matrix — at thousands of ranks a private
-	// k·d copy apiece is the difference between megabytes and tens of
-	// gigabytes.
-	adoptsModel() bool
 }
 
 // engineState is one rank's view of one epoch.
@@ -57,10 +53,6 @@ type engineState interface {
 	// already holds the whole model), a slice gather for Level 3. Only
 	// rank 0's return value is used.
 	gather() ([]float64, error)
-	// deposit publishes the rank's share of the final model into
-	// env.slices at the end of a successful epoch (zero-cost shared
-	// memory, like the fault-free engines always did).
-	deposit()
 }
 
 // stepOut is what one iteration reports back to the shared loop.
@@ -89,8 +81,63 @@ type epochEnv struct {
 	eplan       Plan          // the plan this epoch executes
 	active      map[int]bool  // world ranks participating (nil: all survivors)
 	groupOwners []int         // Level-3 droplost: epoch group -> original group
-	slices      [][]float64   // final-model deposit slots, one per centroid slice
+	stripes     []stripe      // the model, one stripe per CG-group position
 	staged      []stagedBatch // Level 3: each epoch CG group's shared assign batch
+}
+
+// stripe is one CG-group position's share of the model, centroid rows
+// [kLo, kHi), as every rank at that position holds it. Position-equal
+// ranks compute bit-identical stripes, so an epoch stores each once
+// (DESIGN.md §5, "The host cost of replicated state"); the replicated
+// levels have one position, the whole model.
+//
+// The first member to set up fills it. After each Update allreduce,
+// which hands every member one shared sum, the first member to take
+// the mutex applies that sum and the others reuse its movement. The
+// members read cents and cumCounts without the mutex: the next read
+// after an update comes after the iteration's work-wide collective,
+// which no member enters before taking the mutex, so no read overlaps
+// the write.
+type stripe struct {
+	mu        sync.Mutex
+	filled    bool      // guarded by mu
+	iter      int       // guarded by mu — the iteration last applied
+	movement  float64   // guarded by mu — its squared centroid movement
+	cents     []float64 // written under mu, read between collectives
+	cumCounts []int64   // mini-batch cumulative counts; as cents
+}
+
+// fill copies rows [lo, hi) of the epoch's k-by-d model in, with
+// mini-batch cumulative counts when miniBatch is set, unless a member
+// already did.
+func (s *stripe) fill(cents []float64, lo, hi, d int, miniBatch bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.filled {
+		return
+	}
+	s.filled, s.iter = true, -1
+	s.cents = append([]float64(nil), cents[lo*d:hi*d]...)
+	if miniBatch {
+		s.cumCounts = make([]int64, hi-lo)
+	}
+}
+
+// update applies iteration iter's reduced sums to the stripe once and
+// returns the stripe's squared movement: mini-batch learning rates
+// when it keeps cumulative counts, Lloyd's means otherwise.
+func (s *stripe) update(iter int, sums *mpi.RowSums, d int) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.iter != iter {
+		s.iter = iter
+		if s.cumCounts != nil {
+			s.movement = applyMiniBatchRows(s.cents, sums, s.cumCounts, d)
+		} else {
+			s.movement = applyRows(s.cents, sums, d)
+		}
+	}
+	return s.movement
 }
 
 // isActive reports whether world rank g works this epoch.
@@ -106,17 +153,17 @@ func engineFor(plan Plan) iterEngine {
 	return replicatedEngine{}
 }
 
-// assembleModel stitches the deposited centroid slices into the full
-// k-by-d matrix: the replicated levels deposit one full model, Level 3
-// one slice per CG-group position.
+// assembleModel stitches a finished epoch's stripes into the full
+// k-by-d matrix: the replicated levels hold one full model, Level 3
+// one stripe per CG-group position.
 func assembleModel(env *epochEnv, k, d int) []float64 {
-	if len(env.slices) == 1 {
-		return env.slices[0]
+	if len(env.stripes) == 1 {
+		return env.stripes[0].cents
 	}
 	out := make([]float64, k*d)
-	for pos, slice := range env.slices {
-		kLo, _ := shareRange(k, len(env.slices), pos)
-		copy(out[kLo*d:], slice)
+	for pos := range env.stripes {
+		kLo, _ := shareRange(k, len(env.stripes), pos)
+		copy(out[kLo*d:], env.stripes[pos].cents)
 	}
 	return out
 }
@@ -260,33 +307,31 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 			// Restore: rank 0 reads the last checkpoint back from stable
 			// storage and broadcasts it; before the first checkpoint
 			// every rank derives the initial centroids locally, like the
-			// fault-free engines. Engines that stripe the model read
-			// the shared initial matrix in place; a private buffer is
-			// only materialized when a restore must overwrite it.
+			// fault-free engines. Either way all ranks share one
+			// read-only matrix (Bcast hands every member the root's),
+			// and setup copies each stripe out of it once.
 			cents := init
-			if eng.adoptsModel() {
-				cents = append([]float64(nil), init...)
-			}
 			startIter := 0
 			if data, ckIter, _ := store.load(); data != nil {
-				if !eng.adoptsModel() {
-					cents = append([]float64(nil), init...)
-				}
 				t0 := work.Clock().Now()
 				om := u.Begin(t0)
-				err := func() error {
+				var err error
+				cents, err = func() ([]float64, error) {
+					var loaded []float64
 					if work.Rank() == 0 {
-						loaded, lk, ld, err := LoadCentroids(bytes.NewReader(data))
+						var lk, ld int
+						var err error
+						loaded, lk, ld, err = LoadCentroids(bytes.NewReader(data))
 						if err != nil {
-							return fmt.Errorf("core: restoring checkpoint: %w", err)
+							return nil, fmt.Errorf("core: restoring checkpoint: %w", err)
 						}
 						if lk != k || ld != d {
-							return fmt.Errorf("core: checkpoint shape %dx%d does not match run %dx%d", lk, ld, k, d)
+							return nil, fmt.Errorf("core: checkpoint shape %dx%d does not match run %dx%d", lk, ld, k, d)
 						}
-						copy(cents, loaded)
 						work.Clock().Advance(ckptCost)
 					}
-					return work.Bcast(0, cents, nil)
+					loaded, _, err := work.Bcast(0, loaded, nil)
+					return loaded, err
 				}()
 				u.End(om, obs.KindRestore, work.Clock().Now(), ckptBytes, 0)
 				if err != nil {
@@ -381,7 +426,6 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 					break
 				}
 			}
-			st.deposit()
 			u.SetIter(-1)
 			u.Finish(work.Clock().Now())
 			if work.Rank() == 0 {

@@ -71,7 +71,7 @@ func (level3Engine) replan(env *epochEnv) error {
 		env.eplan = e
 		env.active = active
 		env.groupOwners = owners
-		env.slices = make([][]float64, e.MPrimeGroup)
+		env.stripes = make([]stripe, e.MPrimeGroup)
 		env.staged = make([]stagedBatch, e.Groups)
 		return nil
 	}
@@ -110,14 +110,10 @@ func (level3Engine) replan(env *epochEnv) error {
 	e.Tiled = tiled
 	env.eplan = e
 	env.active = active
-	env.slices = make([][]float64, mPrime)
+	env.stripes = make([]stripe, mPrime)
 	env.staged = make([]stagedBatch, groups)
 	return nil
 }
-
-// adoptsModel is false: setup copies this rank's stripe out of cents
-// and never touches the matrix again, so all ranks may share it.
-func (level3Engine) adoptsModel() bool { return false }
 
 func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error) {
 	e := env.eplan
@@ -138,11 +134,11 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 			groupComm.Size(), posComm.Size(), mPrime, groups)
 	}
 
-	// Each rank carves its centroid stripe out of the full model (the
-	// initial matrix or a restored checkpoint), so an epoch with a
-	// smaller m' naturally re-stripes with wider slices.
+	// The position's first member carves its centroid stripe out of the
+	// full model (the initial matrix or a restored checkpoint), so an
+	// epoch with a smaller m' naturally re-stripes with wider slices.
 	kLo, kHi := shareRange(k, mPrime, pos)
-	slice := append([]float64(nil), cents[kLo*d:kHi*d]...)
+	env.stripes[pos].fill(cents, kLo, kHi, d, false)
 
 	// The dataflow shard: the epoch group's share of the full dataset,
 	// or the original group's static shard under DropLostShards.
@@ -158,9 +154,8 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 		env: env, work: work, groupComm: groupComm, posComm: posComm,
 		group: group, pos: pos, kLo: kLo, kHi: kHi,
 		staged: &env.staged[group],
-		cents:  slice,
-		sums:   make([]float64, (kHi-kLo)*d),
-		counts: make([]int64, kHi-kLo),
+		stripe: &env.stripes[pos],
+		part:   mpi.NewRowSums(kHi-kLo, d),
 		lo:     lo, hi: hi,
 		buf:  make([]float64, d),
 		idxs: make([]int, 0, batch),
@@ -179,9 +174,8 @@ type level3State struct {
 	group, pos int
 	kLo, kHi   int
 	staged     *stagedBatch // the CG group's shared assign batch
-	cents      []float64
-	sums       []float64
-	counts     []int64
+	stripe     *stripe      // the position's shared centroid stripe
+	part       *mpi.RowSums // this iteration's sums of the rows it won
 	lo, hi     int
 	buf        []float64
 	idxs       []int
@@ -195,12 +189,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	k := cfg.K
 	e := env.eplan
 	at := st.work.Clock().Now()
-	for i := range st.sums {
-		st.sums[i] = 0
-	}
-	for j := range st.counts {
-		st.counts[j] = 0
-	}
+	st.part.Reset()
 
 	// Assign step in batches: local partial argmin against the slice,
 	// then the group's min-reduce over MPI.
@@ -226,7 +215,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			for bi := 0; bi < b; bi++ {
 				// Unseeded: only position-0 ranks write env.assign, so
 				// reading it here would race with them.
-				j, dist := NearestSlice(rows[bi*d:(bi+1)*d], st.cents, d, st.kLo, k)
+				j, dist := NearestSlice(rows[bi*d:(bi+1)*d], st.stripe.cents, d, st.kLo, k)
 				st.vals[bi] = dist
 				st.ids[bi] = int64(j)
 			}
@@ -248,11 +237,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				// The winner's own copy: the next batch may already be
 				// refilling the staged rows under another member.
 				env.src.Sample(i, st.buf)
-				row := st.sums[(w-st.kLo)*d : (w-st.kLo+1)*d]
-				for u := 0; u < d; u++ {
-					row[u] += st.buf[u]
-				}
-				st.counts[w-st.kLo]++
+				st.part.Add(w-st.kLo, st.buf)
 			}
 		}
 	}
@@ -261,8 +246,10 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	chargeTransientDMA(st.work, env, ic, at)
 
 	// Update step: combine the slice sums across CG groups (ring
-	// algorithm for large slice volumes).
-	if err := st.posComm.AllReduceSumAuto(st.sums, st.counts); err != nil {
+	// algorithm for large slice volumes) into one sum the position
+	// shares.
+	sums, err := st.posComm.AllReduceRows(st.part)
+	if err != nil {
 		return stepOut{}, err
 	}
 	out := stepOut{cost: ic}
@@ -276,12 +263,12 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			out.objective = obj[0] / float64(cnt[0])
 		}
 	}
-	movement := ApplyUpdate(st.cents, st.sums, st.counts, d)
+	movement := st.stripe.update(iter, sums, d)
 
 	// Convergence is a global property of all slices: sum the
 	// per-slice movements across the epoch communicator. Every group
-	// carries an identical copy of each slice's movement, so the sum
-	// over-counts by exactly the group count.
+	// reports its position's one movement, so the sum over-counts by
+	// exactly the group count.
 	mv := []float64{movement}
 	if err := st.work.AllReduceSum(mv, nil); err != nil {
 		return stepOut{}, err
@@ -327,16 +314,16 @@ func (s *stagedBatch) load(src dataset.Source, idxs []int, d int) []float64 {
 }
 
 // gather assembles the full model on rank 0 for a coordinated
-// checkpoint: group 0's members each hold one centroid stripe (every
-// other group holds identical copies), so they ship their stripes to
-// rank 0 and a barrier re-synchronizes the epoch before the write.
+// checkpoint: group 0's members stand for their positions' stripes, so
+// they ship them to rank 0 and a barrier re-synchronizes the epoch
+// before the write.
 func (st *level3State) gather() ([]float64, error) {
 	mPrime := st.env.eplan.MPrimeGroup
 	d, k := st.d, st.env.cfg.K
 	if mPrime == 1 {
 		// A group of one holds the whole model already.
 		if st.work.Rank() == 0 {
-			return st.cents, nil
+			return st.stripe.cents, nil
 		}
 		return nil, nil
 	}
@@ -344,7 +331,7 @@ func (st *level3State) gather() ([]float64, error) {
 	switch {
 	case st.work.Rank() == 0:
 		full = make([]float64, k*d)
-		copy(full, st.cents) // rank 0 is position 0: stripe starts at 0
+		copy(full, st.stripe.cents) // rank 0 is position 0: stripe starts at 0
 		for p := 1; p < mPrime; p++ {
 			kLo, kHi := shareRange(k, mPrime, p)
 			data, _, err := st.work.Recv(p, ckptGatherTag)
@@ -358,7 +345,7 @@ func (st *level3State) gather() ([]float64, error) {
 			copy(full[kLo*d:kHi*d], data)
 		}
 	case st.group == 0:
-		if err := st.work.Send(0, ckptGatherTag, st.cents, nil); err != nil {
+		if err := st.work.Send(0, ckptGatherTag, st.stripe.cents, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -366,12 +353,4 @@ func (st *level3State) gather() ([]float64, error) {
 		return nil, err
 	}
 	return full, nil
-}
-
-// deposit publishes group 0's centroid stripes for assembly after the
-// epoch; its ranks are work ranks 0..m'-1, writing disjoint entries.
-func (st *level3State) deposit() {
-	if st.group == 0 {
-		st.env.slices[st.pos] = st.cents
-	}
 }

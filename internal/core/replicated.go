@@ -24,13 +24,9 @@ func (replicatedEngine) replan(env *epochEnv) error {
 	e.Ranks = len(env.alive)
 	e.Groups = len(env.alive)
 	env.eplan = e
-	env.slices = make([][]float64, 1)
+	env.stripes = make([]stripe, 1)
 	return nil
 }
-
-// adoptsModel is true: the state keeps the full matrix and updates it
-// in place every iteration, so each rank needs a private copy.
-func (replicatedEngine) adoptsModel() bool { return true }
 
 func (replicatedEngine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error) {
 	n, d, k := env.src.N(), env.src.D(), env.cfg.K
@@ -43,44 +39,32 @@ func (replicatedEngine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (e
 	} else {
 		lo, hi = shareRange(n, work.Size(), work.Rank())
 	}
-	st := &replicatedState{
-		env: env, work: work, cents: cents, d: d,
-		sums:   make([]float64, k*d),
-		counts: make([]int64, k),
-		buf:    make([]float64, d),
-		lo:     lo, hi: hi,
-	}
-	if env.cfg.MiniBatch > 0 {
-		// Cumulative per-centroid mass for mini-batch learning rates.
-		st.cumCounts = make([]int64, k)
-	}
-	return st, nil
+	// Mini-batch learning rates need each centroid's cumulative mass.
+	env.stripes[0].fill(cents, 0, k, d, env.cfg.MiniBatch > 0)
+	return &replicatedState{
+		env: env, work: work, model: &env.stripes[0], d: d,
+		part: mpi.NewRowSums(k, d),
+		buf:  make([]float64, d),
+		lo:   lo, hi: hi,
+	}, nil
 }
 
 // replicatedState is one rank's epoch state at Levels 1 and 2.
 type replicatedState struct {
 	env    *epochEnv
 	work   *mpi.Comm
-	cents  []float64
-	sums   []float64
-	counts []int64
-	// cumCounts persists across iterations for the mini-batch learning
-	// rate (mini-batch mode only).
-	cumCounts []int64
-	buf       []float64
-	lo, hi    int
-	d         int
+	model  *stripe      // the epoch's one shared model
+	part   *mpi.RowSums // this iteration's sums of the rows it won
+	buf    []float64
+	lo, hi int
+	d      int
 }
 
 func (st *replicatedState) step(iter int) (stepOut, error) {
 	env, cfg, d := st.env, &st.env.cfg, st.d
 	at := st.work.Clock().Now()
-	for i := range st.sums {
-		st.sums[i] = 0
-	}
-	for j := range st.counts {
-		st.counts[j] = 0
-	}
+	st.part.Reset()
+	cents := st.model.cents
 	// Assign step: either the full owned range (functionally strided,
 	// always charged in full) or a rotating mini-batch of it (charged
 	// as the batch). Each sample's previous assignment seeds the
@@ -95,26 +79,18 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 		for b := 0; b < batch; b++ {
 			i := st.lo + (start+b)%nLocal
 			env.src.Sample(i, st.buf)
-			j, dist := Nearest(st.buf, st.cents, d, env.assign[i])
+			j, dist := Nearest(st.buf, cents, d, env.assign[i])
 			env.assign[i] = j
 			localObj += dist
-			row := st.sums[j*d : (j+1)*d]
-			for u := 0; u < d; u++ {
-				row[u] += st.buf[u]
-			}
-			st.counts[j]++
+			st.part.Add(j, st.buf)
 		}
 	} else {
 		for i := st.lo; i < st.hi; i += cfg.SampleStride {
 			env.src.Sample(i, st.buf)
-			j, dist := Nearest(st.buf, st.cents, d, env.assign[i])
+			j, dist := Nearest(st.buf, cents, d, env.assign[i])
 			env.assign[i] = j
 			localObj += dist
-			row := st.sums[j*d : (j+1)*d]
-			for u := 0; u < d; u++ {
-				row[u] += st.buf[u]
-			}
-			st.counts[j]++
+			st.part.Add(j, st.buf)
 		}
 	}
 	var ic costmodel.Cost
@@ -128,8 +104,9 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 
 	// Update step: the two AllReduce operations of Algorithm 1 line 14
 	// (sums and counts travel together; the algorithm switches to a
-	// bandwidth-optimal ring for large k·d).
-	if err := st.work.AllReduceSumAuto(st.sums, st.counts); err != nil {
+	// bandwidth-optimal ring for large k·d) into one shared sum.
+	sums, err := st.work.AllReduceRows(st.part)
+	if err != nil {
 		return stepOut{}, err
 	}
 	out := stepOut{cost: ic}
@@ -142,27 +119,17 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 			// The reduced counts carry the exact number of samples
 			// processed this iteration.
 			total := int64(0)
-			for _, cnt := range st.counts {
+			for j := 0; j < sums.Rows(); j++ {
+				_, cnt := sums.Row(j)
 				total += cnt
 			}
 			out.objective = obj[0] / float64(total)
 		}
 	}
-	if cfg.MiniBatch > 0 {
-		out.movement = applyMiniBatchUpdate(st.cents, st.sums, st.counts, st.cumCounts, d)
-	} else {
-		out.movement = ApplyUpdate(st.cents, st.sums, st.counts, d)
-	}
+	out.movement = st.model.update(iter, sums, d)
 	return out, nil
 }
 
 // gather is free at the replicated levels: every rank already holds
 // the full model.
-func (st *replicatedState) gather() ([]float64, error) { return st.cents, nil }
-
-// deposit publishes rank 0's model for assembly after the epoch.
-func (st *replicatedState) deposit() {
-	if st.work.Rank() == 0 {
-		st.env.slices[0] = st.cents
-	}
-}
+func (st *replicatedState) gather() ([]float64, error) { return st.model.cents, nil }

@@ -191,7 +191,7 @@ func TestRuleFixtures(t *testing.T) {
 				{"collective-match", "collective.go", 13, "no matching Bcast"},
 				{"collective-match", "collective.go", 45, "no matching Barrier"},
 				{"collective-match", "collective.go", 53, "no matching AllReduceSum"},
-				{"collective-match", "collective.go", 85, "no matching AllReduceSumAuto"},
+				{"collective-match", "collective.go", 85, "no matching AllReduceRows"},
 			},
 		},
 		{

@@ -54,8 +54,8 @@ var collectiveOps = map[string]string{
 	"Barrier":           "Barrier",
 	"Bcast":             "Bcast",
 	"AllReduceSum":      "AllReduceSum",
-	"AllReduceSumAuto":  "AllReduceSumAuto",
 	"AllReduceSumRing":  "AllReduceSumRing",
+	"AllReduceRows":     "AllReduceRows",
 	"AllReduceMinPairs": "AllReduceMinPairs",
 	"AllGatherInts":     "AllGatherInts",
 	"Split":             "Split",

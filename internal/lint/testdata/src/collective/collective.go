@@ -10,7 +10,7 @@ import "repro/internal/mpi"
 // the collective.
 func LoneBcast(c *mpi.Comm, data []float64) error {
 	if c.Rank() == 0 {
-		return c.Bcast(0, data, nil)
+		return bcastErr(c.Bcast(0, data, nil))
 	}
 	return nil
 }
@@ -82,8 +82,14 @@ func SwitchPaired(c *mpi.Comm, group int, data []float64) error {
 func SwitchLone(c *mpi.Comm, data []float64) error {
 	switch {
 	case c.Rank() == 0:
-		return c.AllReduceSumAuto(data, nil)
+		return rowsErr(c.AllReduceRows(mpi.NewRowSums(len(data), 1)))
 	default:
 		return nil
 	}
 }
+
+// bcastErr keeps Bcast's error.
+func bcastErr(_ []float64, _ []int64, err error) error { return err }
+
+// rowsErr keeps AllReduceRows' error.
+func rowsErr(_ *mpi.RowSums, err error) error { return err }

@@ -11,7 +11,7 @@ import "repro/internal/mpi"
 // pairwise inside the first divergent collective.
 func Swapped(c *mpi.Comm, data []float64) error {
 	if c.Rank() == 0 {
-		if err := c.Bcast(0, data, nil); err != nil { // flagged
+		if _, _, err := c.Bcast(0, data, nil); err != nil { // flagged
 			return err
 		}
 		return c.Barrier()
@@ -19,7 +19,7 @@ func Swapped(c *mpi.Comm, data []float64) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		return c.Bcast(0, data, nil)
+		return bcastErr(c.Bcast(0, data, nil))
 	}
 }
 
@@ -62,7 +62,7 @@ func OptionalReduce(c *mpi.Comm, data []float64, verbose bool) error {
 // bcastBarrier hoists the root's protocol into a helper; its summary
 // sequence is Bcast then Barrier.
 func bcastBarrier(c *mpi.Comm, data []float64) error {
-	if err := c.Bcast(0, data, nil); err != nil {
+	if _, _, err := c.Bcast(0, data, nil); err != nil {
 		return err
 	}
 	return c.Barrier()
@@ -73,7 +73,7 @@ func bcastBarrier(c *mpi.Comm, data []float64) error {
 // (error guards are straight-line, not forks), so the rule is silent.
 func SameOrderHelper(c *mpi.Comm, data []float64) error {
 	if c.Rank() == 0 {
-		if err := c.Bcast(0, data, nil); err != nil {
+		if _, _, err := c.Bcast(0, data, nil); err != nil {
 			return err
 		}
 		return c.Barrier()
@@ -86,14 +86,14 @@ func SameOrderHelper(c *mpi.Comm, data []float64) error {
 func MirroredOptional(c *mpi.Comm, data []float64, verbose bool) error {
 	if c.Rank() == 0 {
 		if verbose {
-			if err := c.Bcast(0, data, nil); err != nil {
+			if _, _, err := c.Bcast(0, data, nil); err != nil {
 				return err
 			}
 		}
 		return c.Barrier()
 	}
 	if verbose {
-		if err := c.Bcast(0, data, nil); err != nil {
+		if _, _, err := c.Bcast(0, data, nil); err != nil {
 			return err
 		}
 	}
@@ -117,3 +117,6 @@ func GatherLoop(c *mpi.Comm, data []float64) error {
 	}
 	return c.Barrier()
 }
+
+// bcastErr keeps Bcast's error.
+func bcastErr(_ []float64, _ []int64, err error) error { return err }

@@ -11,7 +11,7 @@ var hits int
 
 // broadcast wraps the collective one call deep.
 func broadcast(c *mpi.Comm, data []float64) error {
-	return c.Bcast(0, data, nil)
+	return bcastErr(c.Bcast(0, data, nil))
 }
 
 // reduceHelper wraps AllReduceSum; sumAll wraps it again (two deep).
@@ -65,7 +65,7 @@ func BothArms(c *mpi.Comm, data []float64) error {
 	if c.Rank() == 0 {
 		return broadcast(c, data)
 	}
-	return c.Bcast(0, data, nil)
+	return bcastErr(c.Bcast(0, data, nil))
 }
 
 // SuppressedAsym documents a deliberately asymmetric protocol at the
@@ -92,3 +92,6 @@ func RangeHelperEffect(m map[string]int) {
 func GoImpureHelper() {
 	go bump()
 }
+
+// bcastErr keeps Bcast's error.
+func bcastErr(_ []float64, _ []int64, err error) error { return err }

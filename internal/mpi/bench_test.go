@@ -50,6 +50,24 @@ func sumOp(size int) func(c *Comm) error {
 	return func(c *Comm) error { return c.AllReduceSum(bufs[c.Rank()], nil) }
 }
 
+// rowsOp is an AllReduceRows of 16 rows of 256, the shape of a des-4k
+// Update step's stripe sums, in which one rank in 64 touched one row:
+// the Update step's sparsity.
+func rowsOp(size int) func(c *Comm) error {
+	parts := make([]*RowSums, size)
+	x := make([]float64, 256)
+	for r := range parts {
+		parts[r] = NewRowSums(16, 256)
+		if r%64 == 0 {
+			parts[r].Add(r/64%16, x)
+		}
+	}
+	return func(c *Comm) error {
+		_, err := c.AllReduceRows(parts[c.Rank()])
+		return err
+	}
+}
+
 // minPairsOp is an AllReduceMinPairs of 256 pairs per rank, the
 // assignment min-reduce of Algorithms 2 and 3.
 func minPairsOp(size int) func(c *Comm) error {
@@ -86,6 +104,10 @@ func splitOp(size int) func(c *Comm) error {
 // BenchmarkAllReduceSum measures the allreduce of the Update step.
 func BenchmarkAllReduceSum(b *testing.B) { benchCollective(b, sumOp) }
 
+// BenchmarkAllReduceRows measures the row-sparse allreduce of the
+// Update step.
+func BenchmarkAllReduceRows(b *testing.B) { benchCollective(b, rowsOp) }
+
 // BenchmarkAllReduceMinPairs measures the assignment min-reduce.
 func BenchmarkAllReduceMinPairs(b *testing.B) { benchCollective(b, minPairsOp) }
 
@@ -96,7 +118,9 @@ func BenchmarkBarrier(b *testing.B) { benchCollective(b, barrierOp) }
 func BenchmarkSplit(b *testing.B) { benchCollective(b, splitOp) }
 
 // runAlloc returns the bytes one DES Run of op allocates at size ranks
-// beyond an empty Run.
+// beyond an empty Run. Each measured Run starts after a GC: how much a
+// 4,096-rank Run allocates otherwise depends on when the collector
+// runs during it.
 func runAlloc(t *testing.T, size int, mk func(size int) func(c *Comm) error) uint64 {
 	t.Helper()
 	w := MustWorld(machine.MustSpec(size/4), nil, size)
@@ -104,6 +128,7 @@ func runAlloc(t *testing.T, size int, mk func(size int) func(c *Comm) error) uin
 	op := mk(size)
 	measure := func(fn func(c *Comm) error) uint64 {
 		var before, after runtime.MemStats
+		runtime.GC()
 		runtime.ReadMemStats(&before)
 		err := w.Run(fn)
 		runtime.ReadMemStats(&after)
@@ -132,7 +157,8 @@ func runAlloc(t *testing.T, size int, mk func(size int) func(c *Comm) error) uin
 // the first three, 2 MB for Level 3's two splits) but not for a packet
 // per protocol edge or a payload copy per rank (138 MB for a
 // 4,096-float AllReduceSum, 7.7 MB for a Barrier, 3.5 MB for the two
-// splits).
+// splits). AllReduceRows shares one sum of the touched rows: a dense
+// 4,112-element result per rank would be 135 MB.
 func TestCollectiveHostCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4,096-rank worlds in -short mode")
@@ -143,6 +169,7 @@ func TestCollectiveHostCost(t *testing.T) {
 		bound uint64 // bytes at 4,096 ranks
 	}{
 		{"AllReduceSum", sumOp, 1 << 20},
+		{"AllReduceRows", rowsOp, 1 << 20},
 		{"AllReduceMinPairs", minPairsOp, 1 << 20},
 		{"Barrier", barrierOp, 1 << 20},
 		{"Split", splitOp, 5 << 19},

@@ -550,7 +550,7 @@ func (c *Comm) collective(op opKind, root int, data []float64, ints []int64) err
 	if c.size == 1 {
 		return c.checkSelfCrash()
 	}
-	x, err := c.rendezvous(op, root, data, ints)
+	x, err := c.rendezvous(op, root, data, ints, nil)
 	if err != nil {
 		return err
 	}
@@ -572,9 +572,12 @@ func (c *Comm) Barrier() error {
 }
 
 // Bcast distributes root's data and ints to every rank, modelled as a
-// binomial tree. Non-root ranks receive into the provided slices,
-// which must have the same lengths as root's.
-func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
+// binomial tree, and returns them: every member gets the root's own
+// slices, shared read-only, so nobody may write them while a member
+// may still read them. Only the root's payload is read; the other
+// ranks pass nil. On error the payload is nil, and the span's bytes
+// are those of the payload returned.
+func (c *Comm) Bcast(root int, data []float64, ints []int64) ([]float64, []int64, error) {
 	u, m := c.obsBegin()
 	var err error
 	switch {
@@ -583,10 +586,21 @@ func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 	case c.size == 1:
 		c.seq++
 	default:
-		err = c.collective(opBcast, root, data, ints)
+		if c.rank != root {
+			data, ints = nil, nil
+		}
+		var x *call
+		if x, err = c.rendezvous(opBcast, root, data, ints, nil); err == nil {
+			if err = c.settle(x); err == nil {
+				data, ints = x.slots[root].data, x.slots[root].ints
+			}
+		}
+	}
+	if err != nil {
+		data, ints = nil, nil
 	}
 	c.obsEnd(u, m, "mpi:bcast", int64((len(data)+len(ints))*ldm.ElemBytes))
-	return err
+	return data, ints, err
 }
 
 // AllReduceSum sums data and ints element-wise across all ranks and
@@ -657,7 +671,7 @@ func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
 		}
 		return contrib, nil
 	}
-	x, err := c.rendezvous(opAllGather, 0, nil, contrib)
+	x, err := c.rendezvous(opAllGather, 0, nil, contrib, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -692,7 +706,7 @@ func (c *Comm) split(color, key int) (*Comm, error) {
 		p = derivePartition(pair, c.grp.members)
 		subs = []*group{{members: p.groups[0]}}
 	} else {
-		x, err := c.rendezvous(opSplit, 0, nil, pair)
+		x, err := c.rendezvous(opSplit, 0, nil, pair, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -237,16 +237,16 @@ func TestBcast(t *testing.T) {
 		for root := 0; root < size; root += 2 {
 			w := world(t, 4, size)
 			err := w.Run(func(c *Comm) error {
-				data := make([]float64, 3)
-				ints := make([]int64, 2)
+				var data []float64
+				var ints []int64
 				if c.Rank() == root {
-					copy(data, []float64{1, 2, 3})
-					copy(ints, []int64{9, 8})
+					data, ints = []float64{1, 2, 3}, []int64{9, 8}
 				}
-				if err := c.Bcast(root, data, ints); err != nil {
+				data, ints, err := c.Bcast(root, data, ints)
+				if err != nil {
 					return err
 				}
-				if data[0] != 1 || data[1] != 2 || data[2] != 3 || ints[0] != 9 || ints[1] != 8 {
+				if len(data) != 3 || len(ints) != 2 || data[0] != 1 || data[1] != 2 || data[2] != 3 || ints[0] != 9 || ints[1] != 8 {
 					return fmt.Errorf("rank %d got %v %v", c.Rank(), data, ints)
 				}
 				return nil
@@ -261,7 +261,7 @@ func TestBcast(t *testing.T) {
 func TestBcastBadRoot(t *testing.T) {
 	w := world(t, 1, 2)
 	err := w.Run(func(c *Comm) error {
-		if err := c.Bcast(5, nil, nil); err == nil {
+		if _, _, err := c.Bcast(5, nil, nil); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
 		return nil

@@ -140,16 +140,23 @@ func refBcastInto(c *Comm, st *opState, root int, data []float64, ints []int64) 
 	return nil
 }
 
-// refBcast is Bcast.
-func refBcast(c *Comm, root int, data []float64, ints []int64) error {
+// refBcast is Bcast: every member returns the payload it took, the
+// root its own, and nil on error.
+func refBcast(c *Comm, root int, data []float64, ints []int64) ([]float64, []int64, error) {
 	u, m := c.obsBegin()
 	st := &opState{}
-	err := refBcastInto(c, st, root, data, ints)
+	if c.rank != root {
+		data, ints = nil, nil
+	}
+	data, ints, err := refBcastOp(c, st, root, data, ints)
 	if err == nil {
 		err = st.err()
 	}
+	if err != nil {
+		data, ints = nil, nil
+	}
 	c.obsEnd(u, m, "mpi:bcast", int64((len(data)+len(ints))*ldm.ElemBytes))
-	return err
+	return data, ints, err
 }
 
 // refReduceOp is the poison-aware binomial reduce body.

@@ -1,21 +1,23 @@
 package mpi
 
 // One rendezvous per collective. Every collective of this package —
-// Barrier, Bcast, AllReduceSum, AllReduceSumRing, AllReduceMinPairs,
-// AllGatherInts and Split's allgather — runs as one meeting of the
-// communicator's members instead of as point-to-point packets. Each
-// member deposits its entry clock, its scheduled crash time and its
-// buffers; the last member to arrive, or the crash or abort of the last
-// member still missing, closes the call and replays the replaced
-// algorithm once for everybody: every protocol edge in the order the
-// algorithm's data dependencies impose, with sendPacket's clock and
-// fault arithmetic (the same transfer time, the same fault.Injector
-// rolls on the same tags, the same retries, crashes and poison) and
-// with the payloads combined in place in the members' own buffers, as
-// each rank would have combined them. Each member then applies only its
-// own outcome: its clock, its traffic counters, its own fail-stop or
-// error. The wait is the only driver-specific part: a sync.Cond under
-// the goroutine driver, a Park re-check loop under the DES driver.
+// Barrier, Bcast, AllReduceSum, AllReduceSumRing, AllReduceRows,
+// AllReduceMinPairs, AllGatherInts and Split's allgather — runs as one
+// meeting of the communicator's members instead of as point-to-point
+// packets. Each member deposits its entry clock, its scheduled crash
+// time and its buffers; the last member to arrive, or the crash or
+// abort of the last member still missing, closes the call and replays
+// the replaced algorithm once for everybody: every protocol edge in the
+// order the algorithm's data dependencies impose, with sendPacket's
+// clock and fault arithmetic (the same transfer time, the same
+// fault.Injector rolls on the same tags, the same retries, crashes and
+// poison) and with the payloads combined in place in the members' own
+// buffers, as each rank would have combined them — or, for Bcast,
+// AllReduceRows and the allgathers, into one result every member
+// shares read-only. Each member then applies only its own outcome: its
+// clock, its traffic counters, its own fail-stop or error. The wait is
+// the only driver-specific part: a sync.Cond under the goroutine
+// driver, a Park re-check loop under the DES driver.
 //
 // DESIGN.md §5 ("The host cost of MPI collectives") argues why the
 // replay is exact.
@@ -41,6 +43,7 @@ const (
 	opBcast
 	opAllGather // gather to rank 0, then broadcast
 	opSplit     // opAllGather of (color, key), then the partition
+	opRows      // opAllReduce or opRing over row-sparse partials
 )
 
 var opNames = [...]string{
@@ -51,6 +54,7 @@ var opNames = [...]string{
 	opBcast:     "bcast",
 	opAllGather: "allgather",
 	opSplit:     "split",
+	opRows:      "row allreduce",
 }
 
 func (k opKind) String() string { return opNames[k] }
@@ -83,6 +87,7 @@ type call struct {
 	table []int64
 	part  *partition // opSplit: the partition of the gathered table
 	subs  []*group   // opSplit: one group per new communicator
+	sum   *RowSums   // opRows: the total
 
 	// The replay's scratch: the packets of one step.
 	in   []edge
@@ -101,7 +106,8 @@ type slot struct {
 	crashAt       float64 // scheduled fail-stop time, +Inf when none
 	data          []float64
 	ints          []int64
-	st            opState // the peer failure the member has seen
+	rows          *RowSums // opRows: the member's partial, only read
+	st            opState  // the peer failure the member has seen
 	msgs, bytes   int64
 	f             *slotFaults // nil until the member retries, dies or is reported
 }
@@ -136,7 +142,7 @@ type edge struct {
 // completed call. A caller whose crash time has passed fail-stops here,
 // before depositing, exactly where the first message of the call would
 // have stopped it.
-func (c *Comm) rendezvous(op opKind, root int, data []float64, ints []int64) (*call, error) {
+func (c *Comm) rendezvous(op opKind, root int, data []float64, ints []int64, rows *RowSums) (*call, error) {
 	if err := c.checkSelfCrash(); err != nil {
 		c.seq++ // the first step's tag, minted before that message
 		return nil, err
@@ -163,7 +169,7 @@ func (c *Comm) rendezvous(op opKind, root int, data []float64, ints []int64) (*c
 		}
 	}
 	x.slots[c.rank] = slot{arrived: true, op: op, root: int32(root),
-		clock: c.Clock().Now(), crashAt: crashAt, data: data, ints: ints}
+		clock: c.Clock().Now(), crashAt: crashAt, data: data, ints: ints, rows: rows}
 	x.missing--
 	last := x.missing == 0
 	w.rvMu.Unlock()
@@ -300,6 +306,8 @@ func (x *call) replay(w *World) {
 		x.bcast(w, 0)
 	case opRing:
 		x.ring(w)
+	case opRows:
+		x.replayRows(w)
 	case opBcast:
 		x.bcast(w, int(x.slots[x.first()].root))
 	case opAllGather, opSplit:
@@ -327,19 +335,34 @@ func (x *call) first() int {
 }
 
 // check returns the error every member gets when the arrived members
-// disagree on the collective, its root or their payload lengths.
+// disagree on the collective, its root or their payload lengths (only
+// the root's payload counts in a broadcast).
 func (x *call) check() error {
 	f := x.first()
 	a := &x.slots[f]
 	x.op = a.op
+	af, ai := a.shape()
 	for r := f + 1; r < len(x.slots); r++ {
 		b := &x.slots[r]
-		if b.arrived && (b.op != a.op || b.root != a.root || len(b.data) != len(a.data) || len(b.ints) != len(a.ints)) {
+		if !b.arrived {
+			continue
+		}
+		bf, bi := b.shape()
+		if b.op != a.op || b.root != a.root || (a.op != opBcast && (bf != af || bi != ai)) {
 			return fmt.Errorf("mpi: collective mismatch on communicator %#x: rank %d calls %s (root %d, %d+%d elements), rank %d calls %s (root %d, %d+%d elements)",
-				x.id, f, a.op, a.root, len(a.data), len(a.ints), r, b.op, b.root, len(b.data), len(b.ints))
+				x.id, f, a.op, a.root, af, ai, r, b.op, b.root, bf, bi)
 		}
 	}
 	return nil
+}
+
+// shape is the dense length of the member's floats and ints: a row
+// partial stands for rows·width sums and rows counts.
+func (s *slot) shape() (int, int) {
+	if s.rows != nil {
+		return s.rows.rows * s.rows.width, s.rows.rows
+	}
+	return len(s.data), len(s.ints)
 }
 
 // edges returns the cleared per-member packet scratch of one phase.
@@ -358,10 +381,10 @@ func (x *call) nextTag() uint64 {
 	return collectiveTag(x.id, x.seq+x.tags)
 }
 
-// elems is the payload length every member brought.
+// elems is the dense payload length every member brought.
 func (x *call) elems() int {
-	s := &x.slots[x.first()]
-	return len(s.data) + len(s.ints)
+	nf, ni := x.slots[x.first()].shape()
+	return nf + ni
 }
 
 // send replays member r's protocol send of elems elements to member
@@ -493,8 +516,8 @@ func (x *call) exchange(w *World, to, elems func(r int) int, take func(r, from i
 // reduce replays the binomial reduce to rank 0: members in decreasing
 // rank order, so that every child has sent before its parent receives,
 // each receiving from its children in increasing mask order and folding
-// clean payloads into its own buffer with combine, then sending to its
-// parent.
+// clean payloads into its own buffer with combine, when non-nil, then
+// sending to its parent.
 func (x *call) reduce(w *World, combine func(dst, src *slot)) {
 	p, elems := len(x.slots), x.elems()
 	tag := x.nextTag()
@@ -505,7 +528,7 @@ func (x *call) reduce(w *World, combine func(dst, src *slot)) {
 				up[r] = x.send(w, r, r-mask, tag, elems)
 				break
 			}
-			if r+mask < p && x.recv(w, r, r+mask, up[r+mask]) {
+			if r+mask < p && x.recv(w, r, r+mask, up[r+mask]) && combine != nil {
 				combine(&x.slots[r], &x.slots[r+mask])
 			}
 		}
@@ -534,23 +557,32 @@ func minInto(dst, src *slot) {
 // bcast replays the binomial broadcast from root: members in relative
 // rank order, so that every parent has sent before its children
 // receive, each receiving from its parent and forwarding to its
-// children from the largest subtree down. A member that took the
-// payload clean and is still alive after forwarding copies the root's
-// buffer, as bcastInto did; the gathered table of an allgather is
-// shared instead.
+// children from the largest subtree down. After the dense allreduces a
+// member that took the payload clean and is still alive after
+// forwarding copies the root's buffer, as bcastInto did; every other
+// collective shares one result instead: the root's own buffers in a
+// Bcast, the sum of a row allreduce, the gathered table of an
+// allgather.
 func (x *call) bcast(w *World, root int) {
-	p, elems := len(x.slots), x.elems()
-	shared := x.op == opAllGather || x.op == opSplit
-	if shared {
+	p, src := len(x.slots), &x.slots[root]
+	var elems int
+	switch x.op {
+	case opAllGather, opSplit:
 		elems = p * len(x.slots[x.first()].ints)
+	case opBcast:
+		// Only the root's payload is read: a root that never arrived
+		// sends nothing, and everyone after it forwards poison.
+		elems = len(src.data) + len(src.ints)
+	default:
+		elems = x.elems()
 	}
+	private := x.op == opAllReduce || x.op == opMinPairs
 	tag := x.nextTag()
 	top := 1
 	for top < p {
 		top <<= 1
 	}
 	in := x.edges() // in[rel] is the packet relative rank rel receives
-	src := &x.slots[root]
 	for rel := 0; rel < p; rel++ {
 		r := (rel + root) % p
 		mask, clean := top, false
@@ -563,7 +595,7 @@ func (x *call) bcast(w *World, root int) {
 				in[rel+mask] = x.send(w, r, (r+mask)%p, tag, elems)
 			}
 		}
-		if s := &x.slots[r]; clean && !s.dead && !shared {
+		if s := &x.slots[r]; clean && !s.dead && private {
 			copy(s.data, src.data)
 			copy(s.ints, src.ints)
 		}

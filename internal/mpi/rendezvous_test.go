@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -129,13 +131,15 @@ func collCases(pay func(r, n int) []float64) []collCase {
 				in.data = pay(c.Rank(), 3)
 				in.ints = []int64{42}
 			}
+			var data []float64
+			var ints []int64
 			var err error
 			if ref {
-				err = refBcast(c, root, in.data, in.ints)
+				data, ints, err = refBcast(c, root, in.data, in.ints)
 			} else {
-				err = c.Bcast(root, in.data, in.ints)
+				data, ints, err = c.Bcast(root, in.data, in.ints)
 			}
-			return fmt.Sprintf("%s%s seq=%d", floatBits(in.data), bitsInts(in.ints), c.seq), err
+			return fmt.Sprintf("%s%s seq=%d", floatBits(data), bitsInts(ints), c.seq), err
 		}},
 		{"allgather", func(c *Comm, ref bool, _ *rankInput) (string, error) {
 			contrib := []int64{int64(c.Rank() * 10), int64(-c.Rank()), 7}
@@ -161,7 +165,92 @@ func collCases(pay func(r, n int) []float64) []collCase {
 			}
 			return fmt.Sprintf("%s seq=%d", commDigest(sub), c.seq), nil
 		}},
+		rowsCase("rows", pay, 7, 3, mixedRows),
+		rowsCase("rows-empty", pay, 5, 2, func(int, int) int { return 0 }),
+		// 1,058 rows of 61 are 65,596 dense elements, at the ring's
+		// threshold, cut mid-row into 3, 5 or 8 segments.
+		rowsCase("rows-ring", pay, 1058, 61, mixedRows),
 	}
+}
+
+// mixedRows is how many samples rank r adds to row j: rows j%5 == 4
+// get none from anybody, rows j%5 == 0 one or two from everybody, the
+// rest one from every third rank.
+func mixedRows(r, j int) int {
+	switch {
+	case j%5 == 4:
+		return 0
+	case j%5 == 0:
+		return 1 + (r+j)%2
+	case (r+2*j)%3 == 0:
+		return 1
+	}
+	return 0
+}
+
+// rowsCase is AllReduceRows on rows-by-width partials whose rank r adds
+// samples(r, j) samples to row j, held to the dense reference: the
+// samples added from +0 into a dense buffer and summed by the
+// algorithm the dense length selects. A member that fails keeps no
+// result.
+func rowsCase(name string, pay func(r, n int) []float64, rows, width int, samples func(r, j int) int) collCase {
+	return collCase{name, func(c *Comm, ref bool, _ *rankInput) (string, error) {
+		data := make([]float64, rows*width)
+		ints := make([]int64, rows)
+		part := NewRowSums(rows, width)
+		for j := 0; j < rows; j++ {
+			for i := 0; i < samples(c.Rank(), j); i++ {
+				x := pay(c.Rank()*rows+j+i*7919, width)
+				if !ref {
+					part.Add(j, x)
+					continue
+				}
+				for u, v := range x {
+					data[j*width+u] += v
+				}
+				ints[j]++
+			}
+		}
+		var err error
+		switch {
+		case !ref:
+			var sum *RowSums
+			if sum, err = c.AllReduceRows(part); err == nil {
+				for j := 0; j < rows; j++ {
+					if row, n := sum.Row(j); row != nil {
+						copy(data[j*width:], row)
+						ints[j] = n
+					}
+				}
+			}
+		case rowsRing(part, c.Size()):
+			err = refAllReduceSumRing(c, data, ints)
+		default:
+			err = refAllReduceSum(c, data, ints)
+		}
+		if err != nil {
+			return fmt.Sprintf("seq=%d", c.seq), err
+		}
+		if len(data) > 64 {
+			// Too long to print: hash the bits as floatBits reads them.
+			h := fnv.New64a()
+			var b [8]byte
+			for _, v := range data {
+				u := math.Float64bits(v)
+				if math.IsNaN(v) {
+					u = 0x7ff8000000000000
+				}
+				binary.LittleEndian.PutUint64(b[:], u)
+				h.Write(b[:])
+			}
+			for _, v := range ints {
+				binary.LittleEndian.PutUint64(b[:], uint64(v))
+				h.Write(b[:])
+			}
+			return fmt.Sprintf("digest %016x seq=%d", h.Sum64(), c.seq), nil
+		}
+		return fmt.Sprintf("%s%s seq=%d", floatBits(data), bitsInts(ints), c.seq), nil
+	}}
 }
 
 // collScenario fixes everything but the implementation: world size,
@@ -315,7 +404,10 @@ func skews(size int) []float64 {
 // transient message faults with retries, exhausted retries, a
 // degraded-link window opening mid-call, and an ordinary-error abort.
 // Every rank's buffers, result, clock bits, spans and error, the
-// traffic counters and the failed set must be equal.
+// traffic counters and the failed set must be equal. AllReduceRows is
+// held to the dense allreduce its dense length selects, below the
+// ring's threshold at every size and above it up to 8 ranks, on rows
+// that no member, some members and every member touched.
 func TestCollectivesMatchPointToPoint(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 33, 128}
 	if testing.Short() {
@@ -328,6 +420,13 @@ func TestCollectivesMatchPointToPoint(t *testing.T) {
 				pay := func(r, n int) []float64 { return payload(kind, r, n) }
 				for _, cc := range collCases(pay) {
 					if kind != "plain" && (cc.name == "barrier" || cc.name == "allgather" || cc.name == "split") {
+						continue
+					}
+					// The ring-sized row allreduce moves 65,596 elements
+					// per rank: up to 8 ranks, and four crash boundaries
+					// per victim.
+					heavy := cc.name == "rows-ring"
+					if heavy && size > 8 {
 						continue
 					}
 					base := collScenario{size: size, driver: d, skew: skews(size), abortAt: -1}
@@ -369,7 +468,7 @@ func TestCollectivesMatchPointToPoint(t *testing.T) {
 						bs := boundaries(t, base, cc)
 						for _, v := range victims {
 							times := bs[v]
-							if size > 8 && len(times) > 4 {
+							if (size > 8 || heavy) && len(times) > 4 {
 								times = []float64{times[0], times[1], times[len(times)/2], times[len(times)-1]}
 							}
 							for i, at := range times {
@@ -442,6 +541,9 @@ func FuzzCollectives(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 7, 9, 60, 3, 2, 0, 1, 5, 3, 40, 255, 17, 0xff, 0xf8, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{2, 1, 6, 3, 3, 100, 1, 1, 1, 0, 0, 0, 3, 1, 255, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{9, 0, 3, 1, 2, 30, 4, 5, 2, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add([]byte{6, 1, 7, 0, 9, 40, 2, 3, 1, 5, 0, 0, 255, 1, 2, 3, 4, 5, 0x80, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 0, 1, 2})
+	f.Add([]byte{4, 1, 9, 2, 7, 20, 3, 4, 2, 2, 9, 3, 2, 255, 0, 1, 3, 5, 7})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		next := func() byte {
 			if len(in) == 0 {

@@ -2,25 +2,14 @@ package mpi
 
 import "repro/internal/ldm"
 
-// ringThresholdElems selects the allreduce algorithm: payloads of at
-// least this many elements use the bandwidth-optimal ring, smaller
-// ones the latency-optimal binomial reduce+broadcast. The Update step
-// of the k-means engines crosses this boundary as k·d grows, exactly
-// the regime split real MPI libraries implement.
+// ringThresholdElems selects AllReduceRows' algorithm: dense payloads
+// of at least this many elements use the bandwidth-optimal ring,
+// smaller ones the latency-optimal binomial reduce+broadcast. The
+// Update step of the k-means engines crosses this boundary as k·d
+// grows, exactly the regime split real MPI libraries implement. The
+// two algorithms associate additions differently, so they are not
+// bitwise interchangeable with each other.
 const ringThresholdElems = 1 << 16
-
-// AllReduceSumAuto picks the allreduce algorithm by payload size:
-// binomial reduce+broadcast below ringThresholdElems, ring at or
-// above it. Results are deterministic and identical on every rank for
-// either algorithm (though the two algorithms associate additions
-// differently, so they are not bitwise interchangeable with each
-// other).
-func (c *Comm) AllReduceSumAuto(data []float64, ints []int64) error {
-	if len(data)+len(ints) >= ringThresholdElems && c.size > 2 {
-		return c.AllReduceSumRing(data, ints)
-	}
-	return c.AllReduceSum(data, ints)
-}
 
 // AllReduceSumRing sums data and ints element-wise across all ranks
 // with the bandwidth-optimal ring algorithm: a reduce-scatter phase
@@ -43,10 +32,13 @@ func (c *Comm) AllReduceSumRing(data []float64, ints []int64) error {
 // step is one exchange: a member reads and writes different segments
 // within a step, so taking every payload from the sender's buffer in
 // place reads what the sender sent. A failure travels one hop per step
-// as poison, so the 2(p-1) steps reach every survivor.
+// as poison, so the 2(p-1) steps reach every survivor. A row allreduce
+// replays only the edges, with the dense lengths, and folds its
+// partials afterwards (ringRow).
 func (x *call) ring(w *World) {
 	p := len(x.slots)
-	nf, ni := len(x.slots[x.first()].data), len(x.slots[x.first()].ints)
+	nf, ni := x.slots[x.first()].shape()
+	fold := x.op == opRing
 	elems := func(s int) int {
 		fLo, fHi := segment(nf, p, s)
 		iLo, iHi := segment(ni, p, s)
@@ -54,26 +46,34 @@ func (x *call) ring(w *World) {
 	}
 	next := func(r int) int { return (r + 1) % p }
 	for t := 0; t < p-1; t++ {
-		x.exchange(w, next, func(r int) int { return elems(mod(r-t, p)) }, func(r, from int) {
-			dst, src := &x.slots[r], &x.slots[from]
-			fLo, fHi := segment(nf, p, mod(r-t-1, p))
-			iLo, iHi := segment(ni, p, mod(r-t-1, p))
-			for j := fLo; j < fHi; j++ {
-				dst.data[j] += src.data[j]
+		var add func(r, from int)
+		if fold {
+			add = func(r, from int) {
+				dst, src := &x.slots[r], &x.slots[from]
+				fLo, fHi := segment(nf, p, mod(r-t-1, p))
+				iLo, iHi := segment(ni, p, mod(r-t-1, p))
+				for j := fLo; j < fHi; j++ {
+					dst.data[j] += src.data[j]
+				}
+				for j := iLo; j < iHi; j++ {
+					dst.ints[j] += src.ints[j]
+				}
 			}
-			for j := iLo; j < iHi; j++ {
-				dst.ints[j] += src.ints[j]
-			}
-		})
+		}
+		x.exchange(w, next, func(r int) int { return elems(mod(r-t, p)) }, add)
 	}
 	for t := 0; t < p-1; t++ {
-		x.exchange(w, next, func(r int) int { return elems(mod(r-t+1, p)) }, func(r, from int) {
-			dst, src := &x.slots[r], &x.slots[from]
-			fLo, fHi := segment(nf, p, mod(r-t, p))
-			iLo, iHi := segment(ni, p, mod(r-t, p))
-			copy(dst.data[fLo:fHi], src.data[fLo:fHi])
-			copy(dst.ints[iLo:iHi], src.ints[iLo:iHi])
-		})
+		var take func(r, from int)
+		if fold {
+			take = func(r, from int) {
+				dst, src := &x.slots[r], &x.slots[from]
+				fLo, fHi := segment(nf, p, mod(r-t, p))
+				iLo, iHi := segment(ni, p, mod(r-t, p))
+				copy(dst.data[fLo:fHi], src.data[fLo:fHi])
+				copy(dst.ints[iLo:iHi], src.ints[iLo:iHi])
+			}
+		}
+		x.exchange(w, next, func(r int) int { return elems(mod(r-t+1, p)) }, take)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 func TestRingAllReduceCorrectness(t *testing.T) {
@@ -107,34 +108,65 @@ func TestRingFasterThanBinomialForLargePayloads(t *testing.T) {
 	}
 }
 
-func TestAllReduceSumAutoSelects(t *testing.T) {
-	// Small payloads and size<=2 take the binomial path; both paths
-	// must produce correct sums.
-	for _, elems := range []int{10, ringThresholdElems} {
-		const size = 4
-		w := world(t, 2, size)
-		err := w.Run(func(c *Comm) error {
-			data := make([]float64, elems)
-			for j := range data {
-				data[j] = float64(c.Rank() + 1)
+// TestAllReduceRowsSelects: AllReduceRows charges the binomial
+// reduce+broadcast below ringThresholdElems dense elements and the ring
+// at or above it, except on two ranks, and returns the right sum
+// either way: its clocks and traffic equal the dense call's.
+func TestAllReduceRowsSelects(t *testing.T) {
+	for _, tc := range []struct {
+		rows, width, size int
+		ring              bool
+	}{
+		{10, 4, 4, false},
+		{ringThresholdElems/64 - 1, 63, 4, false},
+		{ringThresholdElems / 64, 63, 4, true},
+		{ringThresholdElems / 64, 63, 2, false},
+	} {
+		run := func(rows bool) (float64, int64) {
+			stats := trace.NewStats()
+			w := MustWorld(machine.MustSpec(2), stats, tc.size)
+			err := w.Run(func(c *Comm) error {
+				if !rows {
+					data := make([]float64, tc.rows*tc.width)
+					ints := make([]int64, tc.rows)
+					if tc.ring {
+						return c.AllReduceSumRing(data, ints)
+					}
+					return c.AllReduceSum(data, ints)
+				}
+				part := NewRowSums(tc.rows, tc.width)
+				x := make([]float64, tc.width)
+				for u := range x {
+					x[u] = float64(c.Rank() + 1)
+				}
+				part.Add(tc.rows-1, x)
+				sum, err := c.AllReduceRows(part)
+				if err != nil {
+					return err
+				}
+				got, cnt := sum.Row(tc.rows - 1)
+				want := float64(tc.size * (tc.size + 1) / 2)
+				if len(sum.present) != 1 || cnt != int64(tc.size) || got[0] != want || got[tc.width-1] != want {
+					return fmt.Errorf("row sum %v (count %d), want %g (count %d)", got[:1], cnt, want, tc.size)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%+v: %v", tc, err)
 			}
-			if err := c.AllReduceSumAuto(data, nil); err != nil {
-				return err
-			}
-			want := float64(size * (size + 1) / 2)
-			if data[0] != want || data[elems-1] != want {
-				return fmt.Errorf("sum %g, want %g", data[0], want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Errorf("elems=%d: %v", elems, err)
+			return w.MaxTime(), stats.Snapshot().NetMessages
+		}
+		rt, rm := run(true)
+		dt, dm := run(false)
+		if rt != dt || rm != dm {
+			t.Errorf("%+v: AllReduceRows took %g s and %d messages, the dense call %g s and %d", tc, rt, rm, dt, dm)
 		}
 	}
 }
 
 func TestSegment(t *testing.T) {
-	// Segments cover [0,n) exactly for any p.
+	// Segments cover [0,n) exactly for any p, and segmentOf inverts
+	// them.
 	f := func(nRaw, pRaw uint8) bool {
 		n := int(nRaw)
 		p := int(pRaw)%16 + 1
@@ -144,6 +176,11 @@ func TestSegment(t *testing.T) {
 			lo, hi := segment(n, p, s)
 			if lo != prevHi || hi < lo {
 				return false
+			}
+			for e := lo; e < hi; e++ {
+				if segmentOf(n, p, e) != s {
+					return false
+				}
 			}
 			total += hi - lo
 			prevHi = hi

@@ -110,11 +110,12 @@ func TestDriverParityCollectives(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "min=%s%s;", bitsOf(vals), intsOf(idxs))
 
-			data := make([]float64, 3)
+			var data []float64
 			if r == 2 {
 				data = []float64{3.5, -1.25, 42}
 			}
-			if err := c.Bcast(2, data, nil); err != nil {
+			data, _, err := c.Bcast(2, data, nil)
+			if err != nil {
 				return err
 			}
 			fmt.Fprintf(&b, "bcast=%s;", bitsOf(data))

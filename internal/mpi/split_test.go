@@ -187,40 +187,92 @@ func TestNestedSplitMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBcastForwardsUnaliasedPayload: broadcast ranks forward the
-// payload they received, never their caller's buffer, so a rank that
-// overwrites its buffer as soon as Bcast returns cannot change what
-// its children (or the root's children) receive.
-func TestBcastForwardsUnaliasedPayload(t *testing.T) {
+// TestBcastSharesRootPayload: every member gets the root's own
+// slices, and a non-root's buffers are neither read nor written, so a
+// rank that scribbles over its buffer while the broadcast runs cannot
+// change what anybody receives.
+func TestBcastSharesRootPayload(t *testing.T) {
 	const size, root = 13, 3
 	want := []float64{1.5, -2.25, 3}
 	wantInts := []int64{7, -8}
 	for _, d := range []Driver{DriverGoroutine, DriverSched} {
 		w := world(t, 4, size)
 		w.SetDriver(d)
+		rootData, rootInts := slices.Clone(want), slices.Clone(wantInts)
 		err := w.Run(func(c *Comm) error {
-			data := make([]float64, len(want))
-			ints := make([]int64, len(wantInts))
+			data, ints := []float64{-1}, []int64{-1, -1, -1}
 			if c.Rank() == root {
-				copy(data, want)
-				copy(ints, wantInts)
+				data, ints = rootData, rootInts
 			}
-			if err := c.Bcast(root, data, ints); err != nil {
+			got, gotInts, err := c.Bcast(root, data, ints)
+			if err != nil {
 				return err
 			}
-			if !slices.Equal(data, want) || !slices.Equal(ints, wantInts) {
-				return fmt.Errorf("rank %d received %v %v", c.Rank(), data, ints)
+			if &got[0] != &rootData[0] || &gotInts[0] != &rootInts[0] {
+				return fmt.Errorf("rank %d received a copy, not the root's slices", c.Rank())
 			}
-			for i := range data {
-				data[i] = -1
+			if !slices.Equal(got, want) || !slices.Equal(gotInts, wantInts) {
+				return fmt.Errorf("rank %d received %v %v", c.Rank(), got, gotInts)
 			}
-			for i := range ints {
-				ints[i] = -1
+			if c.Rank() != root && (data[0] != -1 || !slices.Equal(ints, []int64{-1, -1, -1})) {
+				return fmt.Errorf("rank %d's own buffers were written: %v %v", c.Rank(), data, ints)
+			}
+			if c.Rank() != root {
+				data[0], ints[0] = 99, 99
 			}
 			return c.Barrier()
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
+		}
+	}
+}
+
+// TestAllReduceRowsSharesResult: every member of a row allreduce gets
+// the same result, and the members' partials are only read: each still
+// holds exactly the rows and sums it added, under both algorithms.
+func TestAllReduceRowsSharesResult(t *testing.T) {
+	const size = 6
+	for _, d := range []Driver{DriverGoroutine, DriverSched} {
+		for _, rows := range []int{8, ringThresholdElems / 64} {
+			w := world(t, 2, size)
+			w.SetDriver(d)
+			sums := make([]*RowSums, size)
+			err := w.Run(func(c *Comm) error {
+				part := NewRowSums(rows, 63)
+				x := make([]float64, 63)
+				for j := c.Rank() % 3; j < rows; j += 3 {
+					x[j%63] = float64(c.Rank() + j)
+					part.Add(j, x)
+				}
+				held := len(part.present)
+				sum, err := c.AllReduceRows(part)
+				if err != nil {
+					return err
+				}
+				sums[c.Rank()] = sum
+				if len(part.present) != held {
+					return fmt.Errorf("rank %d's partial went from %d to %d rows", c.Rank(), held, len(part.present))
+				}
+				for j := 0; j < rows; j++ {
+					row, n := part.Row(j)
+					if (j%3 == c.Rank()%3) != (n == 1) || (n == 1 && row[j%63] != float64(c.Rank()+j)) {
+						return fmt.Errorf("rank %d's partial row %d was written: count %d", c.Rank(), j, n)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/%d rows: %v", d, rows, err)
+			}
+			for r, sum := range sums {
+				if sum != sums[0] {
+					t.Fatalf("%s/%d rows: rank %d got its own result", d, rows, r)
+				}
+			}
+			if _, n := sums[0].Row(rows - 1); n != size/3 {
+				t.Errorf("%s/%d rows: last row count %d, want %d", d, rows, n, size/3)
+			}
 		}
 	}
 }

@@ -156,25 +156,32 @@ func addPhases(t *Table, prefix string, p obs.ProfilePhases) {
 	}
 }
 
-// LoadObs loads an observability export into a table, sniffing the
-// format: an aggregate profile JSON document (swkm-profile/1) or a
-// JSONL metrics log (whose rank_iter lines carry the same phase
-// seconds). Both normalize to per-(unit class, phase) seconds plus a
-// run total, so the two formats diff against each other.
+// LoadObs loads the observability export at path into a table (see
+// ParseObs).
 func LoadObs(path string) (*Table, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return ParseObs(path, raw)
+}
+
+// ParseObs parses an observability export into a table labelled
+// label, sniffing the format: an aggregate profile JSON document
+// (swkm-profile/1) or a JSONL metrics log (whose rank_iter lines carry
+// the same phase seconds). Both normalize to per-(unit class, phase)
+// seconds plus a run total, so the two formats diff against each
+// other.
+func ParseObs(label string, raw []byte) (*Table, error) {
 	trimmed := strings.TrimLeft(string(raw), " \t\r\n")
-	t := NewTable(path)
+	t := NewTable(label)
 	if strings.HasPrefix(trimmed, "{") && strings.Contains(trimmed[:min(len(trimmed), 256)], obs.ProfileSchema) {
 		var p obs.Profile
 		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, fmt.Errorf("profdiff: %s: parsing profile: %w", path, err)
+			return nil, fmt.Errorf("profdiff: %s: parsing profile: %w", label, err)
 		}
 		if p.Schema != obs.ProfileSchema {
-			return nil, fmt.Errorf("profdiff: %s: schema %q, want %q", path, p.Schema, obs.ProfileSchema)
+			return nil, fmt.Errorf("profdiff: %s: schema %q, want %q", label, p.Schema, obs.ProfileSchema)
 		}
 		var run obs.ProfilePhases
 		for _, c := range p.Classes {
@@ -211,7 +218,7 @@ func LoadObs(path string) (*Table, error) {
 		}
 		var ri rankIter
 		if err := json.Unmarshal([]byte(line), &ri); err != nil {
-			return nil, fmt.Errorf("profdiff: %s: parsing JSONL line: %w", path, err)
+			return nil, fmt.Errorf("profdiff: %s: parsing JSONL line: %w", label, err)
 		}
 		if ri.Type != "rank_iter" {
 			continue
@@ -225,10 +232,10 @@ func LoadObs(path string) (*Table, error) {
 		lines++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("profdiff: %s: reading: %w", path, err)
+		return nil, fmt.Errorf("profdiff: %s: reading: %w", label, err)
 	}
 	if lines == 0 {
-		return nil, fmt.Errorf("profdiff: %s: neither a %s profile nor a metrics JSONL with rank_iter lines", path, obs.ProfileSchema)
+		return nil, fmt.Errorf("profdiff: %s: neither a %s profile nor a metrics JSONL with rank_iter lines", label, obs.ProfileSchema)
 	}
 	addPhases(t, "run", run)
 	return t, nil

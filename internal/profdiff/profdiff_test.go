@@ -174,3 +174,40 @@ func TestDiffNewAndGoneRows(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseObs feeds arbitrary bytes to both of ParseObs' formats,
+// seeded with a real profile, a real metrics log and near misses of
+// each: it must return a table or an error, never panic, and a table
+// always carries the run rows.
+func FuzzParseObs(f *testing.F) {
+	var prof, jsonl bytes.Buffer
+	pr := obs.NewRollupRecorder()
+	drive(0)(pr)
+	if err := obs.WriteProfileJSON(&prof, pr); err != nil {
+		f.Fatal(err)
+	}
+	mr := obs.NewRecorder()
+	drive(0.5)(mr)
+	if err := obs.WriteMetricsJSONL(&jsonl, mr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(prof.Bytes())
+	f.Add(jsonl.Bytes())
+	f.Add(prof.Bytes()[:prof.Len()/2])
+	f.Add([]byte(`{"schema":"` + obs.ProfileSchema + `","classes":[{"class":"rank","units":-1}]}`))
+	f.Add([]byte("{\"type\":\"rank_iter\",\"unit\":\"\",\"total_seconds\":1e999}\n\n{"))
+	f.Add([]byte("not an export\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tab, err := ParseObs("fuzz", raw)
+		if err != nil {
+			return
+		}
+		found := false
+		for _, row := range Diff(tab, tab) {
+			found = found || strings.HasPrefix(row.Key, "run/")
+		}
+		if !found {
+			t.Fatalf("parsed %q without run rows", raw)
+		}
+	})
+}
