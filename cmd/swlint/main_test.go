@@ -12,17 +12,21 @@ import (
 )
 
 func TestListRules(t *testing.T) {
+	cfg, err := lint.DefaultConfig(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, id := range []string{
-		"no-wallclock", "float-eq", "guarded-field", "err-wrap", "ldm-capacity",
-		"ldm-provenance", "map-order", "collective-match", "goroutine-purity",
-		"hot-path-alloc", "bad-suppress", "unused-suppress",
-	} {
-		if !strings.Contains(stdout.String(), id) {
-			t.Errorf("-list output missing rule %s:\n%s", id, stdout.String())
+	rules := lint.AllRules(cfg)
+	if n := strings.Count(stdout.String(), "\n"); n != len(rules) {
+		t.Errorf("-list printed %d lines, want one per rule (%d):\n%s", n, len(rules), stdout.String())
+	}
+	for _, r := range rules {
+		if !strings.Contains(stdout.String(), r.ID()) {
+			t.Errorf("-list output missing rule %s:\n%s", r.ID(), stdout.String())
 		}
 	}
 }

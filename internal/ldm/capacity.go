@@ -3,7 +3,7 @@ package ldm
 import "repro/internal/machine"
 
 // This file centralizes the capacity arithmetic that engines and cost
-// models would otherwise re-derive by hand. The swlint ldm-capacity
+// models would otherwise re-derive by hand. The swlint ldm-provenance
 // rule forbids raw LDMBytesPerCPE arithmetic outside this package, so
 // every buffer-sizing decision traces back to the constraint algebra
 // of Section III in one place.

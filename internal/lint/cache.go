@@ -61,14 +61,11 @@ func RunWithOptions(cfg Config, patterns []string, opts RunOptions) ([]Finding, 
 	if err != nil {
 		return nil, err
 	}
-	rules := cfg.Rules
-	if len(rules) == 0 {
-		sums := NewSummarizer(cfg)
-		if opts.CacheDir != "" {
-			sums.SetCacheDir(opts.CacheDir)
-		}
-		rules = allRules(cfg, sums)
+	sums := NewSummarizer(cfg)
+	if opts.CacheDir != "" {
+		sums.SetCacheDir(opts.CacheDir)
 	}
+	rules := allRules(cfg, sums)
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -83,7 +80,7 @@ func RunWithOptions(cfg Config, patterns []string, opts RunOptions) ([]Finding, 
 	if opts.CacheDir != "" {
 		store = &cacheStore{
 			dir:    opts.CacheDir,
-			fp:     configFingerprint(cfg, rules),
+			fp:     configFingerprint(cfg),
 			hasher: newDepHasher(cfg.ModuleRoot, cfg.ModulePath),
 		}
 	}
@@ -152,9 +149,9 @@ func checkDir(loader *Loader, rules []Rule, store *cacheStore, dir string) ([]Fi
 }
 
 // configFingerprint digests everything about the configuration that
-// can change findings, so edited configs and rule sets never reuse
-// stale entries.
-func configFingerprint(cfg Config, rules []Rule) string {
+// can change findings, so edited configs never reuse stale entries.
+// The rule set is fixed per ToolVersion, which the digest carries.
+func configFingerprint(cfg Config) string {
 	h := sha256.New()
 	w := func(ss ...string) {
 		for _, s := range ss {
@@ -165,12 +162,6 @@ func configFingerprint(cfg Config, rules []Rule) string {
 	w("swlint", ToolVersion, cfg.ModulePath, cfg.LDMPackage, cfg.CommPackage, cfg.VClockPackage, cfg.DMAPackage, cfg.SchedPackage)
 	w(cfg.SimPackages...)
 	w(cfg.CapacityExempt...)
-	ids := make([]string, 0, len(rules))
-	for _, r := range rules {
-		ids = append(ids, r.ID())
-	}
-	sort.Strings(ids)
-	w(ids...)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -88,26 +88,20 @@ func TestParkRecheck(t *testing.T) {
 	}
 }
 
-// TestCollectiveOrder pins the path-sensitive order rule on shapes the
-// multiset matcher provably cannot see: collective-match (with the
-// same summaries) reports nothing on the fixture — asserted first —
-// yet three functions reorder the same collectives across rank arms.
+// TestCollectiveOrder pins collective-match's order check on shapes
+// where no collective is missing: three functions reorder the same
+// collectives across rank arms and are the fixture's only findings.
 // The blessed shapes stay silent: identical order inline and through a
 // helper (error guards are straight-line, not forks), mirrored
 // data-dependent forks, and a p2p recv loop against single sends.
 func TestCollectiveOrder(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "collorder", cfg.ModulePath+"/internal/fixture/collorder")
-	sums := testSummarizer(t)
 
-	if got := (CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: sums}).Check(p); len(got) != 0 {
-		t.Fatalf("collective-match reported %d finding(s) on the order fixture; it must stay multiset-clean so the misses are provable:\n%v", len(got), got)
-	}
-
-	rule := CollectiveOrderRule{CommPackage: cfg.CommPackage, Sums: sums}
+	rule := CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: testSummarizer(t)}
 	checkFindings(t, rule.Check(p), []expect{
-		{"collective-order", "collorder.go", 14, "rank-divergent collective order"},
-		{"collective-order", "collorder.go", 31, "rank-divergent collective order"},
-		{"collective-order", "collorder.go", 50, "rank-divergent collective order"},
+		{"collective-match", "collorder.go", 14, "rank-divergent collective order"},
+		{"collective-match", "collorder.go", 31, "rank-divergent collective order"},
+		{"collective-match", "collorder.go", 50, "rank-divergent collective order"},
 	})
 }

@@ -134,7 +134,7 @@ func (g *flowGraph) derivesFrom(expr ast.Expr, pred func(ast.Expr) bool) bool {
 // call the oracle reports whether the result is itself a source (a
 // callee whose summary returns tainted values) and which argument
 // indices flow through to the result, letting taint cross function
-// boundaries. A nil oracle restores the v2 opaque-call behavior.
+// boundaries. A nil oracle, derivesFrom's, keeps every call opaque.
 func (g *flowGraph) derivesVia(expr ast.Expr, pred func(ast.Expr) bool, oracle func(*ast.CallExpr) (bool, []int)) bool {
 	return g.derives(expr, pred, oracle, make(map[*types.Var]bool))
 }
@@ -272,7 +272,7 @@ func isRankSource(p *Package, e ast.Expr) bool {
 // rankDependent reports whether cond's value depends on the calling
 // rank: it mentions a rank source directly, or a local variable whose
 // value flows from one (covering `pos := c.Rank() % m; if pos == 0`).
-// A non-nil oracle extends the flow through calls to helpers whose
+// The oracle extends the flow through calls to helpers whose
 // summaries return rank-derived values.
 func rankDependent(p *Package, g *flowGraph, cond ast.Expr, oracle func(*ast.CallExpr) (bool, []int)) bool {
 	return g.derivesVia(cond, func(e ast.Expr) bool { return isRankSource(p, e) }, oracle)

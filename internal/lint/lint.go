@@ -13,14 +13,14 @@
 // the paper section it protects.
 //
 // Beyond the per-file syntactic rules, the package carries a
-// lightweight function-level dataflow engine (dataflow.go) and a
-// call-graph-driven interprocedural summary layer (summary.go):
-// bottom-up per-function summaries record transitively invoked
-// collectives, rank and LDM-capacity taint through parameters and
-// returns, package-variable writes, and allocation behavior, letting
-// the semantic rules map-order, collective-match, goroutine-purity,
-// ldm-provenance and hot-path-alloc report through helper calls with
-// the call chain in the message. On top sits the tooling layer of a
+// lightweight function-level dataflow engine (dataflow.go), a
+// call-graph-driven interprocedural summary layer (summary.go) and
+// per-function control-flow graphs (cfg.go). Bottom-up per-function
+// summaries record transitively invoked collectives, rank and
+// LDM-capacity taint through parameters and returns, package-variable
+// writes, blocking points and allocation behavior, and every semantic
+// rule consults them, so findings reach through helper calls with the
+// call chain in the message. On top sits the tooling layer of a
 // real analyzer: SARIF 2.1.0 export (sarif.go), a checked-in findings
 // baseline (baseline.go), mechanical autofixes (fix.go) and a
 // content-hash keyed result cache with parallel per-package analysis
@@ -86,12 +86,12 @@ type Config struct {
 	SimPackages []string
 	// LDMPackage is the import path of the central capacity-check
 	// package; CapacityExempt packages may touch raw LDM capacity
-	// without routing through it (rule ldm-capacity).
+	// without routing through it (rule ldm-provenance).
 	LDMPackage     string
 	CapacityExempt []string
 	// CommPackage and VClockPackage locate the communicator and
 	// virtual-clock types for the dataflow rules (collective-match,
-	// map-order).
+	// map-order, lock-across-park).
 	CommPackage   string
 	VClockPackage string
 	// DMAPackage hosts the transfer engine whose size arguments the
@@ -100,8 +100,6 @@ type Config struct {
 	// SchedPackage hosts the discrete-event scheduler whose Task.Park
 	// protocol the lock-across-park and park-recheck rules enforce.
 	SchedPackage string
-	// Rules is the rule set to run. Empty means AllRules(cfg).
-	Rules []Rule
 }
 
 // simPackageSuffixes is the default rule no-wallclock scope: the
@@ -149,8 +147,8 @@ func DefaultConfig(dir string) (Config, error) {
 	return cfg, nil
 }
 
-// AllRules returns the full rule set parameterized by cfg: the five
-// syntactic rules, the eight semantic rules backed by a shared
+// AllRules returns the full rule set parameterized by cfg: the four
+// syntactic rules, the seven semantic rules backed by a shared
 // interprocedural summarizer and the CFG layer, and the two
 // pseudo-rules the suppression machinery reports through.
 func AllRules(cfg Config) []Rule {
@@ -165,16 +163,14 @@ func allRules(cfg Config, sums *Summarizer) []Rule {
 		FloatEqRule{},
 		GuardedFieldRule{},
 		ErrWrapRule{},
-		LDMCapacityRule{LDMPackage: cfg.LDMPackage, Exempt: cfg.CapacityExempt},
 		LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt, Sums: sums},
 		MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: sums},
 		CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: sums},
-		CollectiveOrderRule{CommPackage: cfg.CommPackage, Sums: sums},
 		GoroutinePurityRule{SimPackages: cfg.SimPackages, Sums: sums},
 		HotPathAllocRule{Sums: sums},
 		LockAcrossParkRule{CommPackage: cfg.CommPackage, VClockPackage: cfg.VClockPackage, SchedPackage: cfg.SchedPackage, Sums: sums},
 		ParkRecheckRule{SchedPackage: cfg.SchedPackage, Sums: sums},
-		metaRule{id: BadSuppressID, doc: "suppressions must name rules and carry a reason: //swlint:ignore <rule> -- <reason>"},
+		metaRule{id: BadSuppressID, doc: "suppressions must name catalogued rules and carry a reason: //swlint:ignore <rule> -- <reason>"},
 		metaRule{id: UnusedSuppressID, doc: "suppressions that match no finding are stale and must be deleted"},
 	}
 }
@@ -243,7 +239,10 @@ func sortFindings(fs []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.RuleID < b.RuleID
+		if a.RuleID != b.RuleID {
+			return a.RuleID < b.RuleID
+		}
+		return a.Message < b.Message
 	})
 }
 

@@ -78,6 +78,7 @@ func checkFindings(t *testing.T, got []Finding, want []expect) {
 
 func TestRuleFixtures(t *testing.T) {
 	_, cfg := fixtureLoader(t)
+	sums := testSummarizer(t)
 	tests := []struct {
 		name    string
 		fixture string
@@ -141,27 +142,31 @@ func TestRuleFixtures(t *testing.T) {
 			want:    nil,
 		},
 		{
-			name:    "ldm-capacity flags raw capacity use without a central check",
+			// HelperChecked reads the capacity behind a helper's Check*
+			// and is blessed: one gate, seen through summaries, serves
+			// raw reads and sizes alike.
+			name:    "ldm-provenance flags raw capacity use without a central check",
 			fixture: "ldmcap",
 			as:      cfg.ModulePath + "/internal/fixture/ldmcap",
-			rule:    LDMCapacityRule{LDMPackage: cfg.LDMPackage, Exempt: cfg.CapacityExempt},
+			rule:    LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt, Sums: sums},
 			want: []expect{
-				{"ldm-capacity", "ldmcap.go", 15, "HandRolled uses raw LDM capacity"},
-				{"ldm-capacity", "ldmcap.go", 32, "Alloc uses raw LDM capacity"},
+				{"ldm-provenance", "ldmcap.go", 15, "HandRolled uses raw LDM capacity"},
+				{"ldm-provenance", "ldmcap.go", 32, "Alloc uses raw LDM capacity"},
+				{"ldm-provenance", "ldmcap.go", 33, "size feeding Allocator.AllocFloats"},
 			},
 		},
 		{
-			name:    "ldm-capacity exempts the machine-description package",
+			name:    "ldm-provenance exempts the machine-description package",
 			fixture: "ldmcap",
 			as:      cfg.ModulePath + "/internal/machine",
-			rule:    LDMCapacityRule{LDMPackage: cfg.LDMPackage, Exempt: cfg.CapacityExempt},
+			rule:    LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt, Sums: sums},
 			want:    nil,
 		},
 		{
 			name:    "map-order flags order-sensitive effects and blesses sorted collection",
 			fixture: "maporder",
 			as:      cfg.ModulePath + "/internal/core",
-			rule:    MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage},
+			rule:    MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: sums},
 			want: []expect{
 				{"map-order", "maporder.go", 12, "package variable counts"},
 				{"map-order", "maporder.go", 20, "append to slice out"},
@@ -179,26 +184,45 @@ func TestRuleFixtures(t *testing.T) {
 			name:    "map-order is silent outside the simulation packages",
 			fixture: "maporder",
 			as:      cfg.ModulePath + "/internal/report",
-			rule:    MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage},
+			rule:    MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: sums},
 			want:    nil,
 		},
 		{
 			name:    "collective-match flags lone rank-conditional collectives",
 			fixture: "collective",
 			as:      cfg.ModulePath + "/internal/fixture/collective",
-			rule:    CollectiveMatchRule{CommPackage: cfg.CommPackage},
+			rule:    CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: sums},
 			want: []expect{
 				{"collective-match", "collective.go", 13, "no matching Bcast"},
 				{"collective-match", "collective.go", 45, "no matching Barrier"},
 				{"collective-match", "collective.go", 53, "no matching AllReduceSum"},
 				{"collective-match", "collective.go", 85, "no matching AllReduceRows"},
+				// CaseArm and SelectArm: rank branches directly in a
+				// case and a comm clause body.
+				{"collective-match", "collective.go", 97, "no matching Barrier in the code after this early-exit branch"},
+				{"collective-match", "collective.go", 108, "no matching Barrier in the code after this early-exit branch"},
+				// ElseIfChain: reordered against the chain, and missing
+				// at the else-if link.
+				{"collective-match", "collective.go", 120, "may enter [Bcast] while the else-if chain enters [∅]"},
+				{"collective-match", "collective.go", 122, "no matching Bcast in the code after this early-exit branch"},
+				// NestedRankArm: the outer arms reorder, the inner rank
+				// branch misses each call.
+				{"collective-match", "collective.go", 134, "no matching Barrier in the else arm"},
+				{"collective-match", "collective.go", 134, "may enter [Barrier] while the else arm enters [Barrier → Bcast]"},
+				{"collective-match", "collective.go", 136, "no matching Bcast in the then arm"},
+				// ThreeWayChain: the chain head and the else-if link both
+				// miss AllGatherInts; it is reported once.
+				{"collective-match", "collective.go", 152, "no matching Barrier in the else arm"},
+				{"collective-match", "collective.go", 154, "no matching Bcast in the else arm"},
+				{"collective-match", "collective.go", 154, "no matching Bcast in the then arm"},
+				{"collective-match", "collective.go", 156, "no matching AllGatherInts in the then arm"},
 			},
 		},
 		{
 			name:    "goroutine-purity flags order-sensitive fan-in, blesses scatter and guarded reduce",
 			fixture: "goroutine",
 			as:      cfg.ModulePath + "/internal/core",
-			rule:    GoroutinePurityRule{SimPackages: cfg.SimPackages},
+			rule:    GoroutinePurityRule{SimPackages: cfg.SimPackages, Sums: sums},
 			want: []expect{
 				{"goroutine-purity", "goroutine.go", 19, "writes shared variable shared"},
 				{"goroutine-purity", "goroutine.go", 51, "select chooses pseudo-randomly"},
@@ -219,10 +243,10 @@ func TestRuleFixtures(t *testing.T) {
 // TestSuppressions proves the ignore machinery end to end: the raw
 // rule sees every seeded violation; CheckPackage filters exactly the
 // ones carrying a well-formed matching //swlint:ignore — trailing,
-// preceding and comma-list forms — while wrong-rule, malformed and
-// out-of-range comments suppress nothing; and the machinery's own
-// bad-suppress/unused-suppress findings surface, scoped to the rules
-// that actually ran.
+// preceding and comma-list forms — while wrong-rule, unknown-rule,
+// malformed and out-of-range comments suppress nothing; and the
+// machinery's own findings surface: bad-suppress on every run,
+// unused-suppress scoped to the rules that actually ran.
 func TestSuppressions(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "suppress", cfg.ModulePath+"/internal/fixture/suppress")
@@ -235,6 +259,8 @@ func TestSuppressions(t *testing.T) {
 		{"float-eq", "suppress.go", 26, "floating-point"},
 		{"float-eq", "suppress.go", 33, "floating-point"},
 		{"float-eq", "suppress.go", 41, "floating-point"},
+		{"float-eq", "suppress.go", 48, "floating-point"},
+		{"float-eq", "suppress.go", 54, "floating-point"},
 	})
 
 	filtered := CheckPackage([]Rule{FloatEqRule{}}, p)
@@ -244,6 +270,10 @@ func TestSuppressions(t *testing.T) {
 		{"float-eq", "suppress.go", 33, "floating-point"},    // malformed comment suppresses nothing
 		{"unused-suppress", "suppress.go", 39, "matched no"}, // out of range, so stale
 		{"float-eq", "suppress.go", 41, "floating-point"},    // comment out of range
+		{"bad-suppress", "suppress.go", 47, "unknown rule"},  // misspelled ID
+		{"float-eq", "suppress.go", 48, "floating-point"},    // unknown ID suppresses nothing
+		{"bad-suppress", "suppress.go", 53, "unknown rule"},  // retired ID
+		{"float-eq", "suppress.go", 54, "floating-point"},    // retired ID suppresses nothing
 	})
 
 	// With err-wrap in the run, the err-wrap half of the comma-list
@@ -257,6 +287,10 @@ func TestSuppressions(t *testing.T) {
 		{"float-eq", "suppress.go", 33, "floating-point"},
 		{"unused-suppress", "suppress.go", 39, "matched no"},
 		{"float-eq", "suppress.go", 41, "floating-point"},
+		{"bad-suppress", "suppress.go", 47, "unknown rule flaot-eq"},
+		{"float-eq", "suppress.go", 48, "floating-point"},
+		{"bad-suppress", "suppress.go", 53, "unknown rule"},
+		{"float-eq", "suppress.go", 54, "floating-point"},
 	})
 }
 
@@ -283,8 +317,8 @@ func TestDefaultConfig(t *testing.T) {
 			t.Errorf("SimPackages missing %s", sim)
 		}
 	}
-	if len(AllRules(cfg)) != 15 {
-		t.Errorf("AllRules returned %d rules, want 15", len(AllRules(cfg)))
+	if len(AllRules(cfg)) != 13 {
+		t.Errorf("AllRules returned %d rules, want 13", len(AllRules(cfg)))
 	}
 	if cfg.DMAPackage != "repro/internal/dma" {
 		t.Errorf("DMAPackage = %q", cfg.DMAPackage)

@@ -32,11 +32,10 @@ import (
 type GoroutinePurityRule struct {
 	// SimPackages scopes the rule, like no-wallclock.
 	SimPackages []string
-	// Sums, when non-nil, lifts the calls-are-trusted limit: a `go`
-	// statement spawning a named function — or a call made from inside
-	// a goroutine literal — whose summary writes package-level
-	// variables is flagged at the call site with the call chain. Nil
-	// restores the v2 intraprocedural behavior.
+	// Sums lifts the calls-are-trusted limit: a `go` statement
+	// spawning a named function — or a call made from inside a
+	// goroutine literal — whose summary writes package-level variables
+	// is flagged at the call site with the call chain.
 	Sums *Summarizer
 }
 
@@ -101,9 +100,8 @@ func (r GoroutinePurityRule) Check(p *Package) []Finding {
 
 // checkGo verifies that a goroutine's externally visible writes are
 // order-insensitive. The goroutine body is the called function literal
-// when there is one; calls to named functions are opaque and trusted
-// (the intraprocedural limit — the callee is analyzed in its own
-// right if it lives in a simulation package).
+// when there is one; a named function is judged by its summary's
+// package-variable writes (checkImpureCall).
 func (r GoroutinePurityRule) checkGo(p *Package, guarded map[*types.Var]bool, g *ast.GoStmt) []Finding {
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
@@ -209,9 +207,6 @@ func (r GoroutinePurityRule) checkGo(p *Package, guarded map[*types.Var]bool, g 
 // receivers stay out of model (the caller may well pass goroutine-local
 // state), so only the unambiguous package-variable core is reported.
 func (r GoroutinePurityRule) checkImpureCall(p *Package, call *ast.CallExpr) []Finding {
-	if r.Sums == nil {
-		return nil
-	}
 	sum := r.Sums.ForCall(p, call)
 	if sum == nil {
 		return nil

@@ -32,14 +32,13 @@ import (
 //   - interface boxing: a concrete-typed argument passed to an
 //     interface-typed parameter,
 //   - calls to module-local functions whose summaries allocate, with
-//     the call chain in the message (summaries enabled).
+//     the call chain in the message.
 //
 // Deliberate allocations (error paths, once-per-convergence slow
 // paths) carry a //swlint:ignore hot-path-alloc -- <reason> at the
 // offending line.
 type HotPathAllocRule struct {
-	// Sums enables the allocating-callee check; nil limits the rule to
-	// direct allocations.
+	// Sums supplies the summaries behind the allocating-callee check.
 	Sums *Summarizer
 }
 
@@ -198,16 +197,14 @@ func (r HotPathAllocRule) checkHotLoop(p *Package, g *flowGraph, files *fileSour
 				return true
 			}
 			out = append(out, r.boxedArgs(p, n)...)
-			if r.Sums != nil {
-				if sum := r.Sums.ForCall(p, n); sum != nil && len(sum.Allocs) > 0 {
-					a := sum.Allocs[0]
-					msg := "call to " + sum.Name + " " + a.Detail
-					if a.Chain != "" {
-						msg += " (via " + a.Chain + ")"
-					}
-					msg += " inside a //swlint:hot loop; hoist the allocation or pass scratch buffers in"
-					out = append(out, Finding{RuleID: r.ID(), Pos: p.Fset.Position(n.Pos()), Message: msg})
+			if sum := r.Sums.ForCall(p, n); sum != nil && len(sum.Allocs) > 0 {
+				a := sum.Allocs[0]
+				msg := "call to " + sum.Name + " " + a.Detail
+				if a.Chain != "" {
+					msg += " (via " + a.Chain + ")"
 				}
+				msg += " inside a //swlint:hot loop; hoist the allocation or pass scratch buffers in"
+				out = append(out, Finding{RuleID: r.ID(), Pos: p.Fset.Position(n.Pos()), Message: msg})
 			}
 		}
 		return true

@@ -2,43 +2,45 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
-// LDMProvenanceRule enforces the provenance half of the paper's
-// capacity story. ldm-capacity demands that the feasibility arithmetic
-// live in internal/ldm; this rule demands that the numbers actually
-// used — every length feeding a DMA transfer or an LDM buffer — derive
-// from that model. A size invented at the call site ("4096 floats
-// ought to fit") type-checks, passes ldm-capacity if a Check* call is
-// nearby, and silently violates constraint C1 the day k or d grows.
+// LDMProvenanceRule keeps the paper's capacity constraints in one
+// place. Which problem shapes fit which partition level is governed by
+// the closed-form feasibility conditions of Section III (C1..C″3,
+// d(1+2k)+k ≤ m·LDM and friends), implemented once in internal/ldm.
+// Outside that package the rule flags two kinds of hand-rolled
+// capacity arithmetic:
 //
-// Sinks are the size-carrying arguments of the DMA engine
-// (Engine.Charge's element count, the buffers of Engine.Get/Put) and
-// of the LDM allocator (Allocator.Alloc/AllocFloats). A sink is
-// blessed when either
+//   - raw capacity: a function that allocates LDM buffers
+//     (ldm.NewAllocator) or reads the raw capacity
+//     (Spec.LDMBytesPerCPE) is re-deriving the conditions by hand;
+//   - sizes: every length feeding a DMA transfer (Engine.Charge's
+//     element count, the buffers of Engine.Get/Put) or an LDM buffer
+//     (Allocator.Alloc/AllocFloats) must derive — through local flow,
+//     make() sizing and helper summaries — from an internal/ldm
+//     capacity function (Level1StreamChunk, ResidentBatch, ...) or
+//     constant. A size invented at the call site ("4096 floats ought
+//     to fit") type-checks and silently violates constraint C1 the day
+//     k or d grows.
 //
-//   - its value derives — through local flow, make() sizing, and, with
-//     summaries, through calls — from an internal/ldm capacity function
-//     (Level1StreamChunk, ResidentBatch, ...) or constant, or
-//   - the enclosing function is gated by an ldm.Check* feasibility
-//     call, directly or through a helper whose summary carries the
-//     check (the same escape ldm-capacity honors: a checked shape may
-//     size its buffers from the checked k and d).
-//
+// One gate blesses both: a function gated by an ldm.Check* feasibility
+// call, directly or through a helper whose summary carries the check,
+// may read the capacity and size its buffers from the checked k and d.
 // The rule is interprocedural on both sides: a helper returning
 // ldm.Level1StreamChunk(...) propagates provenance to its callers, and
 // a helper that performs the Check* gates its callers.
 type LDMProvenanceRule struct {
 	// LDMPackage is the central capacity package; DMAPackage hosts the
-	// transfer engine whose sizes are checked.
+	// transfer engine, whose own calls are not sinks.
 	LDMPackage string
 	DMAPackage string
-	// Exempt packages may size transfers freely: the capacity and
-	// machine-description packages themselves.
+	// Exempt packages may use raw capacity and size buffers freely: the
+	// capacity package itself and the machine-description package that
+	// defines the field.
 	Exempt []string
-	// Sums enables interprocedural provenance; nil limits the analysis
-	// to direct ldm calls and same-function Check* gating.
+	// Sums supplies the helper summaries.
 	Sums *Summarizer
 }
 
@@ -47,18 +49,20 @@ func (LDMProvenanceRule) ID() string { return "ldm-provenance" }
 
 // Doc implements Rule.
 func (LDMProvenanceRule) Doc() string {
-	return "sizes feeding DMA transfers and LDM buffers must derive from the internal/ldm capacity model or sit behind an ldm.Check* gate"
+	return "LDM allocation, raw capacity reads and DMA/LDM buffer sizes must derive from the internal/ldm capacity model or sit behind an ldm.Check* gate"
 }
+
+// capacityField is the raw per-CPE scratchpad size on the machine
+// spec; reading it outside the exempt packages is hand-rolled
+// capacity arithmetic.
+const capacityField = "LDMBytesPerCPE"
 
 // Check implements Rule.
 func (r LDMProvenanceRule) Check(p *Package) []Finding {
-	if p.Path == r.LDMPackage || p.Path == r.DMAPackage || hasSuffixPath(p.Path, r.Exempt) {
+	if p.Path == r.LDMPackage || hasSuffixPath(p.Path, r.Exempt) {
 		return nil
 	}
-	var oracle func(*ast.CallExpr) (bool, []int)
-	if r.Sums != nil {
-		oracle = r.Sums.LDMTaint(p)
-	}
+	oracle := r.Sums.LDMTaint(p)
 	var out []Finding
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -66,18 +70,22 @@ func (r LDMProvenanceRule) Check(p *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
+			raw, sinks := r.uses(p, fd)
+			if (raw == nil && len(sinks) == 0) || r.gated(p, fd) {
+				continue
+			}
+			if raw != nil {
+				out = append(out, Finding{
+					RuleID: r.ID(),
+					Pos:    p.Fset.Position(raw.Pos()),
+					Message: "function " + fd.Name.Name + " uses raw LDM capacity without a central " +
+						"feasibility check; call ldm.Check* first or move the arithmetic into " + r.LDMPackage,
+				})
+			}
 			// The whole declaration, literals included, is one unit: a
 			// Check* gate at the top blesses sizes in the worker
 			// literals it guards (the sw26010 mesh.Run shape).
-			unit := funcUnit{node: fd, body: fd.Body, doc: fd.Doc}
-			sinks := r.sinkArgs(p, fd)
-			if len(sinks) == 0 {
-				continue
-			}
-			if r.gated(p, fd) {
-				continue
-			}
-			g := newFlowGraph(p, unit)
+			g := newFlowGraph(p, funcUnit{node: fd, body: fd.Body, doc: fd.Doc})
 			for _, sink := range sinks {
 				if g.derivesVia(sink.arg, func(e ast.Expr) bool { return ldmSource(p, r.LDMPackage, e) }, oracle) {
 					continue
@@ -100,49 +108,66 @@ type provSink struct {
 	op  string
 }
 
-// sinkArgs collects the size-carrying arguments of the declaration's
-// DMA-engine and LDM-allocator calls.
-func (r LDMProvenanceRule) sinkArgs(p *Package, fd *ast.FuncDecl) []provSink {
-	var out []provSink
+// uses returns the declaration's first raw capacity use — an
+// ldm.NewAllocator call or a Spec.LDMBytesPerCPE read — and the
+// size-carrying arguments of its DMA-engine and LDM-allocator calls.
+func (r LDMProvenanceRule) uses(p *Package, fd *ast.FuncDecl) (raw ast.Node, sinks []provSink) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
-		switch {
-		case r.DMAPackage != "" && receiverNamed(p, call, r.DMAPackage, "Engine"):
-			switch name {
-			case "Charge":
-				if len(call.Args) >= 2 {
-					out = append(out, provSink{arg: call.Args[1], op: "Engine." + name})
-				}
-			case "Get", "Put":
-				for _, i := range []int{1, 2} {
-					if i < len(call.Args) {
-						out = append(out, provSink{arg: call.Args[i], op: "Engine." + name})
-					}
-				}
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if sel, ok := p.Info.Selections[n]; ok && raw == nil && n.Sel.Name == capacityField && sel.Kind() == types.FieldVal {
+				raw = n
 			}
-		case r.LDMPackage != "" && receiverNamed(p, call, r.LDMPackage, "Allocator"):
-			switch name {
-			case "Alloc", "AllocFloats":
-				if len(call.Args) >= 2 {
-					out = append(out, provSink{arg: call.Args[1], op: "Allocator." + name})
-				}
+		case *ast.CallExpr:
+			if fn := calleeFunc(p, n); raw == nil && fn != nil && fn.Pkg() != nil &&
+				fn.Pkg().Path() == r.LDMPackage && fn.Name() == "NewAllocator" {
+				raw = n
+			}
+			if p.Path != r.DMAPackage {
+				sinks = append(sinks, r.sinkArgs(p, n)...)
 			}
 		}
 		return true
 	})
+	return raw, sinks
+}
+
+// sinkArgs returns the size-carrying arguments of one DMA-engine or
+// LDM-allocator call.
+func (r LDMProvenanceRule) sinkArgs(p *Package, call *ast.CallExpr) []provSink {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	name := sel.Sel.Name
+	var op string
+	var idx []int
+	switch {
+	case receiverNamed(p, call, r.DMAPackage, "Engine"):
+		op = "Engine." + name
+		switch name {
+		case "Charge":
+			idx = []int{1}
+		case "Get", "Put":
+			idx = []int{1, 2}
+		}
+	case receiverNamed(p, call, r.LDMPackage, "Allocator"):
+		op = "Allocator." + name
+		if name == "Alloc" || name == "AllocFloats" {
+			idx = []int{1}
+		}
+	}
+	var out []provSink
+	for _, i := range idx {
+		if i < len(call.Args) {
+			out = append(out, provSink{arg: call.Args[i], op: op})
+		}
+	}
 	return out
 }
 
 // gated reports whether the declaration calls an ldm.Check*
-// feasibility check, directly or — with summaries — through a helper.
+// feasibility check, directly or through a helper.
 func (r LDMProvenanceRule) gated(p *Package, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -158,11 +183,9 @@ func (r LDMProvenanceRule) gated(p *Package, fd *ast.FuncDecl) bool {
 			found = true
 			return false
 		}
-		if r.Sums != nil {
-			if sum := r.Sums.ForCall(p, call); sum != nil && sum.ChecksLDM {
-				found = true
-				return false
-			}
+		if sum := r.Sums.ForCall(p, call); sum != nil && sum.ChecksLDM {
+			found = true
+			return false
 		}
 		return true
 	})

@@ -43,9 +43,9 @@ type LockAcrossParkRule struct {
 	CommPackage   string
 	VClockPackage string
 	SchedPackage  string
-	// Sums, when non-nil, extends the rule through the call graph:
-	// calling a helper whose summary blocks (parks, syncs, or enters a
-	// collective) counts as blocking at the call site.
+	// Sums extends the rule through the call graph: calling a helper
+	// whose summary blocks (parks, syncs, or enters a collective) counts
+	// as blocking at the call site.
 	Sums *Summarizer
 }
 
@@ -66,8 +66,8 @@ type blockPoint struct {
 
 // blockingPoint classifies a call as a scheduler blocking point:
 // Task.Park, Group.Sync, a blocking Comm collective (every tracked
-// collective blocks, point-to-point included), or — with summaries — a
-// module-local helper that transitively reaches one.
+// collective blocks, point-to-point included), or a module-local
+// helper that transitively reaches one.
 func blockingPoint(p *Package, call *ast.CallExpr, commPkg, vclockPkg, schedPkg string, sums *Summarizer) (blockPoint, bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
@@ -83,16 +83,14 @@ func blockingPoint(p *Package, call *ast.CallExpr, commPkg, vclockPkg, schedPkg 
 			}
 		}
 	}
-	if sums != nil {
-		if sum := sums.ForCall(p, call); sum != nil {
-			if len(sum.Blocks) > 0 {
-				b := sum.Blocks[0]
-				return blockPoint{desc: b.Detail, via: mergeChain(sum.Name, b.Chain)}, true
-			}
-			if len(sum.Collectives) > 0 {
-				c := sum.Collectives[0]
-				return blockPoint{desc: "Comm." + c.Name, via: mergeChain(sum.Name, c.Chain)}, true
-			}
+	if sum := sums.ForCall(p, call); sum != nil {
+		if len(sum.Blocks) > 0 {
+			b := sum.Blocks[0]
+			return blockPoint{desc: b.Detail, via: mergeChain(sum.Name, b.Chain)}, true
+		}
+		if len(sum.Collectives) > 0 {
+			c := sum.Collectives[0]
+			return blockPoint{desc: "Comm." + c.Name, via: mergeChain(sum.Name, c.Chain)}, true
 		}
 	}
 	return blockPoint{}, false

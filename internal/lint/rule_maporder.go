@@ -36,11 +36,10 @@ type MapOrderRule struct {
 	// communicator types whose use inside a map range is order-sensitive.
 	VClockPackage string
 	CommPackage   string
-	// Sums, when non-nil, makes calls transparent: a call to a helper
-	// whose summary carries shared writes or order-sensitive effects
-	// (channel sends, clock advancement, communicator traffic) is an
-	// effect of the range body, reported with the call chain. Nil
-	// restores the v2 intraprocedural behavior.
+	// Sums makes calls transparent: a call to a helper whose summary
+	// carries shared writes or order-sensitive effects (channel sends,
+	// clock advancement, communicator traffic) is an effect of the
+	// range body, reported with the call chain.
 	Sums *Summarizer
 }
 
@@ -164,11 +163,9 @@ func (r MapOrderRule) rangeEffects(p *Package, g *flowGraph, rng *ast.RangeStmt)
 				effects = append(effects, mapEffect{pos: n.Pos(), kind: "virtual-clock advancement"})
 			} else if r.CommPackage != "" && receiverNamed(p, n, r.CommPackage, "Comm") {
 				effects = append(effects, mapEffect{pos: n.Pos(), kind: "communicator operation"})
-			} else if r.Sums != nil {
-				if sum := r.Sums.ForCall(p, n); sum != nil {
-					if kind := summaryOrderEffect(sum); kind != "" {
-						effects = append(effects, mapEffect{pos: n.Pos(), kind: kind})
-					}
+			} else if sum := r.Sums.ForCall(p, n); sum != nil {
+				if kind := summaryOrderEffect(sum); kind != "" {
+					effects = append(effects, mapEffect{pos: n.Pos(), kind: kind})
 				}
 			}
 		}

@@ -31,8 +31,8 @@ import (
 // each wake) and the finding carries a -fix edit.
 type ParkRecheckRule struct {
 	SchedPackage string
-	// Sums, when non-nil, propagates unchecked parks out of helpers so
-	// the obligation follows the call graph.
+	// Sums propagates unchecked parks out of helpers so the obligation
+	// follows the call graph.
 	Sums *Summarizer
 }
 
@@ -77,14 +77,12 @@ func (r ParkRecheckRule) Check(p *Package) []Finding {
 				obligations = append(obligations, parkObligation{call: call})
 				return true
 			}
-			if r.Sums != nil {
-				if sum := r.Sums.ForCall(p, call); sum != nil && len(sum.ParksUnchecked) > 0 {
-					e := sum.ParksUnchecked[0]
-					obligations = append(obligations, parkObligation{
-						call: call,
-						via:  mergeChain(sum.Name, e.Chain),
-					})
-				}
+			if sum := r.Sums.ForCall(p, call); sum != nil && len(sum.ParksUnchecked) > 0 {
+				e := sum.ParksUnchecked[0]
+				obligations = append(obligations, parkObligation{
+					call: call,
+					via:  mergeChain(sum.Name, e.Chain),
+				})
 			}
 			return true
 		})

@@ -88,7 +88,7 @@ type sarifRegion struct {
 // ToolVersion identifies the analyzer in SARIF output and keys the
 // result cache; bump it whenever rule behavior changes so stale cache
 // entries and code-scanning alert identities roll over together.
-const ToolVersion = "4.0.0"
+const ToolVersion = "5.0.0"
 
 // WriteSARIF writes the findings as a SARIF 2.1.0 document. The rule
 // table lists every rule of the run (findings or not), so code

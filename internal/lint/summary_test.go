@@ -14,27 +14,16 @@ func testSummarizer(t *testing.T) *Summarizer {
 	return NewSummarizer(cfg)
 }
 
-// TestInterprocCollectives is the v3 acceptance demonstration: the
-// helper-wrapped collectives and helper-derived rank conditions in the
-// interproc fixture are invisible to the v2 intraprocedural rule and
-// caught with summaries enabled, with the call chain in the message —
-// while the one finding v2 does emit (BothArms) is a false positive
-// the summaries dissolve.
+// TestInterprocCollectives pins the helper-wrapped collectives and
+// helper-derived rank conditions in the interproc fixture, each caught
+// with the call chain in the message, while BothArms — a direct Bcast
+// whose partner hides in the helper on the other arm — stays clean.
 func TestInterprocCollectives(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "interproc", cfg.ModulePath+"/internal/core")
 
-	// The v2 intraprocedural rule misses every helper-wrapped shape —
-	// and falsely flags BothArms' direct Bcast, whose partner hides in
-	// the helper on the other arm. Both directions of the gap must hold
-	// for the fixture to stay meaningful.
-	v2 := CollectiveMatchRule{CommPackage: cfg.CommPackage}
-	checkFindings(t, v2.Check(p), []expect{
-		{"collective-match", "interproc.go", 68, "no matching Bcast"},
-	})
-
-	v3 := CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: testSummarizer(t)}
-	got := v3.Check(p)
+	rule := CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: testSummarizer(t)}
+	got := rule.Check(p)
 	checkFindings(t, got, []expect{
 		{"collective-match", "interproc.go", 40, "no matching Bcast"},
 		{"collective-match", "interproc.go", 48, "no matching AllReduceSum"},
@@ -71,59 +60,43 @@ func TestInterprocCallSiteSuppression(t *testing.T) {
 	}
 }
 
-// TestInterprocMapOrderAndGoroutine covers the other two rewired
-// rules: an impure helper under a map range and under a `go`
-// statement, both only visible through summaries.
+// TestInterprocMapOrderAndGoroutine covers the other two rules that
+// see through helpers: an impure helper under a map range and under a
+// `go` statement, both only visible through summaries.
 func TestInterprocMapOrderAndGoroutine(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "interproc", cfg.ModulePath+"/internal/core")
 	sums := testSummarizer(t)
 
-	mo2 := MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage}
-	if got := mo2.Check(p); len(got) != 0 {
-		t.Fatalf("v2 map-order found %v, want nothing", got)
-	}
-	mo3 := MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: sums}
-	checkFindings(t, mo3.Check(p), []expect{
+	mo := MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: sums}
+	checkFindings(t, mo.Check(p), []expect{
 		{"map-order", "interproc.go", 85, "call to core.bump which writes package variable hits"},
 	})
 
-	gp2 := GoroutinePurityRule{SimPackages: cfg.SimPackages}
-	if got := gp2.Check(p); len(got) != 0 {
-		t.Fatalf("v2 goroutine-purity found %v, want nothing", got)
-	}
-	gp3 := GoroutinePurityRule{SimPackages: cfg.SimPackages, Sums: sums}
-	checkFindings(t, gp3.Check(p), []expect{
+	gp := GoroutinePurityRule{SimPackages: cfg.SimPackages, Sums: sums}
+	checkFindings(t, gp.Check(p), []expect{
 		{"goroutine-purity", "interproc.go", 93, "writes package variable hits"},
 	})
 }
 
 // TestLDMProvenance covers both sides of the provenance rule:
 // hand-rolled sizes are flagged, capacity-derived sizes and
-// Check*-gated functions are blessed — including through helpers,
-// where only the summarized rule sees the provenance.
+// Check*-gated functions are blessed — including through helpers
+// (HelperChunk, HelperGated), where the summaries carry the provenance
+// and the gate.
 func TestLDMProvenance(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "ldmprov", cfg.ModulePath+"/internal/fixture/ldmprov")
 
-	v3 := LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt, Sums: testSummarizer(t)}
-	checkFindings(t, v3.Check(p), []expect{
+	rule := LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt, Sums: testSummarizer(t)}
+	checkFindings(t, rule.Check(p), []expect{
 		{"ldm-provenance", "ldmprov.go", 26, "Engine.Charge"},
 		{"ldm-provenance", "ldmprov.go", 27, "Allocator.AllocFloats"},
 	})
 
-	// Without summaries the helper-wrapped provenance and gating are
-	// invisible: HelperChunk and HelperGated are (wrongly, in v2's
-	// conservative model) flagged too.
-	v2 := LDMProvenanceRule{LDMPackage: cfg.LDMPackage, DMAPackage: cfg.DMAPackage, Exempt: cfg.CapacityExempt}
-	v2Got := v2.Check(p)
-	if len(v2Got) <= 2 {
-		t.Errorf("rule without summaries found %d findings, want the helper-wrapped cases flagged as well: %v", len(v2Got), v2Got)
-	}
-
 	// The rule stays out of the capacity and machine packages.
 	exempt := loadFixture(t, "ldmprov", cfg.ModulePath+"/internal/machine")
-	if got := v3.Check(exempt); len(got) != 0 {
+	if got := rule.Check(exempt); len(got) != 0 {
 		t.Errorf("exempt package still flagged: %v", got)
 	}
 }

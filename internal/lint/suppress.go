@@ -23,9 +23,11 @@ import (
 //
 // A malformed suppression (missing rule list, missing the " -- "
 // separator, or an empty reason) suppresses nothing and is itself
-// reported as a bad-suppress finding. A well-formed suppression that
-// matched no finding of its rules is reported as unused-suppress, so
-// stale ignores cannot silently accumulate.
+// reported as a bad-suppress finding, and so is one that names a rule
+// outside the catalogue (a misspelled or retired ID), on every run. A
+// well-formed suppression that matched no finding of its rules is
+// reported as unused-suppress, so stale ignores cannot silently
+// accumulate.
 const ignorePrefix = "swlint:ignore"
 
 // BadSuppressID and UnusedSuppressID are the pseudo-rules the
@@ -34,6 +36,16 @@ const (
 	BadSuppressID    = "bad-suppress"
 	UnusedSuppressID = "unused-suppress"
 )
+
+// knownRules is the catalogue a suppression may name: the IDs of the
+// rule set AllRules builds.
+var knownRules = func() map[string]bool {
+	ids := make(map[string]bool)
+	for _, r := range allRules(Config{}, nil) {
+		ids[r.ID()] = true
+	}
+	return ids
+}()
 
 // suppression is one parsed ignore comment entry: one rule at one
 // line, with its use count.
@@ -48,8 +60,8 @@ type suppression struct {
 type suppressions struct {
 	// byLine maps filename -> line -> entries declared at that line.
 	byLine map[string]map[int][]*suppression
-	// malformed collects the bad-suppress findings.
-	malformed []Finding
+	// bad collects the bad-suppress findings.
+	bad []Finding
 }
 
 func newSuppressions(p *Package) *suppressions {
@@ -64,9 +76,9 @@ func newSuppressions(p *Package) *suppressions {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				rules, reason, ok := parseIgnore(rest)
+				rules, _, ok := parseIgnore(rest)
 				if !ok {
-					s.malformed = append(s.malformed, Finding{
+					s.bad = append(s.bad, Finding{
 						RuleID: BadSuppressID,
 						Pos:    pos,
 						Message: "malformed suppression; the form is " +
@@ -74,7 +86,21 @@ func newSuppressions(p *Package) *suppressions {
 					})
 					continue
 				}
-				_ = reason // recorded in source; the analysis only requires its presence
+				var unknown []string
+				for _, r := range rules {
+					if !knownRules[r] {
+						unknown = append(unknown, r)
+					}
+				}
+				if len(unknown) > 0 {
+					s.bad = append(s.bad, Finding{
+						RuleID: BadSuppressID,
+						Pos:    pos,
+						Message: "suppression names unknown rule " + strings.Join(unknown, ", ") +
+							" and suppresses nothing; fix the ID (swlint -list prints the catalogue)",
+					})
+					continue
+				}
 				s.add(pos, rules)
 			}
 		}
@@ -154,12 +180,13 @@ func (s *suppressions) counts() map[string]int {
 	return out
 }
 
-// report emits the machinery's own findings: every malformed comment,
-// and every well-formed suppression for a rule in scope that matched
-// nothing. Suppressions naming rules outside the run's rule set are
-// left alone so a partial rule run does not misreport them as stale.
+// report emits the machinery's own findings: every malformed comment
+// or unknown rule ID, and every well-formed suppression for a rule in
+// scope that matched nothing. Suppressions naming catalogued rules
+// outside the run's rule set are left alone so a partial rule run does
+// not misreport them as stale.
 func (s *suppressions) report(ranRules map[string]bool) []Finding {
-	out := append([]Finding(nil), s.malformed...)
+	out := append([]Finding(nil), s.bad...)
 	for _, lines := range s.byLine {
 		for _, sups := range lines {
 			for _, sup := range sups {

@@ -88,6 +88,76 @@ func SwitchLone(c *mpi.Comm, data []float64) error {
 	}
 }
 
+// CaseArm forks on rank directly inside a case clause: the root's
+// Barrier has no partner in the code after the early exit.
+func CaseArm(c *mpi.Comm, mode int) error {
+	switch mode {
+	case 1:
+		if c.Rank() == 0 {
+			return c.Barrier()
+		}
+	}
+	return nil
+}
+
+// SelectArm forks on rank as the body of a select case.
+func SelectArm(c *mpi.Comm, done <-chan struct{}) error {
+	select {
+	case <-done:
+		if c.Rank() == 0 {
+			return c.Barrier()
+		}
+	}
+	return nil
+}
+
+// ElseIfChain broadcasts on ranks 0 and 1 only. Against rank 0's arm
+// the chain enters the same Bcast on one path and none on the other (a
+// reorder), and rank 1's Bcast has no partner in the code the chain's
+// implicit last arm runs (a missing collective).
+func ElseIfChain(c *mpi.Comm, data []float64) error {
+	if c.Rank() == 0 {
+		return bcastErr(c.Bcast(0, data, nil))
+	} else if c.Rank() == 1 {
+		return bcastErr(c.Bcast(0, data, nil))
+	}
+	return nil
+}
+
+// NestedRankArm forks on rank inside a rank arm: both arms of the outer
+// branch mention Barrier and Bcast, but inside it rank 0 enters only
+// Barrier and ranks 1–3 only Bcast, while the other ranks enter both.
+func NestedRankArm(c *mpi.Comm, data []float64) error {
+	rank := c.Rank()
+	if rank < 4 {
+		if rank == 0 {
+			return c.Barrier()
+		} else {
+			return bcastErr(c.Bcast(0, data, nil))
+		}
+	} else {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return bcastErr(c.Bcast(0, data, nil))
+	}
+}
+
+// ThreeWayChain gives each of three rank groups its own collective.
+// Every call is missing from its siblings; the last arm's call is
+// missing at the chain head and at the else-if link alike, and is
+// reported once.
+func ThreeWayChain(c *mpi.Comm, data []float64) error {
+	if c.Rank() == 0 {
+		return c.Barrier()
+	} else if c.Rank() == 1 {
+		return bcastErr(c.Bcast(0, data, nil))
+	} else {
+		_, err := c.AllGatherInts(nil)
+		return err
+	}
+}
+
 // bcastErr keeps Bcast's error.
 func bcastErr(_ []float64, _ []int64, err error) error { return err }
 

@@ -1,7 +1,7 @@
-// Package collorder seeds collective-order shapes: rank-conditional
-// arms that issue the same multiset of collectives in different orders
-// (flagged — collective-match is provably silent on every function in
-// this file) next to the order-clean patterns the rule blesses.
+// Package collorder seeds collective-match's order shapes:
+// rank-conditional arms that issue the same multiset of collectives in
+// different orders (flagged as reordered; no collective in this file is
+// missing) next to the order-clean patterns the rule blesses.
 package collorder
 
 import "repro/internal/mpi"

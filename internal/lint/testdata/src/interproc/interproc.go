@@ -1,5 +1,5 @@
-// Package interproc seeds helper-wrapped communicator shapes the v2
-// intraprocedural analysis provably missed: collectives behind one and
+// Package interproc seeds helper-wrapped communicator shapes that only
+// the function summaries make visible: collectives behind one and
 // two levels of helpers, rank dependence through helper returns,
 // impure helpers under map iteration and goroutines, and call-site
 // suppression of summary-propagated findings.
@@ -34,7 +34,7 @@ func bump() {
 }
 
 // RootOnlyBroadcast reaches Bcast through the helper on the root arm
-// only: flagged with the call chain, invisible to v2.
+// only: flagged with the call chain.
 func RootOnlyBroadcast(c *mpi.Comm, data []float64) error {
 	if c.Rank() == 0 {
 		return broadcast(c, data)
@@ -51,7 +51,7 @@ func DeepLoneSum(c *mpi.Comm, data []float64) error {
 }
 
 // HelperRankGate branches on a helper-returned rank: the Barrier under
-// it is lone. v2 does not see the condition as rank-dependent.
+// it is lone; the condition is rank-dependent through the summary.
 func HelperRankGate(c *mpi.Comm) error {
 	if myRank(c) == 0 {
 		return c.Barrier()

@@ -1,7 +1,7 @@
-// Package ldmcap exercises rule ldm-capacity: functions that allocate
-// LDM or read the raw capacity field must route through a central
-// ldm.Check* feasibility call instead of re-deriving the paper's
-// constraints by hand.
+// Package ldmcap exercises ldm-provenance's raw-capacity triggers:
+// functions that allocate LDM or read the raw capacity field must route
+// through a central ldm.Check* feasibility call instead of re-deriving
+// the paper's constraints by hand.
 package ldmcap
 
 import (
@@ -31,4 +31,18 @@ func Checked(spec *machine.Spec, k, d int) error {
 func Alloc(spec *machine.Spec, k, d int) error {
 	alloc := ldm.NewAllocator(spec.LDMBytesPerCPE)
 	return alloc.AllocFloats("centroids", k*d)
+}
+
+// ensure wraps the feasibility gate in a helper.
+func ensure(spec *machine.Spec, k, d int) error {
+	return ldm.CheckLevel1(spec, k, d)
+}
+
+// HelperChecked reads the raw capacity behind a helper's Check*: the
+// gate reaches through the helper's summary, so not a finding.
+func HelperChecked(spec *machine.Spec, k, d int) (int, error) {
+	if err := ensure(spec, k, d); err != nil {
+		return 0, err
+	}
+	return spec.LDMBytesPerCPE / 8, nil
 }

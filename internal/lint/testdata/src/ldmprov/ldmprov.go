@@ -32,8 +32,8 @@ func DirectChunk(spec *machine.Spec, a *ldm.Allocator, k, d int) error {
 	return a.AllocFloats("buf", ldm.Level1StreamChunk(spec, k, d))
 }
 
-// HelperChunk sizes the buffer through the helper: blessed only with
-// summaries (v2 cannot see through chunkOf).
+// HelperChunk sizes the buffer through the helper: blessed through
+// chunkOf's summary.
 func HelperChunk(spec *machine.Spec, a *ldm.Allocator, k, d int) error {
 	n := chunkOf(spec, k, d)
 	return a.AllocFloats("buf", n)
@@ -48,8 +48,8 @@ func Gated(spec *machine.Spec, a *ldm.Allocator, k, d int) error {
 	return a.AllocFloats("buf", k*d)
 }
 
-// HelperGated reaches the check through ensure: blessed only with
-// summaries.
+// HelperGated reaches the check through ensure: blessed through its
+// summary.
 func HelperGated(spec *machine.Spec, a *ldm.Allocator, k, d int) error {
 	if err := ensure(spec, k, d); err != nil {
 		return err

@@ -1,6 +1,6 @@
 // Package suppress exercises the //swlint:ignore machinery against
 // float-eq findings: trailing and preceding placement, rule lists with
-// reasons, wrong rule names, malformed comments and stale ignores.
+// reasons, wrong and unknown rule names, malformed and stale ignores.
 package suppress
 
 // Trailing carries the ignore on the offending line itself.
@@ -38,5 +38,18 @@ func NoReason(a, b float64) bool {
 func Far(a, b float64) bool {
 	//swlint:ignore float-eq -- too far away
 
+	return a == b
+}
+
+// Misspelled names a rule outside the catalogue: bad-suppress on every
+// run, and the finding survives.
+func Misspelled(a, b float64) bool {
+	//swlint:ignore flaot-eq -- exact tie-break
+	return a == b
+}
+
+// Retired names a rule ID that no longer exists: bad-suppress as well.
+func Retired(a, b float64) bool {
+	//swlint:ignore collective-order -- retired rule
 	return a == b
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestApplyFixes(t *testing.T) {
 
 	l, _ := fixtureLoader(t)
 	rules := []Rule{
-		MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage},
+		MapOrderRule{SimPackages: cfg.SimPackages, VClockPackage: cfg.VClockPackage, CommPackage: cfg.CommPackage, Sums: testSummarizer(t)},
 		ErrWrapRule{},
 	}
 	as := cfg.ModulePath + "/internal/core"
@@ -312,6 +313,35 @@ func TestSimPackageScopeCoversVClockImporters(t *testing.T) {
 		if !hasSuffixPath(path, cfg.SimPackages) {
 			t.Errorf("%s imports internal/vclock but is missing from simPackageSuffixes; "+
 				"the determinism rules (no-wallclock, map-order, goroutine-purity) do not cover it", path)
+		}
+	}
+}
+
+// TestRuleCatalogueDocumented ties the rule catalogue to its docs:
+// every rule AllRules builds, the two suppression meta-rules aside, has
+// a "### `id`" heading in docs/STATIC_ANALYSIS.md, and every such
+// heading names a rule AllRules builds, so a retired rule cannot
+// linger in the docs.
+func TestRuleCatalogueDocumented(t *testing.T) {
+	_, cfg := fixtureLoader(t)
+	doc, err := os.ReadFile(filepath.Join(cfg.ModuleRoot, "docs", "STATIC_ANALYSIS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^### `([^`]+)`").FindAllStringSubmatch(string(doc), -1) {
+		headings[m[1]] = true
+	}
+	rules := make(map[string]bool)
+	for _, r := range AllRules(cfg) {
+		rules[r.ID()] = true
+		if r.ID() != BadSuppressID && r.ID() != UnusedSuppressID && !headings[r.ID()] {
+			t.Errorf("rule %s has no ### `%s` heading in docs/STATIC_ANALYSIS.md", r.ID(), r.ID())
+		}
+	}
+	for id := range headings {
+		if !rules[id] {
+			t.Errorf("docs/STATIC_ANALYSIS.md documents ### `%s`, which AllRules does not build", id)
 		}
 	}
 }
