@@ -106,24 +106,35 @@ benchcheck:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core
 
-# faultcheck smoke-runs the seeded fault matrix through the CLI: crash
-# with checkpoint restart, crash with dropped shards, pure transient
-# noise, a degraded fabric with a straggler, a whole-node loss, a
-# Level-3 crash (checkpoint gather + re-striped restore), and faults
-# under automatic level selection. Every scenario is deterministic
-# (docs/FAULT_TOLERANCE.md) and must finish with exit code 0. Later
-# flags win, so the Level-3/auto runs just override FAULTBASE's level.
-FAULTBASE = $(GO) run ./cmd/swkmeans -dataset gauss -n 800 -d 8 -components 4 -level 1 -k 4 -nodes 2 -iters 10
+# faultcheck runs the seeded fault matrix through the CLI: crash with
+# checkpoint restart, crash with dropped shards, pure transient noise,
+# a degraded fabric with a straggler, a whole-node loss, a Level-3
+# crash (checkpoint gather + re-striped restore), faults under
+# automatic level selection, and transient DMA and message faults on
+# 16 ranks, where a retry total summed in the order ranks happen to
+# retry would differ from run to run. Every scenario is deterministic
+# (docs/FAULT_TOLERANCE.md): FAULTRUN runs it with -summary twice
+# under the default driver and once under the DES driver (-sched), and
+# the three outputs must be byte-identical. Later flags win, so the
+# Level-3/auto runs just override FAULTBASE's level.
+FAULTTMP := $(shell mktemp -d)
+FAULTBASE = -dataset gauss -n 800 -d 8 -components 4 -level 1 -k 4 -nodes 2 -iters 10
+FAULTRUN = @sh -c 'set -e; echo faultcheck: "$$@"; \
+	"$$0" -summary "$$@" > $(FAULTTMP)/a.txt; "$$0" -summary "$$@" > $(FAULTTMP)/b.txt; "$$0" -summary -sched "$$@" > $(FAULTTMP)/c.txt; \
+	cmp $(FAULTTMP)/a.txt $(FAULTTMP)/b.txt; cmp $(FAULTTMP)/a.txt $(FAULTTMP)/c.txt' $(FAULTTMP)/swkmeans
 
 faultcheck:
-	$(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost
-	$(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64"
-	$(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5"
-	$(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3
-	$(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost
-	$(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2
+	$(GO) build -o $(FAULTTMP)/swkmeans ./cmd/swkmeans
+	$(FAULTRUN) $(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2
+	$(FAULTRUN) $(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost
+	$(FAULTRUN) $(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64"
+	$(FAULTRUN) $(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5"
+	$(FAULTRUN) $(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3
+	$(FAULTRUN) $(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2
+	$(FAULTRUN) $(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost
+	$(FAULTRUN) $(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2
+	$(FAULTRUN) -dataset gauss -n 8192 -d 16 -k 8 -nodes 4 -level 1 -iters 6 -faults "seed=11; dma=0.05; msg=0.05; retries=64"
+	rm -rf $(FAULTTMP)
 
 # obscheck verifies the observability determinism contract end to end:
 # the same seeded scenario run twice exports byte-identical Chrome

@@ -502,7 +502,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 		rec.RestoreSeconds = delta.RestoreSeconds
 		rec.ReplanSeconds = delta.ReplanSeconds
 		rec.RedoSeconds = delta.RedoSeconds
-		rec.RetrySeconds = delta.RetrySeconds
+		rec.RetrySeconds = world.RetrySeconds()
 		res.Recovery = rec
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -93,15 +94,27 @@ func TestResilientMatchesLloydUnderCrash(t *testing.T) {
 }
 
 // TestResilientDeterministicTimeline: the same fault seed and config
-// must reproduce the recovery byte for byte — iteration times, total
-// virtual time, recovery report and final centroids.
+// must reproduce the recovery bit for bit — iteration times, recovery
+// report and final centroids — across runs and across drivers. Each
+// plan runs 20 times per driver: a crash with checkpoint restart on 4
+// ranks, and transient DMA and message faults on 16 ranks, where many
+// ranks retry at once and a retry total summed in the order the ranks
+// happen to retry differs from run to run.
 func TestResilientDeterministicTimeline(t *testing.T) {
-	g, err := dataset.NewGaussianMixture("g", 300, 6, 3, 0.08, 2.5, 9)
+	crashData, err := dataset.NewGaussianMixture("g", 300, 6, 3, 0.08, 2.5, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Result {
-		res, err := Run(Config{
+	noiseData, err := dataset.NewGaussianMixture("gauss", 8192, 16, 8, 0.2, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  dataset.Source
+		cfg  Config
+	}{
+		{"crash-4-ranks", crashData, Config{
 			Spec: machine.MustSpec(1), Level: Level1, K: 3, MaxIters: 10, Seed: 5,
 			Faults: fault.Plan{
 				Seed:        21,
@@ -111,33 +124,60 @@ func TestResilientDeterministicTimeline(t *testing.T) {
 				MaxRetries:  64,
 			},
 			CheckpointInterval: 3,
-			Stats:              trace.NewStats(),
-		}, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		}},
+		{"transient-16-ranks", noiseData, Config{
+			Spec: machine.MustSpec(4), Level: Level1, K: 8, MaxIters: 6, Seed: 1,
+			Faults: fault.Plan{Seed: 11, DMAFailRate: 0.05, MsgFailRate: 0.05, MaxRetries: 64},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first *Result
+			for _, des := range []bool{false, true} {
+				for i := 0; i < 20; i++ {
+					cfg := tc.cfg
+					cfg.Sched, cfg.Stats = des, trace.NewStats()
+					res, err := Run(cfg, tc.src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = res
+						if res.Recovery.RetrySeconds <= 0 {
+							t.Fatal("transient fault rates produced no retry time")
+						}
+						continue
+					}
+					if diff := timelineDiff(first, res); diff != "" {
+						t.Fatalf("sched=%v run %d: %s", des, i, diff)
+					}
+				}
+			}
+		})
 	}
-	a, b := run(), run()
+}
+
+// timelineDiff names the first bit that differs between two results'
+// iteration times, centroids and recovery reports, or returns "".
+func timelineDiff(a, b *Result) string {
 	if len(a.IterTimes) != len(b.IterTimes) {
-		t.Fatalf("iteration counts differ: %d vs %d", len(a.IterTimes), len(b.IterTimes))
+		return fmt.Sprintf("iteration counts differ: %d vs %d", len(a.IterTimes), len(b.IterTimes))
 	}
 	for i := range a.IterTimes {
 		if math.Float64bits(a.IterTimes[i]) != math.Float64bits(b.IterTimes[i]) {
-			t.Fatalf("iteration %d time diverged: %.17g vs %.17g", i, a.IterTimes[i], b.IterTimes[i])
+			return fmt.Sprintf("iteration %d time diverged: %.17g vs %.17g", i, a.IterTimes[i], b.IterTimes[i])
 		}
 	}
 	for i := range a.Centroids {
 		if math.Float64bits(a.Centroids[i]) != math.Float64bits(b.Centroids[i]) {
-			t.Fatalf("centroid %d diverged across identical runs", i)
+			return fmt.Sprintf("centroid %d diverged", i)
 		}
 	}
-	if !reflect.DeepEqual(a.Recovery, b.Recovery) {
-		t.Errorf("recovery reports diverged: %+v vs %+v", a.Recovery, b.Recovery)
+	// %v prints every float64 in its shortest exact form, so equal text
+	// is equal bits.
+	if ra, rb := fmt.Sprintf("%+v", *a.Recovery), fmt.Sprintf("%+v", *b.Recovery); ra != rb {
+		return fmt.Sprintf("recovery reports diverged:\n%s\n%s", ra, rb)
 	}
-	if a.Recovery.RetrySeconds <= 0 {
-		t.Errorf("transient fault rates produced no retry time")
-	}
+	return ""
 }
 
 // TestResilientTransientNoiseMatchesLloyd: pure transient noise (DMA

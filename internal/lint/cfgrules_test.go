@@ -8,24 +8,22 @@ import (
 
 // TestLockAcrossPark pins the lock-set rule against the fixture: a
 // direct park under the mutex, a park reached only through a helper's
-// summary, a deferred unlock across a collective and a lock across
-// Group.Sync are flagged; the unlock-park-relock protocol (the
-// vclock.syncSched shape), unlock-before-collective, Wake under the
-// lock and the lock-free helper call are blessed.
+// summary and a deferred unlock across a collective are flagged; the
+// unlock-park-relock protocol (the shape of internal/mpi's waits),
+// unlock-before-collective, Wake under the lock and the lock-free
+// helper call are blessed.
 func TestLockAcrossPark(t *testing.T) {
 	_, cfg := fixtureLoader(t)
 	p := loadFixture(t, "lockpark", cfg.ModulePath+"/internal/fixture/lockpark")
 	rule := LockAcrossParkRule{
-		CommPackage:   cfg.CommPackage,
-		VClockPackage: cfg.VClockPackage,
-		SchedPackage:  cfg.SchedPackage,
-		Sums:          testSummarizer(t),
+		CommPackage:  cfg.CommPackage,
+		SchedPackage: cfg.SchedPackage,
+		Sums:         testSummarizer(t),
 	}
 	checkFindings(t, rule.Check(p), []expect{
 		{"lock-across-park", "lockpark.go", 24, "held across Task.Park"},
 		{"lock-across-park", "lockpark.go", 39, "parkOnce"},
 		{"lock-across-park", "lockpark.go", 50, "held across Comm.Barrier"},
-		{"lock-across-park", "lockpark.go", 57, "held across Group.Sync"},
 	})
 }
 

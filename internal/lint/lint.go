@@ -168,7 +168,7 @@ func allRules(cfg Config, sums *Summarizer) []Rule {
 		CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: sums},
 		GoroutinePurityRule{SimPackages: cfg.SimPackages, Sums: sums},
 		HotPathAllocRule{Sums: sums},
-		LockAcrossParkRule{CommPackage: cfg.CommPackage, VClockPackage: cfg.VClockPackage, SchedPackage: cfg.SchedPackage, Sums: sums},
+		LockAcrossParkRule{CommPackage: cfg.CommPackage, SchedPackage: cfg.SchedPackage, Sums: sums},
 		ParkRecheckRule{SchedPackage: cfg.SchedPackage, Sums: sums},
 		metaRule{id: BadSuppressID, doc: "suppressions must name catalogued rules and carry a reason: //swlint:ignore <rule> -- <reason>"},
 		metaRule{id: UnusedSuppressID, doc: "suppressions that match no finding are stale and must be deleted"},

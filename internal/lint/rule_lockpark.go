@@ -7,29 +7,29 @@ import (
 
 // LockAcrossParkRule enforces the scheduler era's first protocol
 // invariant: never hold a sync.Mutex or sync.RWMutex across a blocking
-// point — sched.Task.Park, vclock.Group.Sync, or a blocking
-// communicator collective. Under the discrete-event scheduler a parked
+// point — sched.Task.Park or a blocking communicator collective. Under the discrete-event scheduler a parked
 // task runs again only when a peer wakes it; if that peer needs the
 // mutex the parked task still holds, the simulation deadlocks — and
 // unlike a -race report, it deadlocks only on the schedules that hit
 // the window. The invariant was previously stated in prose in
-// internal/sched and internal/vclock; this rule states it in the CFG:
+// internal/sched; this rule states it in the CFG:
 // a forward lock-set dataflow (cfg.go) tracks which mutexes may be
 // held at every block, and any blocking call reached with a non-empty
 // set is flagged. Helper calls carry their transitive blocking points
 // through the v3 function summaries, so wrapping a Park in a helper
 // does not hide it.
 //
-// The blessed shape is the one internal/vclock's syncSched uses:
+// The blessed shape is the one internal/mpi's waits use, in a receive
+// and at a collective's rendezvous:
 //
-//	g.mu.Lock()
+//	w.rvMu.Lock()
 //	...
-//	for g.round == myRound {
-//		g.mu.Unlock()
-//		self.Park()
-//		g.mu.Lock()
+//	for !x.done {
+//		w.rvMu.Unlock()
+//		task.Park()
+//		w.rvMu.Lock()
 //	}
-//	g.mu.Unlock()
+//	w.rvMu.Unlock()
 //
 // The analysis sees the unlock before the Park on every path into it,
 // so the set is empty at the blocking point. `defer mu.Unlock()` does
@@ -40,12 +40,11 @@ import (
 // not mechanically safe, so there is no autofix. Deliberate exceptions
 // carry //swlint:ignore lock-across-park -- <reason>.
 type LockAcrossParkRule struct {
-	CommPackage   string
-	VClockPackage string
-	SchedPackage  string
+	CommPackage  string
+	SchedPackage string
 	// Sums extends the rule through the call graph: calling a helper
-	// whose summary blocks (parks, syncs, or enters a collective) counts
-	// as blocking at the call site.
+	// whose summary blocks (parks or enters a collective) counts as
+	// blocking at the call site.
 	Sums *Summarizer
 }
 
@@ -54,7 +53,7 @@ func (LockAcrossParkRule) ID() string { return "lock-across-park" }
 
 // Doc implements Rule.
 func (LockAcrossParkRule) Doc() string {
-	return "no mutex may be held across Task.Park, Group.Sync, or a blocking collective, transitively through helpers"
+	return "no mutex may be held across Task.Park or a blocking collective, transitively through helpers"
 }
 
 // blockPoint describes why a call blocks: the operation and, for a
@@ -65,17 +64,14 @@ type blockPoint struct {
 }
 
 // blockingPoint classifies a call as a scheduler blocking point:
-// Task.Park, Group.Sync, a blocking Comm collective (every tracked
-// collective blocks, point-to-point included), or a module-local
-// helper that transitively reaches one.
-func blockingPoint(p *Package, call *ast.CallExpr, commPkg, vclockPkg, schedPkg string, sums *Summarizer) (blockPoint, bool) {
+// Task.Park, a blocking Comm collective (every tracked collective
+// blocks, point-to-point included), or a module-local helper that
+// transitively reaches one.
+func blockingPoint(p *Package, call *ast.CallExpr, commPkg, schedPkg string, sums *Summarizer) (blockPoint, bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		if schedPkg != "" && name == "Park" && receiverNamed(p, call, schedPkg, "Task") {
 			return blockPoint{desc: "Task.Park"}, true
-		}
-		if vclockPkg != "" && name == "Sync" && receiverNamed(p, call, vclockPkg, "Group") {
-			return blockPoint{desc: "Group.Sync"}, true
 		}
 		if commPkg != "" && receiverNamed(p, call, commPkg, "Comm") {
 			if _, tracked := collectiveOps[name]; tracked {
@@ -115,7 +111,7 @@ func (r LockAcrossParkRule) Check(p *Package) []Finding {
 				if len(held) == 0 || seen[call] {
 					return
 				}
-				bp, ok := blockingPoint(p, call, r.CommPackage, r.VClockPackage, r.SchedPackage, r.Sums)
+				bp, ok := blockingPoint(p, call, r.CommPackage, r.SchedPackage, r.Sums)
 				if !ok {
 					return
 				}

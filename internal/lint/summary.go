@@ -87,8 +87,8 @@ type FuncSummary struct {
 	// Allocs lists allocation behavior for hot-path-alloc.
 	Allocs []EffectUse `json:"allocs,omitempty"`
 	// Blocks lists the scheduler blocking points the function
-	// transitively reaches outside the communicator: Task.Park and
-	// Group.Sync (blocking collectives are already in Collectives).
+	// transitively reaches outside the communicator: Task.Park
+	// (blocking collectives are already in Collectives).
 	// The lock-across-park rule consults it at call sites.
 	Blocks []EffectUse `json:"blocks,omitempty"`
 	// ParksUnchecked lists Task.Park sites the function reaches with no
@@ -448,12 +448,6 @@ func (s *Summarizer) summarizeFunc(p *Package, fn *types.Func, unit funcUnit, lo
 					if !inLoop(n.Pos()) {
 						add(&out.ParksUnchecked, seenPark, "Task.Park", "")
 					}
-				}
-				return true
-			}
-			if s.vclockPkg != "" && receiverNamed(p, n, s.vclockPkg, "Group") {
-				if n.Fun.(*ast.SelectorExpr).Sel.Name == "Sync" {
-					add(&out.Blocks, seenBlk, "Group.Sync", "")
 				}
 				return true
 			}

@@ -1,6 +1,7 @@
 // Package lockpark seeds lock-across-park shapes: mutexes held across
 // scheduler blocking points (flagged) next to the unlock-park-relock
-// protocol the scheduler era blesses.
+// protocol the scheduler era blesses, which internal/mpi's receive and
+// rendezvous waits use.
 package lockpark
 
 import (
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/vclock"
 )
 
 type server struct {
@@ -50,17 +50,9 @@ func (s *server) DeferAcrossBarrier(c *mpi.Comm) error {
 	return c.Barrier() // flagged: s.mu held across Comm.Barrier
 }
 
-// SyncUnderLock blocks in the group's virtual-time barrier with mu
-// held.
-func (s *server) SyncUnderLock(g *vclock.Group, clk *vclock.Clock) {
-	s.mu.Lock()
-	g.Sync(clk, 0) // flagged: s.mu held across Group.Sync
-	s.mu.Unlock()
-}
-
-// ParkProtocol is the blessed vclock.syncSched shape: unlock before
-// every park, re-lock after, so the set is empty at the blocking
-// point.
+// ParkProtocol is the blessed shape of internal/mpi's waits: unlock
+// before every park, re-lock after, so the set is empty at the
+// blocking point.
 func (s *server) ParkProtocol(t *sched.Task) {
 	s.mu.Lock()
 	for !s.ready {

@@ -184,3 +184,34 @@ func TestCollectiveHostCost(t *testing.T) {
 		}
 	}
 }
+
+// TestGoroutineDriverHostCost is the host-cost guard of the goroutine
+// driver: the first Barrier Run of a fresh 1,024-rank world, epoch
+// state included, must allocate less than 4 MiB, and four times the
+// ranks less than five times the bytes. The bounds leave room for a
+// goroutine and a few words of wait state per rank (the DES driver's
+// Run allocates about 0.9 MB at this size) but not for a mailbox
+// buffer per rank that grows with the world: per-rank channels of
+// 4·size+16 packets cost 345 MB at 1,024 ranks and 23 MB at 256.
+func TestGoroutineDriverHostCost(t *testing.T) {
+	alloc := func(size int) uint64 {
+		w := MustWorld(machine.MustSpec(size/4), nil, size)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := w.Run(barrierOp(size))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(256), alloc(1024)
+	t.Logf("a Barrier Run allocates %d B at 256 ranks, %d B at 1,024", small, large)
+	if large >= 4<<20 {
+		t.Errorf("a Barrier Run allocates %d B at 1,024 ranks, want < %d", large, 4<<20)
+	}
+	if large >= 5*small {
+		t.Errorf("4x the ranks allocates %.1fx the bytes (%d -> %d), want < 5x", float64(large)/float64(small), small, large)
+	}
+}

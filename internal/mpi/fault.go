@@ -12,14 +12,14 @@ package mpi
 //
 // Determinism. Whether a point-to-point receive sees a real message or
 // a failure is a pure function of the virtual execution, not of
-// goroutine scheduling: a crashing rank finishes all its sends before
-// it closes its crash channel (program order plus channel
-// happens-before), so a receiver that observes the closed channel
-// already has every packet the dead rank ever sent sitting in its
-// inbox. The receiver drains the inbox first and prefers a real
-// matching packet; only when none exists does it report the failure,
-// and it reports a crashed peer as crashed even when the peer's abort
-// is visible too.
+// goroutine scheduling: a crashing rank appends all its packets to
+// their mailboxes before it records its crash, each under World.rvMu,
+// so a receiver that sees the crash under rvMu already has every
+// packet the dead rank ever sent in its mailbox (the mutex orders the
+// appends before the record). The receiver prefers a real matching
+// packet; only when none exists does it report the failure, and it
+// reports a crashed peer as crashed even when the peer's abort is
+// visible too.
 //
 // Collectives run as one rendezvous per call (rendezvous.go), and the
 // replay keeps the point-to-point protocol's failure semantics edge by
@@ -96,87 +96,32 @@ func (c *CrashStop) Is(target error) bool { return target == ErrCrashed }
 func (w *World) SetFaults(inj *fault.Injector) {
 	w.inj = inj
 	if inj == nil {
-		w.netAt = nil
-		w.crashCh = nil
-		w.crashedAt = nil
+		w.netAt, w.crashed, w.retrySecs = nil, nil, nil
 		return
 	}
 	w.netAt = w.net.Degraded(inj)
-	w.crashCh = make([]chan struct{}, w.size)
-	for i := range w.crashCh {
-		w.crashCh[i] = make(chan struct{})
-	}
-	w.crashedAt = make([]float64, w.size)
+	w.crashed = make([]*RankFailure, w.size)
+	w.retrySecs = make([]float64, w.size)
 }
 
-// Injector returns the installed fault injector (nil without faults).
-func (w *World) Injector() *fault.Injector { return w.inj }
-
-// crashChOf returns the crash channel of a global rank, nil when no
-// faults are installed (a nil channel never selects, which is exactly
-// the fault-free behaviour).
-func (w *World) crashChOf(g int) chan struct{} {
-	if w.crashCh == nil {
-		return nil
-	}
-	return w.crashCh[g]
-}
-
-// abortChOf returns the per-epoch abort channel of a global rank (nil
-// outside Run).
-func (w *World) abortChOf(g int) chan struct{} {
-	if w.aborted == nil {
-		return nil
-	}
-	return w.aborted[g]
-}
-
-// markCrashed records the fail-stop of a global rank. Only the owning
-// rank goroutine (or scheduler task) calls it — a rank decides its own
-// death — exactly once: crashedAt is written before the channel close
-// publishes it, so readers that observed the close see the final
-// value. Under the DES driver, peers parked in a receive on the dead
-// rank additionally get a wake-up at the heartbeat detection time; the
-// goroutine driver gets the same effect from the select on crashCh.
-// Collective calls still waiting for the rank stop waiting for it.
+// markCrashed records the fail-stop of a global rank at virtual time
+// at. Only the owning rank calls it — a rank decides its own death —
+// and exactly once.
 func (w *World) markCrashed(g int, at float64) {
-	w.crashedAt[g] = at
-	close(w.crashCh[g])
-	if w.des != nil {
-		w.desWakeWaitersOn(g, at+w.inj.HeartbeatTimeout())
-	}
-	w.noteGone(g)
-}
-
-// isCrashed reports whether a global rank has fail-stopped.
-func (w *World) isCrashed(g int) bool {
-	if w.crashCh == nil {
-		return false
-	}
-	//swlint:ignore goroutine-purity -- one case plus default is a deterministic closed-channel probe
-	select {
-	case <-w.crashCh[g]:
-		return true
-	default:
-		return false
-	}
-}
-
-// crashFailure builds the failure report for a crashed global rank.
-// Callers must have observed the crash channel close first.
-func (w *World) crashFailure(g int) *RankFailure {
-	at := w.crashedAt[g]
-	return &RankFailure{
+	w.noteGone(g, w.crashed, &RankFailure{
 		Rank:       g,
 		CG:         w.cgOf[g],
 		CrashedAt:  at,
 		DetectedAt: at + w.inj.HeartbeatTimeout(),
-	}
+	})
 }
 
+// isCrashed reports whether a global rank has fail-stopped.
+func (w *World) isCrashed(g int) bool { return w.crashed != nil && w.crashed[g] != nil }
+
 // Failed returns the sorted global ranks that have fail-stopped so
-// far. It is meaningful between Run calls (the WaitGroup in Run orders
-// every rank's writes before the caller's reads).
+// far. It is meaningful between Run calls (the end of Run orders every
+// rank's writes before the caller's reads).
 func (w *World) Failed() []int {
 	var out []int
 	for g := 0; g < w.size; g++ {
@@ -198,14 +143,21 @@ func (w *World) Alive() []int {
 	return out
 }
 
-// Failure returns the failure report of a crashed global rank, nil
-// while the rank is alive. Like Failed, it is meaningful between Run
-// calls.
-func (w *World) Failure(g int) *RankFailure {
-	if !w.isCrashed(g) {
-		return nil
+// AddRetrySeconds adds s virtual seconds the rank spent retrying a
+// transient fault outside the message layer, a DMA transfer say, to
+// its retry time. It needs a fault injector (SetFaults).
+func (c *Comm) AddRetrySeconds(s float64) { c.w.retrySecs[c.Global()] += s }
+
+// RetrySeconds returns the virtual time the ranks spent retrying
+// transient faults: each rank's own time, summed in rank order, so
+// the total does not depend on the order in which ranks retried. Like
+// Failed, it is meaningful between Run calls.
+func (w *World) RetrySeconds() float64 {
+	total := 0.0
+	for _, s := range w.retrySecs {
+		total += s
 	}
-	return w.crashFailure(g)
+	return total
 }
 
 // CheckFailure reports the rank's own scheduled fail-stop once its
@@ -224,7 +176,7 @@ func (c *Comm) checkSelfCrash() error {
 	}
 	g := c.Global()
 	if w.isCrashed(g) {
-		return &CrashStop{Rank: g, CG: w.cgOf[g], At: w.crashedAt[g]}
+		return &CrashStop{Rank: g, CG: w.cgOf[g], At: w.crashed[g].CrashedAt}
 	}
 	at, ok := w.inj.CrashTime(w.cgOf[g])
 	if !ok || c.Clock().Now() < at {

@@ -56,12 +56,6 @@ func TestRecvFromCrashedRankReturnsTypedError(t *testing.T) {
 	if alive := w.Alive(); len(alive) != 1 || alive[0] != 0 {
 		t.Errorf("Alive() = %v, want [0]", alive)
 	}
-	if f := w.Failure(1); f == nil || f.Rank != 1 {
-		t.Errorf("Failure(1) = %+v", f)
-	}
-	if w.Failure(0) != nil {
-		t.Error("Failure(0) non-nil for a live rank")
-	}
 }
 
 // TestMessagesSentBeforeCrashAreDelivered: a message the dead rank got
@@ -228,7 +222,7 @@ func TestRunLiveAfterCrash(t *testing.T) {
 // byte-identical virtual timelines, and the retries both show up in
 // the recovery counters and slow the job down.
 func TestTransientMsgFaultsAreDeterministic(t *testing.T) {
-	run := func(rate float64) (float64, trace.Snapshot) {
+	run := func(rate float64) (float64, float64, trace.Snapshot) {
 		stats := trace.NewStats()
 		w, err := NewWorld(machine.MustSpec(2), stats, 6)
 		if err != nil {
@@ -246,20 +240,20 @@ func TestTransientMsgFaultsAreDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return w.MaxTime(), stats.Snapshot()
+		return w.MaxTime(), w.RetrySeconds(), stats.Snapshot()
 	}
-	t1, s1 := run(0.2)
-	t2, s2 := run(0.2)
+	t1, r1, s1 := run(0.2)
+	t2, r2, s2 := run(0.2)
 	if math.Float64bits(t1) != math.Float64bits(t2) {
 		t.Fatalf("identical faulty runs diverged: %.17g vs %.17g", t1, t2)
 	}
 	if s1.NetRetries == 0 || s1.NetRetries != s2.NetRetries {
 		t.Fatalf("net retries = %d vs %d", s1.NetRetries, s2.NetRetries)
 	}
-	if s1.RetrySeconds <= 0 {
-		t.Errorf("retry seconds = %v, want positive", s1.RetrySeconds)
+	if r1 <= 0 || math.Float64bits(r1) != math.Float64bits(r2) {
+		t.Errorf("retry seconds = %v vs %v, want equal and positive", r1, r2)
 	}
-	clean, _ := run(0)
+	clean, _, _ := run(0)
 	if t1 <= clean {
 		t.Errorf("faulty run %.9g not slower than clean run %.9g", t1, clean)
 	}

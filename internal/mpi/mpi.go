@@ -57,23 +57,22 @@ type World struct {
 	driver Driver
 	des    *desWorld
 
-	// inbox channels exist only under the goroutine driver and are
-	// allocated lazily on its first epoch: each holds 4·size+16 packet
-	// slots, which at DES scale (thousands of ranks) would dominate
-	// memory for no benefit — the DES driver deposits into held
-	// directly.
-	inbox []chan packet
-	held  [][]packet // per-rank out-of-order buffer, owned by the rank goroutine/task
-
 	commIDs sync.Mutex
 	nextID  uint64 // guarded by commIDs
 
-	// rvMu orders the collective rendezvous (rendezvous.go): arrivals,
-	// the notices of ranks that crash or abort, and the calls still
-	// waiting for members. runMembers starts every epoch with no open
-	// call, dropping any a failed epoch left behind.
-	rvMu  sync.Mutex
-	calls []*call // guarded by rvMu
+	// rvMu orders every meeting of ranks: the collective rendezvous
+	// (rendezvous.go), point-to-point delivery, and the notices of
+	// ranks that crash or abort. A rank that must wait re-checks what
+	// it waits for under rvMu and sleeps on its own cond (the goroutine
+	// driver) or parks its task (DES); whoever changes that state wakes
+	// it (wake). runMembers starts every epoch with empty mailboxes and
+	// no open call, dropping what a failed epoch left behind.
+	rvMu    sync.Mutex
+	calls   []*call     // guarded by rvMu: the calls still waiting for members
+	held    [][]packet  // guarded by rvMu: each rank's delivered, unmatched packets
+	waitSrc []int       // guarded by rvMu: the world rank a rank's receive waits on, -1 when none
+	waitTag []uint64    // guarded by rvMu: the tag it waits for
+	conds   []sync.Cond // on rvMu: each rank's wait under the goroutine driver
 
 	clocks []*vclock.Clock
 
@@ -84,19 +83,18 @@ type World struct {
 	obsUnits []*obs.Unit
 	obsRec   *obs.Recorder
 
-	// Fault state (see fault.go). crashCh[g] is closed by rank g's own
-	// goroutine when its scheduled fail-stop manifests; crashedAt[g] is
-	// written before the close and read only by goroutines that
-	// observed the close (channel happens-before), so neither needs a
-	// mutex. aborted/abortFail are the per-epoch abort channels,
-	// reallocated at the start of every Run with the same publication
-	// discipline.
+	// Fault state (see fault.go). crashed[g] is rank g's crash report
+	// once it has fail-stopped, for the rest of the world's life;
+	// abortFail[g] is the failure rank g's callback published this
+	// epoch. Both are written under rvMu, by rank g alone, and read
+	// under rvMu, by rank g itself, or after the notice that completes
+	// a call. retrySecs[g] is the virtual time rank g spent retrying
+	// transient faults, summed in its own program order.
 	inj       *fault.Injector
 	netAt     *netmodel.Model // degraded-link view of net; nil without faults
-	crashCh   []chan struct{}
-	crashedAt []float64
-	aborted   []chan struct{}
+	crashed   []*RankFailure
 	abortFail []*RankFailure
+	retrySecs []float64
 }
 
 // NewWorld creates a world of size ranks over the deployment spec.
@@ -142,17 +140,9 @@ func (w *World) SetObserver(rec *obs.Recorder) {
 	}
 }
 
-// ResetClocks zeroes all rank clocks between measured iterations.
-func (w *World) ResetClocks() {
-	for _, c := range w.clocks {
-		c.Reset()
-	}
-}
-
 // Run executes fn concurrently on every rank and blocks until all
 // return. The first non-nil error (lowest rank) is returned. Run may
-// be called repeatedly on the same world; clocks persist across calls
-// unless ResetClocks is used.
+// be called repeatedly on the same world; clocks persist across calls.
 func (w *World) Run(fn func(c *Comm) error) error {
 	members := make([]int, w.size)
 	for i := range members {
@@ -174,32 +164,19 @@ func (w *World) RunLive(fn func(c *Comm) error) error {
 	return w.runMembers(w.newCommID(), members, fn)
 }
 
-// runMembers is the shared epoch driver of Run and RunLive: it clears
+// runMembers is the shared epoch driver of Run and RunLive: it drops
 // stale packets (messages addressed to ranks that crashed or aborted
-// in a previous epoch are dead letters), arms fresh abort channels,
-// then hands the epoch to the selected driver, which runs fn on each
-// member and publishes each member's failure to late-blocking peers.
+// in a previous epoch are dead letters), the previous epoch's aborts
+// and open calls, then hands the epoch to the selected driver, which
+// runs fn on each member and publishes each member's failure to its
+// waiting peers.
 func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) error {
-	for g := range w.inbox {
-		if w.inbox[g] != nil {
-		drain:
-			for {
-				//swlint:ignore goroutine-purity -- one case plus default drains dead letters whose content is discarded
-				select {
-				case <-w.inbox[g]:
-				default:
-					break drain
-				}
-			}
-		}
-		w.held[g] = nil
-	}
-	w.aborted = make([]chan struct{}, w.size)
-	for g := range w.aborted {
-		w.aborted[g] = make(chan struct{})
-	}
-	w.abortFail = make([]*RankFailure, w.size)
 	w.rvMu.Lock()
+	clear(w.held)
+	for g := range w.waitSrc {
+		w.waitSrc[g] = -1
+	}
+	clear(w.abortFail)
 	w.calls = nil
 	w.rvMu.Unlock()
 	grp := &group{members: members}
@@ -212,23 +189,12 @@ func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) err
 // abort publishes the failure of a rank whose callback returned err:
 // peers blocked on it adopt the root cause instead of deadlocking.
 func (w *World) abort(g int, err error) {
-	w.abortFail[g] = w.abortFailureFor(g, err, w.clocks[g].Now())
-	close(w.aborted[g])
-	if w.des != nil {
-		w.desWakeWaitersOn(g, w.abortFail[g].DetectedAt)
-	}
-	w.noteGone(g)
+	w.noteGone(g, w.abortFail, w.abortFailureFor(g, err, w.clocks[g].Now()))
 }
 
 // runMembersGoroutine is runMembers' epoch body under the default
-// driver: one live goroutine per member, packets through the buffered
-// inbox channels.
+// driver: one live goroutine per member.
 func (w *World) runMembersGoroutine(id uint64, grp *group, fn func(c *Comm) error) error {
-	if w.inbox[0] == nil {
-		for g := range w.inbox {
-			w.inbox[g] = make(chan packet, 4*w.size+16)
-		}
-	}
 	members := grp.members
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup
@@ -251,6 +217,18 @@ func (w *World) runMembersGoroutine(id uint64, grp *group, fn func(c *Comm) erro
 		}
 	}
 	return nil
+}
+
+// wake rouses rank g from its wait after the caller, holding rvMu,
+// changed what g waits for. Under DES the task resumes at virtual time
+// at or at g's clock, whichever is later: where the wait completes,
+// which keeps the event heap's order aligned with virtual time.
+func (w *World) wake(g int, at float64) {
+	if des := w.des; des != nil {
+		des.tasks[g].Wake(math.Max(at, w.clocks[g].Now()))
+		return
+	}
+	w.conds[g].Signal()
 }
 
 // newCommID allocates a distinct communicator identity for tag
@@ -289,9 +267,6 @@ func (c *Comm) CG() int { return c.w.cgOf[c.Global()] }
 // Clock returns the rank's virtual clock. Engines advance it directly
 // for local compute and DMA work.
 func (c *Comm) Clock() *vclock.Clock { return c.w.clocks[c.Global()] }
-
-// Stats returns the world's trace sink (possibly nil).
-func (c *Comm) Stats() *trace.Stats { return c.w.stats }
 
 // Obs returns the rank's span unit, nil when the world is unobserved.
 // Engines record their local compute and DMA phases on it so the
@@ -352,10 +327,11 @@ func clonePayload[T float64 | int64](s []T) []T {
 // at this boundary if its crash time has passed, transient message
 // faults are retried with the wasted wire time and a doubling backoff
 // charged to the sender's clock, and delivery to a crashed or aborted
-// peer is dropped (dead letters would otherwise fill the peer's inbox
-// and block the sender forever). A non-nil fail marks the packet as
-// poison. The packet carries data and ints themselves, not a copy, so
-// nobody may write them after the call.
+// peer is dropped (nobody would ever take the dead letter). A
+// delivered packet joins the destination's mailbox and wakes the
+// destination if its receive waits for exactly this packet. A non-nil
+// fail marks the packet as poison. The packet carries data and ints
+// themselves, not a copy, so nobody may write them after the call.
 func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fail *RankFailure) error {
 	if err := c.checkSelfCrash(); err != nil {
 		return err
@@ -389,21 +365,21 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 					srcG, dstG, tag, inj.MaxRetries(), at, fault.ErrLinkFailed)
 			}
 			cost := tt + inj.Backoff(attempt+1)
-			c.w.stats.AddNetRetry(1, cost)
+			c.w.stats.AddNetRetry(1)
+			c.w.retrySecs[srcG] += cost
 			c.Clock().Advance(cost)
 		}
 	}
 	p.time = c.Clock().Now() + tt
-	if c.w.des != nil {
-		c.w.desDeliver(dstG, p)
-		return nil
+	w := c.w
+	w.rvMu.Lock()
+	if !w.isCrashed(dstG) && w.abortFail[dstG] == nil {
+		w.held[dstG] = append(w.held[dstG], p)
+		if w.waitSrc[dstG] == srcG && w.waitTag[dstG] == tag {
+			w.wake(dstG, p.time)
+		}
 	}
-	//swlint:ignore goroutine-purity -- the arms are equivalent: a packet bound for a crashed or aborted rank is a dead letter either way
-	select {
-	case c.w.inbox[dstG] <- p:
-	case <-c.w.crashChOf(dstG):
-	case <-c.w.abortChOf(dstG):
-	}
+	w.rvMu.Unlock()
 	return nil
 }
 
@@ -433,11 +409,13 @@ func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
 
 // recvFull is the failure-aware receive. The hard error (last return)
 // is only ever the caller's own fail-stop; a peer's failure comes back
-// as a *RankFailure with nil payloads. See the determinism argument at
-// the top of fault.go: the inbox drain on crash/abort wake-up
-// guarantees a real matching packet always wins over a failure report,
-// and a crashed peer is reported as crashed even once its callback has
-// aborted, independent of goroutine scheduling.
+// as a *RankFailure with nil payloads. Under rvMu the receive takes a
+// matching packet from its mailbox first, then reports the source's
+// crash, then its abort, and otherwise waits for one of the three.
+// See the determinism argument at the top of fault.go: a real matching
+// packet always wins over a failure report, and a crashed peer is
+// reported as crashed even once its callback has aborted, whatever
+// the interleaving of the ranks.
 func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, error) {
 	if err := c.checkSelfCrash(); err != nil {
 		return nil, nil, nil, err
@@ -445,78 +423,39 @@ func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, 
 	if src < 0 || src >= c.size {
 		return nil, nil, nil, fmt.Errorf("mpi: recv source %d out of range [0,%d)", src, c.size)
 	}
-	srcG := c.grp.members[src]
-	me := c.Global()
-	// First, scan messages held back earlier.
-	if p, ok := c.takeHeld(me, srcG, tag); ok {
-		return c.deliver(p)
-	}
-	if c.w.des != nil {
-		return c.desRecvWait(me, srcG, tag)
-	}
+	w := c.w
+	srcG, me := c.grp.members[src], c.Global()
+	w.rvMu.Lock()
 	for {
-		//swlint:ignore goroutine-purity -- the failure arms drain and prefer buffered matches (drainAndTake), so arm choice never changes the delivered packet
-		select {
-		case p := <-c.w.inbox[me]:
+		for i, p := range w.held[me] {
 			if p.src == srcG && p.tag == tag {
-				return c.deliver(p)
+				w.held[me] = slices.Delete(w.held[me], i, i+1)
+				w.rvMu.Unlock()
+				c.Clock().AdvanceTo(p.time)
+				if p.fail != nil {
+					return nil, nil, p.fail, nil
+				}
+				return p.data, p.ints, nil, nil
 			}
-			c.w.held[me] = append(c.w.held[me], p)
-		case <-c.w.crashChOf(srcG):
-			if p, ok := c.drainAndTake(me, srcG, tag); ok {
-				return c.deliver(p)
-			}
-			fail := c.w.crashFailure(srcG)
-			c.Clock().AdvanceTo(fail.DetectedAt)
-			return nil, nil, fail, nil
-		case <-c.w.abortChOf(srcG):
-			if p, ok := c.drainAndTake(me, srcG, tag); ok {
-				return c.deliver(p)
-			}
-			fail := c.w.abortFail[srcG]
-			if c.w.isCrashed(srcG) {
-				fail = c.w.crashFailure(srcG)
-			}
+		}
+		fail := w.abortFail[srcG]
+		if w.isCrashed(srcG) {
+			fail = w.crashed[srcG]
+		}
+		if fail != nil {
+			w.rvMu.Unlock()
 			c.Clock().AdvanceTo(fail.DetectedAt)
 			return nil, nil, fail, nil
 		}
-	}
-}
-
-// deliver reconciles the clock with a matched packet and unwraps it.
-func (c *Comm) deliver(p packet) ([]float64, []int64, *RankFailure, error) {
-	c.Clock().AdvanceTo(p.time)
-	if p.fail != nil {
-		return nil, nil, p.fail, nil
-	}
-	return p.data, p.ints, nil, nil
-}
-
-// takeHeld removes and returns the held packet matching (src, tag).
-func (c *Comm) takeHeld(me, srcG int, tag uint64) (packet, bool) {
-	for i, h := range c.w.held[me] {
-		if h.src == srcG && h.tag == tag {
-			c.w.held[me] = append(c.w.held[me][:i], c.w.held[me][i+1:]...)
-			return h, true
+		w.waitSrc[me], w.waitTag[me] = srcG, tag
+		if des := w.des; des != nil {
+			w.rvMu.Unlock()
+			des.tasks[me].Park()
+			w.rvMu.Lock()
+		} else {
+			w.conds[me].Wait()
 		}
-	}
-	return packet{}, false
-}
-
-// drainAndTake moves every already-delivered packet from the inbox to
-// the held buffer, then looks for a match: when a peer's crash or
-// abort channel closes, every packet it ever sent is already buffered
-// (channel happens-before), so preferring a buffered match keeps the
-// real-message-versus-failure decision deterministic.
-func (c *Comm) drainAndTake(me, srcG int, tag uint64) (packet, bool) {
-	for {
-		//swlint:ignore goroutine-purity -- one case plus default deterministically empties the inbox
-		select {
-		case p := <-c.w.inbox[me]:
-			c.w.held[me] = append(c.w.held[me], p)
-		default:
-			return c.takeHeld(me, srcG, tag)
-		}
+		w.waitSrc[me] = -1
 	}
 }
 

@@ -525,20 +525,6 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-func TestResetClocks(t *testing.T) {
-	w := world(t, 1, 4)
-	if err := w.Run(func(c *Comm) error { return c.Barrier() }); err != nil {
-		t.Fatal(err)
-	}
-	if w.MaxTime() <= 0 {
-		t.Fatal("barrier consumed no time")
-	}
-	w.ResetClocks()
-	if w.MaxTime() != 0 {
-		t.Errorf("MaxTime after reset = %g", w.MaxTime())
-	}
-}
-
 func TestStatsRecorded(t *testing.T) {
 	stats := trace.NewStats()
 	w := MustWorld(machine.MustSpec(2), stats, 8)

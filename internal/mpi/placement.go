@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/netmodel"
@@ -56,24 +57,21 @@ func NewWorldPlaced(spec *machine.Spec, stats *trace.Stats, size int, place Plac
 		cgOf[r] = cg
 	}
 	w := &World{
-		spec:  spec,
-		net:   netmodel.MustNew(spec),
-		stats: stats,
-		size:  size,
-		cgOf:  cgOf,
-		// The channels themselves are allocated lazily by the goroutine
-		// driver's first epoch; the DES driver never needs them, and at
-		// its world sizes (thousands of ranks) the 4·size+16 buffers
-		// would cost gigabytes.
-		inbox: make([]chan packet, size),
-		held:  make([][]packet, size),
-		clocks: func() []*vclock.Clock {
-			cs := make([]*vclock.Clock, size)
-			for i := range cs {
-				cs[i] = vclock.New()
-			}
-			return cs
-		}(),
+		spec:      spec,
+		net:       netmodel.MustNew(spec),
+		stats:     stats,
+		size:      size,
+		cgOf:      cgOf,
+		held:      make([][]packet, size),
+		waitSrc:   make([]int, size),
+		waitTag:   make([]uint64, size),
+		conds:     make([]sync.Cond, size),
+		clocks:    make([]*vclock.Clock, size),
+		abortFail: make([]*RankFailure, size),
+	}
+	for g := range w.clocks {
+		w.conds[g].L = &w.rvMu
+		w.clocks[g] = vclock.New()
 	}
 	return w, nil
 }

@@ -16,8 +16,9 @@ package mpi
 // AllReduceRows and the allgathers, into one result every member
 // shares read-only. Each member then applies only its own outcome: its
 // clock, its traffic counters, its own fail-stop or error. The wait is
-// the only driver-specific part: a sync.Cond under the goroutine
-// driver, a Park re-check loop under the DES driver.
+// the only driver-specific part, the same one a receive has: a
+// re-check loop under World.rvMu that sleeps on the member's cond
+// under the goroutine driver and parks its task under the DES driver.
 //
 // DESIGN.md §5 ("The host cost of MPI collectives") argues why the
 // replay is exact.
@@ -25,7 +26,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/ldm"
@@ -73,11 +73,10 @@ type group struct {
 // sets done. After done everything is read-only.
 type call struct {
 	grp     *group
-	id      uint64    // communicator id, the high bits of every tag
-	missing int       // guarded by rvMu: members neither arrived nor gone
-	done    bool      // guarded by rvMu
-	cond    sync.Cond // on World.rvMu; broadcast when done
-	slots   []slot    // by communicator rank
+	id      uint64 // communicator id, the high bits of every tag
+	missing int    // guarded by rvMu: members neither arrived nor gone
+	done    bool   // guarded by rvMu
+	slots   []slot // by communicator rank
 
 	// The outcome every member shares.
 	op    opKind
@@ -158,11 +157,10 @@ func (c *Comm) rendezvous(op opKind, root int, data []float64, ints []int64, row
 	x := c.grp.open
 	if x == nil {
 		x = &call{grp: c.grp, id: c.id, seq: c.seq, slots: make([]slot, c.size), missing: c.size}
-		x.cond.L = &w.rvMu
 		c.grp.open = x
 		w.calls = append(w.calls, x)
 		for r, g := range c.grp.members {
-			if w.isCrashed(g) || w.isAborted(g) {
+			if w.isCrashed(g) || w.abortFail[g] != nil {
 				x.slots[r].gone = true
 				x.missing--
 			}
@@ -171,38 +169,30 @@ func (c *Comm) rendezvous(op opKind, root int, data []float64, ints []int64, row
 	x.slots[c.rank] = slot{arrived: true, op: op, root: int32(root),
 		clock: c.Clock().Now(), crashAt: crashAt, data: data, ints: ints, rows: rows}
 	x.missing--
-	last := x.missing == 0
-	w.rvMu.Unlock()
-	if last {
+	if x.missing == 0 {
+		w.rvMu.Unlock()
 		w.complete(x)
 		return x, nil
 	}
-	if des := w.des; des != nil {
-		for !w.isDone(x) {
-			des.tasks[c.Global()].Park()
-		}
-		return x, nil
-	}
-	w.rvMu.Lock()
+	me := c.Global()
 	for !x.done {
-		x.cond.Wait()
+		if des := w.des; des != nil {
+			w.rvMu.Unlock()
+			des.tasks[me].Park()
+			w.rvMu.Lock()
+		} else {
+			w.conds[me].Wait()
+		}
 	}
 	w.rvMu.Unlock()
 	return x, nil
 }
 
-// isDone reports whether a call's outcome is published.
-func (w *World) isDone(x *call) bool {
-	w.rvMu.Lock()
-	defer w.rvMu.Unlock()
-	return x.done
-}
-
 // complete closes a call that no member is missing from any more,
-// replays it, publishes the outcome and releases its waiting members,
-// each at its replayed clock under DES. Only the member or notice that
-// took the last missing member calls it, and nothing else writes the
-// call until done.
+// replays it, publishes the outcome and wakes its waiting members, each
+// at its replayed clock under DES. Only the member or notice that took
+// the last missing member calls it, and nothing else writes the call
+// until done.
 func (w *World) complete(x *call) {
 	w.rvMu.Lock()
 	x.grp.open = nil
@@ -216,22 +206,27 @@ func (w *World) complete(x *call) {
 	x.replay(w)
 	w.rvMu.Lock()
 	x.done = true
-	w.rvMu.Unlock()
-	x.cond.Broadcast()
-	if des := w.des; des != nil {
-		for r := range x.slots {
-			if s := &x.slots[r]; s.arrived {
-				des.tasks[x.grp.members[r]].Wake(s.clock)
-			}
+	for r := range x.slots {
+		if s := &x.slots[r]; s.arrived {
+			w.wake(x.grp.members[r], s.clock)
 		}
 	}
+	w.rvMu.Unlock()
 }
 
-// noteGone records that world rank g will arrive at no further call
-// this epoch — it crashed, or its callback returned an error — and
-// completes every open call it was the last member missing from.
-func (w *World) noteGone(g int) {
+// noteGone records f as world rank g's crash or abort report in
+// reports (w.crashed or w.abortFail), wakes every rank whose receive
+// waits on g at the report's detection time, and completes every open
+// call g was the last member missing from: g arrives at no further
+// call this epoch.
+func (w *World) noteGone(g int, reports []*RankFailure, f *RankFailure) {
 	w.rvMu.Lock()
+	reports[g] = f
+	for r, src := range w.waitSrc {
+		if src == g {
+			w.wake(r, f.DetectedAt)
+		}
+	}
 	var ready []*call
 	for _, x := range w.calls {
 		grp := x.grp
@@ -276,7 +271,8 @@ func (c *Comm) settle(x *call) error {
 		return s.st.err()
 	}
 	if f.retries > 0 {
-		c.w.stats.AddNetRetry(f.retries, f.retrySecs)
+		c.w.stats.AddNetRetry(f.retries)
+		c.w.retrySecs[c.Global()] += f.retrySecs
 	}
 	if !s.dead {
 		c.seq += x.tags
@@ -486,7 +482,7 @@ func (x *call) failureOf(w *World, r int) *RankFailure {
 		f.lost = &RankFailure{Rank: g, CG: w.cgOf[g], CrashedAt: f.crashedAt,
 			DetectedAt: f.crashedAt + w.inj.HeartbeatTimeout()}
 	case w.isCrashed(g):
-		f.lost = w.crashFailure(g)
+		f.lost = w.crashed[g]
 	default:
 		f.lost = w.abortFail[g]
 	}

@@ -268,6 +268,7 @@ type collScenario struct {
 type collOutcome struct {
 	results, errs, spans []string
 	clocks               []uint64
+	retry                []float64 // each rank's retry seconds
 	stats                trace.Snapshot
 	failed               []int
 }
@@ -338,15 +339,17 @@ func runColl(t testing.TB, sc collScenario, cc collCase, ref bool) collOutcome {
 		}
 		out.spans[g] = b.String()
 	}
+	out.retry = w.retrySecs
 	out.stats = stats.Snapshot()
 	out.failed = w.Failed()
 	return out
 }
 
 // compareColl reports the first observable difference between the
-// rendezvous and the reference. RetrySeconds is a float sum over a
-// shared counter whose order follows goroutine or dispatch order in
-// either implementation, so it is held to a relative 1e-12.
+// rendezvous and the reference. A rank's retry seconds are held to a
+// relative 1e-12: the rendezvous adds a call's retry time to the rank's
+// in one sum, the reference retry by retry, and the two may round
+// differently.
 func compareColl(t testing.TB, label string, want, got collOutcome) {
 	t.Helper()
 	for r := range want.results {
@@ -361,13 +364,13 @@ func compareColl(t testing.TB, label string, want, got collOutcome) {
 			t.Fatalf("%s: rank %d spans\n got %s\nwant %s", label, r, got.spans[r], want.spans[r])
 		}
 	}
-	ws, gs := want.stats, got.stats
-	if math.Abs(ws.RetrySeconds-gs.RetrySeconds) > 1e-12*math.Abs(ws.RetrySeconds) {
-		t.Fatalf("%s: retry seconds %v, want %v", label, gs.RetrySeconds, ws.RetrySeconds)
+	for r, ws := range want.retry {
+		if gs := got.retry[r]; math.Abs(ws-gs) > 1e-12*math.Abs(ws) {
+			t.Fatalf("%s: rank %d retry seconds %v, want %v", label, r, gs, ws)
+		}
 	}
-	ws.RetrySeconds, gs.RetrySeconds = 0, 0
-	if ws != gs {
-		t.Fatalf("%s: stats\n got %+v\nwant %+v", label, gs, ws)
+	if want.stats != got.stats {
+		t.Fatalf("%s: stats\n got %+v\nwant %+v", label, got.stats, want.stats)
 	}
 	if !slices.Equal(want.failed, got.failed) {
 		t.Fatalf("%s: failed ranks %v, want %v", label, got.failed, want.failed)

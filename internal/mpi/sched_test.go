@@ -265,32 +265,6 @@ func TestDriverParityTransientFaults(t *testing.T) {
 	assertDigestsEqual(t, g, s)
 }
 
-// TestRunSchedForcesDESDriver: RunSched must run under the DES engine
-// regardless of the configured driver and restore the selection.
-func TestRunSchedForcesDESDriver(t *testing.T) {
-	w := world(t, 1, 4)
-	if w.Driver() != DriverGoroutine {
-		t.Fatalf("default driver = %v", w.Driver())
-	}
-	var inSched bool
-	err := w.RunSched(func(c *Comm) error {
-		if c.Rank() == 0 {
-			inSched = w.des != nil
-		}
-		data := []float64{1}
-		return c.AllReduceSum(data, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inSched {
-		t.Fatal("RunSched did not engage the DES driver")
-	}
-	if w.Driver() != DriverGoroutine {
-		t.Fatalf("driver not restored, now %v", w.Driver())
-	}
-}
-
 // TestSchedDeadlockDiagnostic: a protocol bug that would hang the
 // goroutine driver forever (a receive nobody answers) surfaces as the
 // scheduler's deadlock diagnostic under the DES driver.

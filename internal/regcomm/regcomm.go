@@ -20,6 +20,7 @@ package regcomm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ldm"
@@ -79,13 +80,22 @@ type message struct {
 type Mesh struct {
 	model  Model
 	stats  *trace.Stats
-	inbox  []chan message
 	clocks []*vclock.Clock
 	// units[i] is CPE i's span sink, nil when unobserved. Installed
 	// before Run; afterwards each unit is touched only by its CPE's
 	// goroutine (Run's completion channel orders the handoff).
 	units  []*obs.Unit
+	inbox  [machine.CPEsPerCG]mailbox
 	reduce rendezvous
+}
+
+// mailbox holds the messages delivered to one CPE and not yet read:
+// Send appends to the destination's and signals its cond, Recv takes
+// the first message from its source or waits on its own cond.
+type mailbox struct {
+	mu    sync.Mutex
+	msgs  []message // guarded by mu
+	ready sync.Cond // on mu
 }
 
 // NewMesh builds the fabric for one core group. The stats sink may be
@@ -94,14 +104,11 @@ func NewMesh(spec *machine.Spec, stats *trace.Stats) *Mesh {
 	m := &Mesh{
 		model:  NewModel(spec),
 		stats:  stats,
-		inbox:  make([]chan message, machine.CPEsPerCG),
 		clocks: make([]*vclock.Clock, machine.CPEsPerCG),
 	}
-	for i := range m.inbox {
-		// One slot per potential sender is ample: the collectives used
-		// here never have more than one outstanding message per pair.
-		m.inbox[i] = make(chan message, machine.CPEsPerCG)
+	for i := range m.clocks {
 		m.clocks[i] = vclock.New()
+		m.inbox[i].ready.L = &m.inbox[i].mu
 	}
 	m.reduce.cond.L = &m.reduce.mu
 	return m
@@ -224,34 +231,37 @@ func (c *CPE) Send(dst int, data []float64, ints []int64) error {
 	msg := message{from: c.id, time: c.Clock().Now()}
 	msg.data = append(msg.data, data...)
 	msg.ints = append(msg.ints, ints...)
-	c.mesh.inbox[dst] <- msg
+	b := &c.mesh.inbox[dst]
+	b.mu.Lock()
+	b.msgs = append(b.msgs, msg)
+	b.mu.Unlock()
+	b.ready.Signal()
 	return nil
 }
 
 // Recv blocks until a message from mesh index src arrives and returns
-// its payload. The receive completes no earlier than the sender's
-// clock at completion of the send.
+// its payload: the first one src sent that is still unread, whatever
+// other senders have delivered meanwhile. The receive completes no
+// earlier than the sender's clock at completion of the send.
 func (c *CPE) Recv(src int) ([]float64, []int64, error) {
 	if src < 0 || src >= machine.CPEsPerCG {
 		return nil, nil, fmt.Errorf("regcomm: source %d out of range", src)
 	}
-	// Messages from distinct senders may interleave in the inbox; hold
-	// back foreign messages and redeliver them.
-	var held []message
+	b := &c.mesh.inbox[c.id]
 	start := c.Clock().Now()
+	b.mu.Lock()
 	for {
-		msg := <-c.mesh.inbox[c.id]
-		if msg.from == src {
-			for _, h := range held {
-				c.mesh.inbox[c.id] <- h
+		for i, msg := range b.msgs {
+			if msg.from == src {
+				b.msgs = slices.Delete(b.msgs, i, i+1)
+				b.mu.Unlock()
+				c.Clock().AdvanceTo(msg.time)
+				c.mesh.Unit(c.id).Record(obs.KindReg, start, c.Clock().Now(),
+					int64((len(msg.data)+len(msg.ints))*ldm.ElemBytes), 0)
+				return msg.data, msg.ints, nil
 			}
-			c.Clock().AdvanceTo(msg.time)
-			c.mesh.Unit(c.id).Record(obs.KindReg, start, c.Clock().Now(),
-				int64((len(msg.data)+len(msg.ints))*ldm.ElemBytes), 0)
-			return msg.data, msg.ints, nil
 		}
-		//swlint:ignore goroutine-purity -- held messages are redelivered and re-matched by origin (msg.from), so arrival order never reaches results
-		held = append(held, msg)
+		b.ready.Wait()
 	}
 }
 

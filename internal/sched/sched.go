@@ -148,9 +148,6 @@ type Task struct {
 	resume chan struct{}
 }
 
-// Unit returns the unit index the task was spawned with.
-func (t *Task) Unit() int { return t.unit }
-
 // Spawn registers fn as the continuation body of a unit and schedules
 // its first resumption at virtual time at. fn runs to completion over
 // one or more dispatches (each Park inside it ends one dispatch).
@@ -208,12 +205,6 @@ func (t *Task) Park() {
 	t.sim.yield <- struct{}{}
 	<-t.resume
 }
-
-// Current returns the task currently executing, nil between dispatches.
-// Only the running task itself can meaningfully call it (no other task
-// code is live), which is what lets substrate code discover its own
-// task without threading it through every call.
-func (s *Sim) Current() *Task { return s.running }
 
 // Now returns the virtual time of the event being dispatched. It is a
 // scheduler-eye view (the heap's clock, not any unit's), exposed for

@@ -25,13 +25,14 @@ type Stats struct {
 
 	// Recovery counters: what fault injection cost the run, phase by
 	// phase, with the time components in virtual seconds — the same
-	// metric every figure reports.
+	// metric every figure reports. Retry time has no counter here: the
+	// message layer keeps it per rank and sums it in rank order, which
+	// a shared float could not do deterministically.
 	dmaRetries        atomic.Int64
 	netRetries        atomic.Int64
 	checkpoints       atomic.Int64
 	checkpointBytes   atomic.Int64
 	replans           atomic.Int64
-	retrySeconds      atomicSeconds
 	checkpointSeconds atomicSeconds
 	restoreSeconds    atomicSeconds
 	replanSeconds     atomicSeconds
@@ -110,23 +111,20 @@ func (s *Stats) AddFlops(n int64) {
 }
 
 // AddDMARetry records n transiently failed DMA attempts that were
-// retried, charging their total virtual-time cost.
-func (s *Stats) AddDMARetry(n int64, seconds float64) {
+// retried.
+func (s *Stats) AddDMARetry(n int64) {
 	if s == nil {
 		return
 	}
 	s.dmaRetries.Add(n)
-	s.retrySeconds.Add(seconds)
 }
 
-// AddNetRetry records n retransmitted messages, charging their total
-// virtual-time cost.
-func (s *Stats) AddNetRetry(n int64, seconds float64) {
+// AddNetRetry records n retransmitted messages.
+func (s *Stats) AddNetRetry(n int64) {
 	if s == nil {
 		return
 	}
 	s.netRetries.Add(n)
-	s.retrySeconds.Add(seconds)
 }
 
 // AddCheckpoint records one checkpoint write of n bytes taking the
@@ -184,7 +182,6 @@ type Snapshot struct {
 	Checkpoints       int64
 	CheckpointBytes   int64
 	Replans           int64
-	RetrySeconds      float64
 	CheckpointSeconds float64
 	RestoreSeconds    float64
 	ReplanSeconds     float64
@@ -210,7 +207,6 @@ func (s *Stats) Snapshot() Snapshot {
 		Checkpoints:       s.checkpoints.Load(),
 		CheckpointBytes:   s.checkpointBytes.Load(),
 		Replans:           s.replans.Load(),
-		RetrySeconds:      s.retrySeconds.Load(),
 		CheckpointSeconds: s.checkpointSeconds.Load(),
 		RestoreSeconds:    s.restoreSeconds.Load(),
 		ReplanSeconds:     s.replanSeconds.Load(),
@@ -235,7 +231,6 @@ func (s *Stats) Reset() {
 	s.checkpoints.Store(0)
 	s.checkpointBytes.Store(0)
 	s.replans.Store(0)
-	s.retrySeconds.bits.Store(0)
 	s.checkpointSeconds.bits.Store(0)
 	s.restoreSeconds.bits.Store(0)
 	s.replanSeconds.bits.Store(0)
@@ -259,7 +254,6 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		Checkpoints:       a.Checkpoints - b.Checkpoints,
 		CheckpointBytes:   a.CheckpointBytes - b.CheckpointBytes,
 		Replans:           a.Replans - b.Replans,
-		RetrySeconds:      a.RetrySeconds - b.RetrySeconds,
 		CheckpointSeconds: a.CheckpointSeconds - b.CheckpointSeconds,
 		RestoreSeconds:    a.RestoreSeconds - b.RestoreSeconds,
 		ReplanSeconds:     a.ReplanSeconds - b.ReplanSeconds,
@@ -283,7 +277,6 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		Checkpoints:       a.Checkpoints + b.Checkpoints,
 		CheckpointBytes:   a.CheckpointBytes + b.CheckpointBytes,
 		Replans:           a.Replans + b.Replans,
-		RetrySeconds:      a.RetrySeconds + b.RetrySeconds,
 		CheckpointSeconds: a.CheckpointSeconds + b.CheckpointSeconds,
 		RestoreSeconds:    a.RestoreSeconds + b.RestoreSeconds,
 		ReplanSeconds:     a.ReplanSeconds + b.ReplanSeconds,
@@ -298,15 +291,15 @@ func (a Snapshot) HasRecovery() bool {
 		return true
 	}
 	//swlint:ignore float-eq -- the seconds counters start at exactly zero and only ever accumulate; any recorded cost compares unequal
-	return a.RetrySeconds != 0 || a.CheckpointSeconds != 0 || a.RestoreSeconds != 0 || a.ReplanSeconds != 0 || a.RedoSeconds != 0
+	return a.CheckpointSeconds != 0 || a.RestoreSeconds != 0 || a.ReplanSeconds != 0 || a.RedoSeconds != 0
 }
 
 // RecoveryString renders the recovery counters on one line.
 func (a Snapshot) RecoveryString() string {
-	return fmt.Sprintf("ckpt=%d(%s,%.6fs) restore=%.6fs replan=%d(%.6fs) redo=%.6fs retries=dma:%d,net:%d(%.6fs)",
+	return fmt.Sprintf("ckpt=%d(%s,%.6fs) restore=%.6fs replan=%d(%.6fs) redo=%.6fs retries=dma:%d,net:%d",
 		a.Checkpoints, FormatBytes(a.CheckpointBytes), a.CheckpointSeconds,
 		a.RestoreSeconds, a.Replans, a.ReplanSeconds, a.RedoSeconds,
-		a.DMARetries, a.NetRetries, a.RetrySeconds)
+		a.DMARetries, a.NetRetries)
 }
 
 // String renders a compact single-line breakdown.

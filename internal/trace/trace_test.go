@@ -159,7 +159,6 @@ func TestHasRecoveryPartiallyPopulated(t *testing.T) {
 		{NetRetries: 1},
 		{Checkpoints: 1},
 		{Replans: 1},
-		{RetrySeconds: 0.5},
 		{CheckpointSeconds: 0.5},
 		{RestoreSeconds: 0.5},
 		{ReplanSeconds: 0.5},
@@ -248,8 +247,8 @@ func TestRecoveryCounters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.AddDMARetry(2, 0.25)
-			s.AddNetRetry(1, 0.125)
+			s.AddDMARetry(2)
+			s.AddNetRetry(1)
 			s.AddCheckpoint(1024, 0.5)
 			s.AddRestore(0.75)
 			s.AddReplan(1.0)
@@ -268,7 +267,7 @@ func TestRecoveryCounters(t *testing.T) {
 	// accumulated virtual seconds compare exactly.
 	want := Snapshot{
 		DMARetries: 16, NetRetries: 8, Checkpoints: 8, CheckpointBytes: 8192, Replans: 8,
-		RetrySeconds: 8*0.25 + 8*0.125, CheckpointSeconds: 4, RestoreSeconds: 8 * 0.75, ReplanSeconds: 8, RedoSeconds: 16,
+		CheckpointSeconds: 4, RestoreSeconds: 8 * 0.75, ReplanSeconds: 8, RedoSeconds: 16,
 	}
 	if snap != want {
 		t.Errorf("snapshot = %+v, want %+v", snap, want)

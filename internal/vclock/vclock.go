@@ -13,15 +13,12 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"sync"
-
-	"repro/internal/sched"
 )
 
 // Clock is the virtual time line of one simulated parallel unit.
 // A Clock is not safe for concurrent use; each simulated unit owns its
 // clock exclusively and cross-unit reconciliation happens through
-// message timestamps or Group synchronization.
+// message timestamps.
 type Clock struct {
 	t float64
 }
@@ -81,116 +78,4 @@ func MaxTime(clocks ...*Clock) float64 {
 		}
 	}
 	return m
-}
-
-// SyncAll advances every clock to the maximum across all of them plus
-// an extra synchronization cost, modelling a barrier or the completion
-// of a collective. It returns the synchronized time.
-func SyncAll(extra float64, clocks ...*Clock) float64 {
-	if extra < 0 || math.IsNaN(extra) {
-		panic(fmt.Sprintf("vclock: invalid sync cost %v", extra))
-	}
-	t := MaxTime(clocks...) + extra
-	for _, c := range clocks {
-		c.t = t
-	}
-	return t
-}
-
-// Group synchronizes a fixed set of concurrent participants, each
-// owning its own Clock, the way a barrier-style collective does:
-// every participant enters with its local time, all block until the
-// last arrives, and all leave at max(entry times) + extra.
-//
-// Group is safe for concurrent use by exactly Size participants per
-// round and may be reused for any number of rounds by the same
-// participant set. Reuse needs no quiescence between rounds: a fast
-// participant may re-enter round n+1 before slow waiters of round n
-// have woken, because the release time of a completed round is stored
-// separately from the running max of the round currently filling.
-// Clocks may also be Reset between rounds (engines do this when they
-// measure per-iteration time): each round's max starts fresh from its
-// first arrival's clock, so the previous round's release time never
-// leaks into the new round — the stale-release edge is pinned by
-// TestGroupResetBetweenRounds.
-//
-// A Group built with NewGroup blocks on a sync.Cond and serves live
-// goroutines; one built with NewGroupSched serves coroutine tasks of a
-// sched.Sim, parking them on the scheduler's event heap instead. The
-// Sync API and the round semantics are identical in both modes.
-type Group struct {
-	size int
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting int     // guarded by mu
-	round   uint64  // guarded by mu
-	maxT    float64 // guarded by mu — running max of the round currently filling
-	release float64 // guarded by mu — release time of the last completed round
-
-	// Scheduler-backed mode (NewGroupSched). When sim is non-nil every
-	// participant is a sched task and execution is serialized by the
-	// scheduler, so the fields above are accessed without the mutex and
-	// waiters park on the event heap instead of the cond.
-	sim     *sched.Sim
-	waiters []*sched.Task // parked participants of the filling round
-}
-
-// NewGroup returns a synchronization group for n participants.
-// It panics when n is not positive.
-func NewGroup(n int) *Group {
-	if n <= 0 {
-		panic(fmt.Sprintf("vclock: group size must be positive, got %d", n))
-	}
-	g := &Group{size: n}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// Size returns the number of participants per round.
-func (g *Group) Size() int { return g.size }
-
-// Sync enters the barrier with the participant's clock, blocks until
-// all participants of the round have entered, advances the clock to
-// max(entry times) + extra and returns the synchronized time.
-func (g *Group) Sync(c *Clock, extra float64) float64 {
-	if extra < 0 || math.IsNaN(extra) {
-		panic(fmt.Sprintf("vclock: invalid sync cost %v", extra))
-	}
-	if g.sim != nil {
-		return g.syncSched(c, extra)
-	}
-	g.mu.Lock()
-	myRound := g.round
-	if g.waiting == 0 {
-		// First arrival of a fresh round: the round's max starts from
-		// this participant's time, so a stale release time from the
-		// previous round (e.g. after the caller Reset its clocks) never
-		// leaks into the new round.
-		g.maxT = c.t
-	} else if c.t > g.maxT {
-		g.maxT = c.t
-	}
-	g.waiting++
-	if g.waiting == g.size {
-		// Last arrival releases the round. The release time is stored
-		// separately from maxT so that the first arrival of the next
-		// round (which resets maxT) cannot clobber it before slower
-		// waiters of this round have woken up and read it.
-		g.release = g.maxT + extra
-		g.waiting = 0
-		g.round++
-		t := g.release
-		g.cond.Broadcast()
-		g.mu.Unlock()
-		c.t = t
-		return t
-	}
-	for g.round == myRound {
-		g.cond.Wait()
-	}
-	t := g.release
-	g.mu.Unlock()
-	c.AdvanceTo(t)
-	return t
 }

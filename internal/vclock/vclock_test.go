@@ -2,9 +2,7 @@ package vclock
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -82,157 +80,6 @@ func TestMaxTime(t *testing.T) {
 	}
 	if got := MaxTime(); got != 0 {
 		t.Errorf("MaxTime() of nothing = %g, want 0", got)
-	}
-}
-
-func TestSyncAll(t *testing.T) {
-	a, b := New(), New()
-	a.Advance(2)
-	b.Advance(5)
-	got := SyncAll(1, a, b)
-	if got != 6 {
-		t.Errorf("SyncAll = %g, want 6", got)
-	}
-	if a.Now() != 6 || b.Now() != 6 {
-		t.Errorf("clocks after SyncAll = %g, %g; want 6, 6", a.Now(), b.Now())
-	}
-}
-
-func TestSyncAllPanicsOnNegativeExtra(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SyncAll(-1) did not panic")
-		}
-	}()
-	SyncAll(-1, New())
-}
-
-func TestNewGroupPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGroup(0) did not panic")
-		}
-	}()
-	NewGroup(0)
-}
-
-func TestGroupSingleParticipant(t *testing.T) {
-	g := NewGroup(1)
-	c := New()
-	c.Advance(3)
-	if got := g.Sync(c, 2); got != 5 {
-		t.Errorf("Sync = %g, want 5", got)
-	}
-	if c.Now() != 5 {
-		t.Errorf("clock = %g, want 5", c.Now())
-	}
-}
-
-func TestGroupSynchronizesToMax(t *testing.T) {
-	const n = 8
-	g := NewGroup(n)
-	if g.Size() != n {
-		t.Fatalf("Size() = %d, want %d", g.Size(), n)
-	}
-	clocks := make([]*Clock, n)
-	var wg sync.WaitGroup
-	results := make([]float64, n)
-	for i := range clocks {
-		clocks[i] = New()
-		clocks[i].Advance(float64(i)) // max entry time = 7
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.Sync(clocks[i], 0.5)
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if r != 7.5 {
-			t.Errorf("participant %d released at %g, want 7.5", i, r)
-		}
-		if clocks[i].Now() != 7.5 {
-			t.Errorf("participant %d clock %g, want 7.5", i, clocks[i].Now())
-		}
-	}
-}
-
-func TestGroupReuseRounds(t *testing.T) {
-	// The same participant set reuses the group across many rounds,
-	// including after clock resets; stale release times must not leak.
-	const n = 4
-	const rounds = 50
-	g := NewGroup(n)
-	var wg sync.WaitGroup
-	errs := make(chan string, n*rounds)
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			c := New()
-			for r := 0; r < rounds; r++ {
-				c.Reset()
-				c.Advance(float64(p + 1)) // max entry = n
-				got := g.Sync(c, 1)
-				if got != float64(n)+1 {
-					errs <- "round released at wrong time"
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-}
-
-func TestGroupSyncPanicsOnNegativeExtra(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sync(-1) did not panic")
-		}
-	}()
-	NewGroup(1).Sync(New(), -1)
-}
-
-func TestSyncAllProperty(t *testing.T) {
-	// Property: after SyncAll all clocks agree and equal max+extra.
-	f := func(raw []float64, extraRaw float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		extra := math.Abs(extraRaw)
-		if math.IsNaN(extra) || math.IsInf(extra, 0) {
-			return true
-		}
-		clocks := make([]*Clock, 0, len(raw))
-		max := 0.0
-		for _, v := range raw {
-			v = math.Abs(v)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			c := New()
-			c.Advance(v)
-			clocks = append(clocks, c)
-			if v > max {
-				max = v
-			}
-		}
-		got := SyncAll(extra, clocks...)
-		if got != max+extra {
-			return false
-		}
-		for _, c := range clocks {
-			if c.Now() != got {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
