@@ -57,9 +57,9 @@ func schedRunOnce(src dataset.Source, cfg core.Config) (schedRun, error) {
 }
 
 // assertSameRun requires two runs of the same configuration to be
-// indistinguishable: exact iteration counts, bit-identical centroids
-// and per-iteration virtual times, byte-identical trace and metrics
-// exports.
+// indistinguishable: exact iteration counts, bit-identical centroids,
+// per-iteration virtual times and recovery reports, byte-identical
+// trace and metrics exports.
 func assertSameRun(what string, a, b schedRun) error {
 	if a.res.Iters != b.res.Iters || a.res.Converged != b.res.Converged {
 		return fmt.Errorf("%s: iters/converged differ across runs: %d/%v vs %d/%v",
@@ -70,6 +70,11 @@ func assertSameRun(what string, a, b schedRun) error {
 	}
 	if err := sameBits(what+" iteration times", a.res.IterTimes, b.res.IterTimes); err != nil {
 		return err
+	}
+	// %v prints every float64 in its shortest exact form, so equal text
+	// is equal bits.
+	if ra, rb := fmt.Sprintf("%+v", a.res.Recovery), fmt.Sprintf("%+v", b.res.Recovery); ra != rb {
+		return fmt.Errorf("%s: recovery reports differ across runs: %s vs %s", what, ra, rb)
 	}
 	if !bytes.Equal(a.trace, b.trace) {
 		return fmt.Errorf("%s: exported Chrome traces differ across runs", what)

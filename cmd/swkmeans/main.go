@@ -460,7 +460,7 @@ func printRecovery(w io.Writer, res *core.Result) error {
 func printQualityDelta(o options, cfg core.Config, src dataset.Source, res *core.Result, labeler func(int) int) error {
 	cfg.Faults = fault.Plan{}
 	cfg.DropLostShards = false
-	cfg.Stats = trace.NewStats()
+	cfg.Stats = nil // only the reference run's clustering is read
 	ref, err := core.Run(cfg, src)
 	if err != nil {
 		return fmt.Errorf("fault-free reference run: %w", err)

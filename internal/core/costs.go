@@ -24,10 +24,10 @@ func chargeCost(c costmodel.Cost, clock *vclock.Clock, stats *trace.Stats, u *ob
 }
 
 // chargeTransientDMA folds one iteration's chunked DMA stream through
-// the fault injector and charges the retries to the rank's clock, its
-// retry time and the trace counters. at is the rank's clock at
-// iteration start, so identical fault plans reproduce identical retry
-// timelines. Fault-free runs have no injector and take the zero path.
+// the fault injector and charges the retries to the rank's clock and
+// its retry time. at is the rank's clock at iteration start, so
+// identical fault plans reproduce identical retry timelines. Fault-free
+// runs have no injector and take the zero path.
 func chargeTransientDMA(work *mpi.Comm, env *epochEnv, ic costmodel.Cost, at float64) {
 	if env.inj == nil {
 		return
@@ -38,7 +38,6 @@ func chargeTransientDMA(work *mpi.Comm, env *epochEnv, ic costmodel.Cost, at flo
 		return
 	}
 	cost := float64(retries) * (env.chunkSeconds + env.inj.Backoff(1))
-	env.cfg.Stats.AddDMARetry(int64(retries))
 	work.AddRetrySeconds(cost)
 	t0 := work.Clock().Now()
 	work.Clock().Advance(cost)

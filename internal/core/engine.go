@@ -13,7 +13,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // iterEngine is the seam between one partition level's dataflow and
@@ -182,8 +181,8 @@ func assembleModel(env *epochEnv, k, d int) []float64 {
 // a rank fails mid-epoch every survivor unwinds with the same typed
 // failure, the epoch aborts, and the next epoch re-plans over the
 // survivors, restores the last checkpoint and resumes. Every recovery
-// step is charged to the virtual clocks and lands in the trace
-// recovery counters and the Result's Recovery report.
+// step is charged to the virtual clocks and lands in the Result's
+// Recovery report.
 func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Result, error) {
 	n, d, k := src.N(), src.D(), cfg.K
 	faulty := !cfg.Faults.Empty()
@@ -238,12 +237,11 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 		assign[i] = -1
 	}
 	res := &Result{K: k, D: d, Assign: assign, Plan: plan}
-	var before trace.Snapshot
-	if faulty {
-		before = cfg.Stats.Snapshot()
-	}
 
 	store := &ckptStore{}
+	// The recovery ledger: rank 0 of the working communicator adds the
+	// replan, restore and checkpoint costs, as it writes iterTimes, and
+	// the loop below adds the redo time between epochs.
 	rec := &Recovery{}
 	// Indexed by logical iteration so redone iterations overwrite their
 	// aborted first attempt; truncated to the executed count at the end.
@@ -300,7 +298,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 				}
 				work = sub
 				if work.Rank() == 0 {
-					cfg.Stats.AddReplan(c.Clock().Now() - t0)
+					rec.ReplanSeconds += c.Clock().Now() - t0
 				}
 			}
 
@@ -338,7 +336,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 					return err
 				}
 				if work.Rank() == 0 {
-					cfg.Stats.AddRestore(work.Clock().Now() - t0)
+					rec.RestoreSeconds += work.Clock().Now() - t0
 				}
 				startIter = ckIter
 			}
@@ -409,7 +407,8 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 								return err
 							}
 							store.save(b.Bytes(), iter+1, work.Clock().Now())
-							cfg.Stats.AddCheckpoint(ckptBytes, work.Clock().Now()-t0)
+							rec.Checkpoints++
+							rec.CheckpointSeconds += work.Clock().Now() - t0
 						}
 						return nil
 					}()
@@ -458,7 +457,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 		// later) is lost work the next epoch re-executes.
 		_, _, ckptAt := store.load()
 		if wasted := world.MaxTime() - max(ckptAt, epochStart); wasted > 0 {
-			cfg.Stats.AddRedo(wasted)
+			rec.RedoSeconds += wasted
 			// Stamp the lost interval on the marker track: the work the
 			// next epoch re-executes.
 			itu.SetIter(-1)
@@ -496,12 +495,6 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 				rec.DroppedSamples += hi - lo
 			}
 		}
-		delta := cfg.Stats.Snapshot().Sub(before)
-		rec.Checkpoints = int(delta.Checkpoints)
-		rec.CheckpointSeconds = delta.CheckpointSeconds
-		rec.RestoreSeconds = delta.RestoreSeconds
-		rec.ReplanSeconds = delta.ReplanSeconds
-		rec.RedoSeconds = delta.RedoSeconds
 		rec.RetrySeconds = world.RetrySeconds()
 		res.Recovery = rec
 	}

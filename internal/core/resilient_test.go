@@ -180,6 +180,66 @@ func timelineDiff(a, b *Result) string {
 	return ""
 }
 
+// TestRecoveryNeedsNoStatsSink: the epoch loop keeps the recovery
+// ledger, so a faulty run reports the same Recovery bit for bit with
+// and without a traffic sink, and without one its Traffic is zero, as
+// Result.Traffic documents. The plans are faultcheck's: the Level-1
+// crash with checkpoint restart, the one that drops the lost shard
+// (the only one of them to restore a checkpoint) and the Level-3 one,
+// under both drivers.
+func TestRecoveryNeedsNoStatsSink(t *testing.T) {
+	g, err := dataset.NewGaussianMixture("gauss", 800, 8, 4, 0.2, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		level  Level
+		mprime int
+		drop   bool
+		plan   string
+	}{
+		{"level1", Level1, 0, false, "seed=7; crash=3@2e-5; msg=0.01; retries=32"},
+		{"level1-droplost", Level1, 0, true, "crash=1@2e-5"},
+		{"level3", Level3, 4, false, "seed=5; crash=5@2e-5; msg=0.01; retries=32"},
+	} {
+		plan, err := fault.ParsePlan(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, des := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/sched=%v", tc.name, des), func(t *testing.T) {
+				cfg := Config{
+					Spec: machine.MustSpec(2), Level: tc.level, K: 4, MPrimeGroup: tc.mprime,
+					MaxIters: 10, Seed: 1, Faults: plan, CheckpointInterval: 2, DropLostShards: tc.drop,
+					Sched: des,
+				}
+				bare, err := Run(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Stats = trace.NewStats()
+				sunk, err := Run(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bare.Traffic != (trace.Snapshot{}) {
+					t.Errorf("traffic without a sink = %+v, want zero", bare.Traffic)
+				}
+				if sunk.Traffic.NetMessages == 0 {
+					t.Error("the sink recorded no traffic")
+				}
+				if rec := sunk.Recovery; rec.Replans < 1 || rec.Checkpoints < 1 {
+					t.Fatalf("plan exercised too little recovery: %+v", *rec)
+				}
+				if diff := timelineDiff(bare, sunk); diff != "" {
+					t.Error(diff)
+				}
+			})
+		}
+	}
+}
+
 // TestResilientTransientNoiseMatchesLloyd: pure transient noise (DMA
 // and message retries, a degraded link, a straggler CG) never loses
 // state, so the result must equal the fault-free one exactly — only

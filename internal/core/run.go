@@ -12,11 +12,6 @@ import (
 // per-iteration times and the traffic breakdown.
 func Run(cfg Config, src dataset.Source) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if !cfg.Faults.Empty() && cfg.Stats == nil {
-		// The resilient driver accounts recovery cost through the trace
-		// counters, so it always needs a sink.
-		cfg.Stats = trace.NewStats()
-	}
 	var plan Plan
 	var err error
 	if cfg.Level == LevelAuto {

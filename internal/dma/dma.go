@@ -152,7 +152,6 @@ func (e *Engine) faultDelay(clock *vclock.Clock, elems int) error {
 				e.cg, elems, now, e.inj.MaxRetries(), fault.ErrDMAFailed)
 		}
 		cost := tt + e.inj.Backoff(attempt+1)
-		e.stats.AddDMARetry(1)
 		if clock != nil {
 			clock.Advance(cost)
 			now = clock.Now()

@@ -219,8 +219,8 @@ func TestRunLiveAfterCrash(t *testing.T) {
 }
 
 // TestTransientMsgFaultsAreDeterministic: identical plans reproduce
-// byte-identical virtual timelines, and the retries both show up in
-// the recovery counters and slow the job down.
+// byte-identical virtual timelines and traffic, and the retries both
+// show up in the world's retry seconds and slow the job down.
 func TestTransientMsgFaultsAreDeterministic(t *testing.T) {
 	run := func(rate float64) (float64, float64, trace.Snapshot) {
 		stats := trace.NewStats()
@@ -247,8 +247,8 @@ func TestTransientMsgFaultsAreDeterministic(t *testing.T) {
 	if math.Float64bits(t1) != math.Float64bits(t2) {
 		t.Fatalf("identical faulty runs diverged: %.17g vs %.17g", t1, t2)
 	}
-	if s1.NetRetries == 0 || s1.NetRetries != s2.NetRetries {
-		t.Fatalf("net retries = %d vs %d", s1.NetRetries, s2.NetRetries)
+	if s1 != s2 {
+		t.Fatalf("traffic diverged: %+v vs %+v", s1, s2)
 	}
 	if r1 <= 0 || math.Float64bits(r1) != math.Float64bits(r2) {
 		t.Errorf("retry seconds = %v vs %v, want equal and positive", r1, r2)

@@ -365,7 +365,6 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 					srcG, dstG, tag, inj.MaxRetries(), at, fault.ErrLinkFailed)
 			}
 			cost := tt + inj.Backoff(attempt+1)
-			c.w.stats.AddNetRetry(1)
 			c.w.retrySecs[srcG] += cost
 			c.Clock().Advance(cost)
 		}

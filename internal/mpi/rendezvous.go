@@ -113,7 +113,6 @@ type slot struct {
 
 // slotFaults is the part of a slot only faults fill in.
 type slotFaults struct {
-	retries   int64
 	retrySecs float64
 	tags      uint64       // when dead: the tags minted by then
 	crashedAt float64      // when dead: the time markCrashed records
@@ -270,10 +269,7 @@ func (c *Comm) settle(x *call) error {
 		c.seq += x.tags
 		return s.st.err()
 	}
-	if f.retries > 0 {
-		c.w.stats.AddNetRetry(f.retries)
-		c.w.retrySecs[c.Global()] += f.retrySecs
-	}
+	c.w.retrySecs[c.Global()] += f.retrySecs
 	if !s.dead {
 		c.seq += x.tags
 		return s.st.err()
@@ -420,9 +416,7 @@ func (x *call) send(w *World, r, dst int, tag uint64, elems int) edge {
 				return edge{}
 			}
 			cost := tt + inj.Backoff(attempt+1)
-			f := s.faults()
-			f.retries++
-			f.retrySecs += cost
+			s.faults().retrySecs += cost
 			s.clock += cost
 		}
 	}

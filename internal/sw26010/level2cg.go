@@ -11,7 +11,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/regcomm"
-	"repro/internal/trace"
 )
 
 // RunLevel2CG runs Algorithm 2 on one core group at CPE granularity:
@@ -45,10 +44,9 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 		return nil, err
 	}
 
-	stats := trace.NewStats()
-	mesh := regcomm.NewMesh(spec, stats)
+	mesh := regcomm.NewMesh(spec, nil)
 	mesh.SetObserver(opt.rec, "")
-	engine, err := dma.New(spec, stats)
+	engine, err := dma.New(spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +124,6 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 				// Partial argmin over the local slice.
 				bestJ, bestD := core.NearestSlice(sample, cents, d, kLo, k)
 				if kLocal > 0 {
-					stats.AddFlops(int64(d) * int64(3*kLocal))
 					t0 := c.Clock().Now()
 					c.Clock().AdvanceScaled(float64(d*3*kLocal)/spec.CPU.FlopsPerCPE, slow)
 					//swlint:ignore hot-path-alloc -- span recording appends to the unit's span buffer; growth is amortized and only the observed run pays it
@@ -148,7 +145,6 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 						row[u] += sample[u]
 					}
 					counts[wJ-kLo]++
-					stats.AddFlops(int64(d))
 					t0 := c.Clock().Now()
 					c.Clock().AdvanceScaled(float64(d)/spec.CPU.FlopsPerCPE, slow)
 					//swlint:ignore hot-path-alloc -- span recording appends to the unit's span buffer; growth is amortized and only the observed run pays it

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/regcomm"
-	"repro/internal/trace"
 )
 
 // RunLevel3Group is the complete Algorithm 3 at full granularity:
@@ -51,13 +50,12 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		return nil, err
 	}
 
-	stats := trace.NewStats()
-	world, err := mpi.NewWorld(spec, stats, mPrime)
+	world, err := mpi.NewWorld(spec, nil, mPrime)
 	if err != nil {
 		return nil, err
 	}
 	world.SetObserver(opt.rec)
-	engine, err := dma.New(spec, stats)
+	engine, err := dma.New(spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +76,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		// This CG's mesh: 64 CPE goroutines under this MPI rank. The
 		// mesh clocks start from the rank's clock so both time lines
 		// agree.
-		mesh := regcomm.NewMesh(spec, stats)
+		mesh := regcomm.NewMesh(spec, nil)
 		mesh.SetObserver(opt.rec, fmt.Sprintf("cg%d/", pos))
 
 		// Per-CPE persistent state across iterations, prepared by the
@@ -175,7 +173,6 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 						}
 					}
 					if dStripe > 0 && kLocal > 0 {
-						stats.AddFlops(int64(m) * int64(kLocal) * int64(3*dStripe))
 						t0 := cp.Clock().Now()
 						cp.Clock().Advance(float64(m*kLocal*3*dStripe) / spec.CPU.FlopsPerCPE)
 						unit.Record(obs.KindCompute, t0, cp.Clock().Now(), 0,

@@ -22,7 +22,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/regcomm"
-	"repro/internal/trace"
 )
 
 // Result reports a single-CG fine-grained run.
@@ -60,10 +59,9 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 		return nil, err
 	}
 
-	stats := trace.NewStats()
-	mesh := regcomm.NewMesh(spec, stats)
+	mesh := regcomm.NewMesh(spec, nil)
 	mesh.SetObserver(opt.rec, "")
-	engine, err := dma.New(spec, stats)
+	engine, err := dma.New(spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +149,6 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 						row[u] += x[u]
 					}
 					counts[best]++
-					stats.AddFlops(int64(d) * int64(3*k+1))
 				}
 				t0 := c.Clock().Now()
 				c.Clock().AdvanceScaled(float64(m*d*(3*k+1))/spec.CPU.FlopsPerCPE, slow)
