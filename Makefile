@@ -15,8 +15,13 @@ check: build vet fmtcheck lint fixcheck race fuzz benchcheck faultcheck obscheck
 build:
 	$(GO) build ./...
 
+# vet runs go vet for this host and again for arm64, so the files that
+# build only off amd64 (internal/core's scan_other.go) keep compiling;
+# on amd64 vet's asmdecl check also holds scan_amd64.s to its Go
+# declarations.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # fmtcheck is the formatting gate: every Go file in the tree must be
 # gofmt-clean. It lists the files that are not and fails; `gofmt -w`
@@ -113,28 +118,32 @@ bench:
 # automatic level selection, and transient DMA and message faults on
 # 16 ranks, where a retry total summed in the order ranks happen to
 # retry would differ from run to run. Every scenario is deterministic
-# (docs/FAULT_TOLERANCE.md): FAULTRUN runs it with -summary twice
-# under the default driver and once under the DES driver (-sched), and
-# the three outputs must be byte-identical. Later flags win, so the
-# Level-3/auto runs just override FAULTBASE's level.
-FAULTTMP := $(shell mktemp -d)
+# (docs/FAULT_TOLERANCE.md): run() runs it with -summary twice under
+# the default driver and once under the DES driver (-sched), and the
+# three outputs must be byte-identical. Later flags win, so the
+# Level-3/auto runs just override FAULTBASE's level. The recipe makes
+# its temporary directory and removes it on exit, failed or not.
 FAULTBASE = -dataset gauss -n 800 -d 8 -components 4 -level 1 -k 4 -nodes 2 -iters 10
-FAULTRUN = @sh -c 'set -e; echo faultcheck: "$$@"; \
-	"$$0" -summary "$$@" > $(FAULTTMP)/a.txt; "$$0" -summary "$$@" > $(FAULTTMP)/b.txt; "$$0" -summary -sched "$$@" > $(FAULTTMP)/c.txt; \
-	cmp $(FAULTTMP)/a.txt $(FAULTTMP)/b.txt; cmp $(FAULTTMP)/a.txt $(FAULTTMP)/c.txt' $(FAULTTMP)/swkmeans
 
 faultcheck:
-	$(GO) build -o $(FAULTTMP)/swkmeans ./cmd/swkmeans
-	$(FAULTRUN) $(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTRUN) $(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost
-	$(FAULTRUN) $(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64"
-	$(FAULTRUN) $(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5"
-	$(FAULTRUN) $(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3
-	$(FAULTRUN) $(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTRUN) $(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost
-	$(FAULTRUN) $(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2
-	$(FAULTRUN) -dataset gauss -n 8192 -d 16 -k 8 -nodes 4 -level 1 -iters 6 -faults "seed=11; dma=0.05; msg=0.05; retries=64"
-	rm -rf $(FAULTTMP)
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/swkmeans ./cmd/swkmeans; \
+	run() { \
+		echo faultcheck: "$$@"; \
+		$$tmp/swkmeans -summary "$$@" > $$tmp/a.txt; \
+		$$tmp/swkmeans -summary "$$@" > $$tmp/b.txt; \
+		$$tmp/swkmeans -summary -sched "$$@" > $$tmp/c.txt; \
+		cmp $$tmp/a.txt $$tmp/b.txt; cmp $$tmp/a.txt $$tmp/c.txt; \
+	}; \
+	run $(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2; \
+	run $(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost; \
+	run $(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64"; \
+	run $(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5"; \
+	run $(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3; \
+	run $(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2; \
+	run $(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost; \
+	run $(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2; \
+	run -dataset gauss -n 8192 -d 16 -k 8 -nodes 4 -level 1 -iters 6 -faults "seed=11; dma=0.05; msg=0.05; retries=64"
 
 # obscheck verifies the observability determinism contract end to end:
 # the same seeded scenario run twice exports byte-identical Chrome
@@ -146,38 +155,38 @@ faultcheck:
 # the rollup recorder exports its aggregate profile, folded stacks and
 # aggregate Perfetto trace byte-identically twice, and cmd/obsdiff
 # confirms zero deltas with exit 0. Its artifacts land in obscheck-out/
-# (gitignored) for CI upload.
+# (gitignored) for CI upload; the other files go to a temporary directory
+# that the recipe makes and removes on exit, failed or not.
 OBSBASE = $(GO) run ./cmd/swkmeans -dataset gauss -n 512 -d 8 -components 4 -k 4 -nodes 2 -iters 4
 OBS4K = $(GO) run ./cmd/swkmeans -dataset imgnet -d 256 -stride 4096 -level 3 -k 2000 -nodes 1024 -mprime 128 -iters 1 -sched -rollup
-OBSTMP := $(shell mktemp -d)
 
 obscheck:
-	$(OBSBASE) -level 3 -trace-out $(OBSTMP)/a.json -metrics-out $(OBSTMP)/a.jsonl -timeline
-	$(OBSBASE) -level 3 -trace-out $(OBSTMP)/b.json -metrics-out $(OBSTMP)/b.jsonl -timeline
-	cmp $(OBSTMP)/a.json $(OBSTMP)/b.json
-	cmp $(OBSTMP)/a.jsonl $(OBSTMP)/b.jsonl
-	$(OBSBASE) -level 1 -iters 10 -faults "seed=7; crash=3@2e-5" -ckpt 2 -trace-out $(OBSTMP)/fa.json
-	$(OBSBASE) -level 1 -iters 10 -faults "seed=7; crash=3@2e-5" -ckpt 2 -trace-out $(OBSTMP)/fb.json
-	cmp $(OBSTMP)/fa.json $(OBSTMP)/fb.json
-	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $(OBSTMP)/c.json
-	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $(OBSTMP)/d.json
-	cmp $(OBSTMP)/c.json $(OBSTMP)/d.json
-	$(OBSBASE) -algo fine1 -trace-out $(OBSTMP)/e1.json -metrics-out $(OBSTMP)/e1.jsonl
-	$(OBSBASE) -algo fine1 -trace-out $(OBSTMP)/e2.json -metrics-out $(OBSTMP)/e2.jsonl
-	cmp $(OBSTMP)/e1.json $(OBSTMP)/e2.json
-	cmp $(OBSTMP)/e1.jsonl $(OBSTMP)/e2.jsonl
-	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $(OBSTMP)/g1.json -metrics-out $(OBSTMP)/g1.jsonl
-	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $(OBSTMP)/g2.json -metrics-out $(OBSTMP)/g2.jsonl
-	cmp $(OBSTMP)/g1.json $(OBSTMP)/g2.json
-	cmp $(OBSTMP)/g1.jsonl $(OBSTMP)/g2.jsonl
-	mkdir -p obscheck-out
-	$(OBS4K) -profile-out obscheck-out/profile-4k.json -folded-out obscheck-out/folded-4k.txt -trace-out obscheck-out/trace-agg-4k.json
-	$(OBS4K) -profile-out $(OBSTMP)/p4k.json -folded-out $(OBSTMP)/f4k.txt -trace-out $(OBSTMP)/t4k.json
-	cmp obscheck-out/profile-4k.json $(OBSTMP)/p4k.json
-	cmp obscheck-out/folded-4k.txt $(OBSTMP)/f4k.txt
-	cmp obscheck-out/trace-agg-4k.json $(OBSTMP)/t4k.json
-	$(GO) run ./cmd/obsdiff obscheck-out/profile-4k.json $(OBSTMP)/p4k.json
-	rm -rf $(OBSTMP)
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -x; \
+	$(OBSBASE) -level 3 -trace-out $$tmp/a.json -metrics-out $$tmp/a.jsonl -timeline; \
+	$(OBSBASE) -level 3 -trace-out $$tmp/b.json -metrics-out $$tmp/b.jsonl -timeline; \
+	cmp $$tmp/a.json $$tmp/b.json; \
+	cmp $$tmp/a.jsonl $$tmp/b.jsonl; \
+	$(OBSBASE) -level 1 -iters 10 -faults "seed=7; crash=3@2e-5" -ckpt 2 -trace-out $$tmp/fa.json; \
+	$(OBSBASE) -level 1 -iters 10 -faults "seed=7; crash=3@2e-5" -ckpt 2 -trace-out $$tmp/fb.json; \
+	cmp $$tmp/fa.json $$tmp/fb.json; \
+	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $$tmp/c.json; \
+	$(OBSBASE) -algo fine2 -mgroup 8 -trace-out $$tmp/d.json; \
+	cmp $$tmp/c.json $$tmp/d.json; \
+	$(OBSBASE) -algo fine1 -trace-out $$tmp/e1.json -metrics-out $$tmp/e1.jsonl; \
+	$(OBSBASE) -algo fine1 -trace-out $$tmp/e2.json -metrics-out $$tmp/e2.jsonl; \
+	cmp $$tmp/e1.json $$tmp/e2.json; \
+	cmp $$tmp/e1.jsonl $$tmp/e2.jsonl; \
+	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $$tmp/g1.json -metrics-out $$tmp/g1.jsonl; \
+	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $$tmp/g2.json -metrics-out $$tmp/g2.jsonl; \
+	cmp $$tmp/g1.json $$tmp/g2.json; \
+	cmp $$tmp/g1.jsonl $$tmp/g2.jsonl; \
+	mkdir -p obscheck-out; \
+	$(OBS4K) -profile-out obscheck-out/profile-4k.json -folded-out obscheck-out/folded-4k.txt -trace-out obscheck-out/trace-agg-4k.json; \
+	$(OBS4K) -profile-out $$tmp/p4k.json -folded-out $$tmp/f4k.txt -trace-out $$tmp/t4k.json; \
+	cmp obscheck-out/profile-4k.json $$tmp/p4k.json; \
+	cmp obscheck-out/folded-4k.txt $$tmp/f4k.txt; \
+	cmp obscheck-out/trace-agg-4k.json $$tmp/t4k.json; \
+	$(GO) run ./cmd/obsdiff obscheck-out/profile-4k.json $$tmp/p4k.json
 
 # schedcheck is the discrete-event scheduler gate: a seeded 4,096-rank
 # Figure 6b smoke run executes twice under the DES driver to

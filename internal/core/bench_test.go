@@ -53,42 +53,58 @@ func nearestBench(b *testing.B, n, d, k int) (m *dataset.Matrix, cents []float64
 // workloads' kernel shapes: l1-kernel's Level-1 assign (k=64, d=32,
 // seeded with the previous assignment), serve-read's snapshot (k=1,024,
 // d=64, the candidate carried across 4 shards) and des-4k's Level-3
-// stripe (k=16 of 2,000 centroids, d=256, unseeded).
+// stripe (k=16 of 2,000 centroids, d=256, unseeded). Each shape runs
+// on both scan kernels, avx2 and go.
 func BenchmarkNearest(b *testing.B) {
 	b.Run("k64_d32_seeded", func(b *testing.B) {
 		const k, d = 64, 32
 		m, cents, seeds := nearestBench(b, 4096, d, k)
-		b.SetBytes(int64(k * d * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := i % m.N()
-			nearestSink, _ = Nearest(m.Row(s), cents, d, seeds[s])
-		}
+		benchKernels(b, func(b *testing.B) {
+			b.SetBytes(int64(k * d * 8))
+			for i := 0; i < b.N; i++ {
+				s := i % m.N()
+				nearestSink, _ = Nearest(m.Row(s), cents, d, seeds[s])
+			}
+		})
 	})
 	b.Run("k1024_d64_4shards", func(b *testing.B) {
 		const k, d, shards = 1024, 64, 4
 		m, cents, _ := nearestBench(b, 4096, d, k)
-		b.SetBytes(int64(k * d * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			x := m.Row(i % m.N())
-			best, dist := -1, 0.0
-			for sh := 0; sh < shards; sh++ {
-				lo, hi := shareRange(k, shards, sh)
-				best, dist = NearestFrom(x, cents, d, lo, hi, best, dist)
+		benchKernels(b, func(b *testing.B) {
+			b.SetBytes(int64(k * d * 8))
+			for i := 0; i < b.N; i++ {
+				x := m.Row(i % m.N())
+				best, dist := -1, 0.0
+				for sh := 0; sh < shards; sh++ {
+					lo, hi := shareRange(k, shards, sh)
+					best, dist = NearestFrom(x, cents, d, lo, hi, best, dist)
+				}
+				nearestSink = best
 			}
-			nearestSink = best
-		}
+		})
 	})
 	b.Run("k16_d256", func(b *testing.B) {
 		const k, d = 16, 256
 		m, cents, _ := nearestBench(b, 2048, d, k)
-		b.SetBytes(int64(k * d * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nearestSink, _ = Nearest(m.Row(i%m.N()), cents, d, -1)
-		}
+		benchKernels(b, func(b *testing.B) {
+			b.SetBytes(int64(k * d * 8))
+			for i := 0; i < b.N; i++ {
+				nearestSink, _ = Nearest(m.Row(i%m.N()), cents, d, -1)
+			}
+		})
 	})
+}
+
+// benchKernels runs bench once per scan kernel, as sub-benchmarks
+// named after the kernel; avx2 is skipped on a CPU without AVX2.
+func benchKernels(b *testing.B, bench func(b *testing.B)) {
+	for _, kern := range nearestKernels {
+		b.Run(kern.name, func(b *testing.B) {
+			if !withKernel(kern.avx2, func() { bench(b) }) {
+				b.Skip("this CPU has no AVX2")
+			}
+		})
+	}
 }
 
 // BenchmarkLloydIteration measures a full sequential baseline

@@ -95,10 +95,16 @@ func NearestSliceDists(dists []float64, kLo, k int) (int, float64) {
 // they could stop).
 const pruneStride = 8
 
-// scan searches the centroid rows [lo, hi) of cents for one closer to
+// useAVX2 sends scan's blocks through the AVX2 kernel. It is set once,
+// from the CPU's features, and is false off amd64; tests clear it to
+// run the entry points through the Go chains.
+var useAVX2 = hasAVX2()
+
+// scanGo searches the centroid rows [lo, hi) of cents for one closer to
 // x than the candidate (best, bestDist) and returns the closer of the
 // two under argminDistance's order. Nothing beats a NaN candidate, so
-// it comes back unchanged.
+// it comes back unchanged. scan runs it, or the same search with the
+// block loop in AVX2; both return the same answer on every input.
 //
 // It takes four rows at a time and accumulates their distances in four
 // independent chains, each in coordinate order, so every distance it
@@ -110,7 +116,7 @@ const pruneStride = 8
 // every term is a square, non-negative or NaN, so a partial sum never
 // decreases and the finished distance is either larger than bestDist
 // or NaN, and neither can win.
-func scan(x, cents []float64, d, lo, hi, best int, bestDist float64) (int, float64) {
+func scanGo(x, cents []float64, d, lo, hi, best int, bestDist float64) (int, float64) {
 	x = x[:d]
 blocks:
 	//swlint:hot nearest-centroid kernel: runs once per sample per iteration

@@ -18,24 +18,54 @@ var nearestSpecials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
+// nearestKernels are scan's two kernels: the AVX2 block kernel, which
+// runs only on a CPU with AVX2, and the Go chains, its reference.
+var nearestKernels = []struct {
+	name string
+	avx2 bool
+}{{"avx2", true}, {"go", false}}
+
+// withKernel runs f with scan on one kernel and restores the CPU's
+// choice after. It reports false, without running f, when this CPU
+// cannot run the kernel.
+func withKernel(avx2 bool, f func()) bool {
+	if avx2 && !hasAVX2() {
+		return false
+	}
+	saved := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = saved }()
+	f()
+	return true
+}
+
 // checkNearest pins Nearest, NearestFrom carried through every
 // two-stripe cut of [0, k), and the partitioned search to
-// argminDistance: same index, same distance bits. The partitioned
-// search cuts the rows into 1..8 slices as the engines do (shareRange,
-// empty slices included), takes each slice's NearestSlice candidate,
-// and combines the candidates with mpi.MinPairLess in a left fold, in
-// AllReduceMinPairs's binomial tree and, for power-of-two slice counts,
-// in the CPE min-reduce's recursive doubling. NearestSliceDists over
-// SqDist's distances must return each slice's candidate.
+// argminDistance: same index, same distance bits, through each kernel
+// this CPU runs. The partitioned search cuts the rows into 1..8 slices
+// as the engines do (shareRange, empty slices included), takes each
+// slice's NearestSlice candidate, and combines the candidates with
+// mpi.MinPairLess in a left fold, in AllReduceMinPairs's binomial tree
+// and, for power-of-two slice counts, in the CPE min-reduce's
+// recursive doubling. NearestSliceDists over SqDist's distances must
+// return each slice's candidate.
 func checkNearest(t *testing.T, x, cents []float64, d int) {
+	t.Helper()
+	for _, kern := range nearestKernels {
+		withKernel(kern.avx2, func() { checkNearestKernel(t, kern.name, x, cents, d) })
+	}
+}
+
+// checkNearestKernel is checkNearest through the kernel scan runs now.
+func checkNearestKernel(t *testing.T, kernel string, x, cents []float64, d int) {
 	t.Helper()
 	k := len(cents) / d
 	wantJ, wantD := argminDistance(x, cents, d)
 	same := func(what string, arg, j int, dist float64) {
 		t.Helper()
 		if j != wantJ || math.Float64bits(dist) != math.Float64bits(wantD) {
-			t.Fatalf("k=%d d=%d %s %d: got (%d, %v), argminDistance (%d, %v)\nx=%v\ncents=%v",
-				k, d, what, arg, j, dist, wantJ, wantD, x, cents)
+			t.Fatalf("%s kernel, k=%d d=%d %s %d: got (%d, %v), argminDistance (%d, %v)\nx=%v\ncents=%v",
+				kernel, k, d, what, arg, j, dist, wantJ, wantD, x, cents)
 		}
 	}
 	for seed := -1; seed <= k; seed++ {
@@ -63,8 +93,8 @@ func checkNearest(t *testing.T, x, cents []float64, d int) {
 				dists[i] = SqDist(x[:d], cents[(lo+i)*d:(lo+i+1)*d])
 			}
 			if tj, tdist := NearestSliceDists(dists, lo, k); tj != j || math.Float64bits(tdist) != math.Float64bits(dist) {
-				t.Fatalf("k=%d d=%d slice %d/%d: NearestSliceDists (%d, %v), NearestSlice (%d, %v)\nx=%v\ncents=%v",
-					k, d, r, p, tj, tdist, j, dist, x, cents)
+				t.Fatalf("%s kernel, k=%d d=%d slice %d/%d: NearestSliceDists (%d, %v), NearestSlice (%d, %v)\nx=%v\ncents=%v",
+					kernel, k, d, r, p, tj, tdist, j, dist, x, cents)
 			}
 			cands[r] = pair{dist, int64(j)}
 		}
@@ -220,4 +250,34 @@ func FuzzNearest(f *testing.F) {
 		}
 		checkNearest(t, x, cents, dd)
 	})
+}
+
+// TestNearestAllocatesNothing holds every entry point to zero
+// allocations on both kernels: scanBlocks' result array stays on the
+// stack only while the assembly declaration says it does not escape.
+func TestNearestAllocatesNothing(t *testing.T) {
+	const k, d = 13, 17
+	rng := rand.New(rand.NewSource(3))
+	cents := make([]float64, k*d)
+	for i := range cents {
+		cents[i] = rng.NormFloat64()
+	}
+	x := cents[5*d : 6*d]
+	calls := []struct {
+		name string
+		f    func()
+	}{
+		{"Nearest", func() { Nearest(x, cents, d, 5) }},
+		{"NearestFrom", func() { NearestFrom(x, cents, d, 2, k, -1, 0) }},
+		{"NearestSlice", func() { NearestSlice(x, cents[3*d:], d, 3, k) }},
+	}
+	for _, kern := range nearestKernels {
+		withKernel(kern.avx2, func() {
+			for _, c := range calls {
+				if n := testing.AllocsPerRun(100, c.f); n != 0 {
+					t.Errorf("%s kernel: %s allocates %v times per call", kern.name, c.name, n)
+				}
+			}
+		})
+	}
 }

@@ -185,8 +185,9 @@ func newDepHasher(root, module string) *depHasher {
 	return &depHasher{root: root, module: module, dirs: make(map[string]*dirInfo)}
 }
 
-// scan reads one directory's non-test Go files, hashing contents and
-// collecting module-local imports with an imports-only parse.
+// scan reads one directory's non-test Go files of the current build
+// (buildFile), hashing contents and collecting module-local imports
+// with an imports-only parse.
 func (h *depHasher) scan(dir string) *dirInfo {
 	h.mu.Lock()
 	if info, ok := h.dirs[dir]; ok {
@@ -212,7 +213,15 @@ func (h *depHasher) scanUncached(dir string) *dirInfo {
 	depSet := make(map[string]bool)
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() {
+			continue
+		}
+		ok, err := buildFile(dir, name)
+		if err != nil {
+			info.scanErr = err
+			return info
+		}
+		if !ok {
 			continue
 		}
 		path := filepath.Join(dir, name)

@@ -125,6 +125,15 @@ func TestRuleFixtures(t *testing.T) {
 			},
 		},
 		{
+			name:    "guarded-field passes over a bodiless declaration",
+			fixture: "buildfiles",
+			as:      cfg.ModulePath + "/internal/fixture/buildfiles",
+			rule:    GuardedFieldRule{},
+			want: []expect{
+				{"guarded-field", "guarded.go", 25, "guarded by mu"},
+			},
+		},
+		{
 			name:    "err-wrap flags %v on error operands, including indexed verbs",
 			fixture: "errwrap",
 			as:      cfg.ModulePath + "/internal/fixture/errwrap",

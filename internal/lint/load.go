@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -119,7 +120,19 @@ func (l *Loader) pathOf(dir string) (string, error) {
 	return l.module + "/" + filepath.ToSlash(rel), nil
 }
 
-// parseDir parses the non-test Go files of one directory.
+// buildFile reports whether the file name in dir is a non-test Go file
+// that `go build` compiles for this GOOS and GOARCH, as its file-name
+// suffixes and its //go:build line decide: of two files that declare
+// the same function for different architectures, only one is loaded.
+func buildFile(dir, name string) (bool, error) {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
+}
+
+// parseDir parses the non-test Go files of one directory that the
+// current build compiles.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -128,7 +141,14 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() {
+			continue
+		}
+		ok, err := buildFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -257,7 +277,8 @@ func (l *Loader) resolve(pat string) string {
 }
 
 // packageDirs walks base collecting every directory holding at least
-// one non-test Go file, skipping testdata, vendor and hidden trees.
+// one non-test Go file of the current build, skipping testdata, vendor
+// and hidden trees.
 func (l *Loader) packageDirs(base string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
@@ -272,10 +293,10 @@ func (l *Loader) packageDirs(base string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(d.Name(), ".go") || strings.HasSuffix(d.Name(), "_test.go") {
-			return nil
-		}
 		dir := filepath.Dir(path)
+		if ok, err := buildFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
 		if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
 			dirs = append(dirs, dir)
 		}

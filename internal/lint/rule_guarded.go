@@ -50,6 +50,9 @@ func (r GuardedFieldRule) Check(p *Package) []Finding {
 		walk = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl, *ast.FuncLit:
+				if body(n) == nil {
+					return false // declared here, implemented in assembly
+				}
 				funcStack = append(funcStack, n)
 				ast.Inspect(body(n), walk)
 				funcStack = funcStack[:len(funcStack)-1]
@@ -133,13 +136,13 @@ func guardAnnotation(field *ast.Field) string {
 	return ""
 }
 
-// body returns the body of a FuncDecl or FuncLit (possibly nil for
-// bodiless declarations).
+// body returns the body of a FuncDecl or FuncLit, or nil for a
+// declaration without one.
 func body(n ast.Node) ast.Node {
 	switch n := n.(type) {
 	case *ast.FuncDecl:
 		if n.Body == nil {
-			return n
+			return nil
 		}
 		return n.Body
 	case *ast.FuncLit:

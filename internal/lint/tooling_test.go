@@ -3,10 +3,12 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"go/build"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -274,6 +276,47 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, uncached) {
 		t.Errorf("cache-enabled run differs from uncached run:\nuncached %v\ncached   %v", uncached, first)
+	}
+}
+
+// TestLoaderKeepsOnlyBuildFiles loads a package whose files declare
+// the same names under a GOARCH suffix and under a //go:build line and
+// its negation: the loader, the package walk and the cache's hasher
+// must each keep exactly the files go build compiles here.
+func TestLoaderKeepsOnlyBuildFiles(t *testing.T) {
+	l, cfg := fixtureLoader(t)
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "buildfiles"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"guarded.go", "tag_off.go"}
+	if arch := build.Default.GOARCH; arch == "amd64" || arch == "arm64" {
+		want = append(want, "arch_"+arch+".go")
+	}
+	sort.Strings(want)
+	p := loadFixture(t, "buildfiles", cfg.ModulePath+"/internal/fixture/buildfiles")
+	var loaded []string
+	for _, f := range p.Files {
+		loaded = append(loaded, filepath.Base(p.Fset.Position(f.Pos()).Filename))
+	}
+	sort.Strings(loaded)
+	if !reflect.DeepEqual(loaded, want) {
+		t.Errorf("loaded %v, want %v", loaded, want)
+	}
+	if dirs, err := l.packageDirs(dir); err != nil || !reflect.DeepEqual(dirs, []string{dir}) {
+		t.Errorf("packageDirs = %v, %v; want [%s]", dirs, err, dir)
+	}
+	info := newDepHasher(cfg.ModuleRoot, cfg.ModulePath).scan(dir)
+	if info.scanErr != nil {
+		t.Fatal(info.scanErr)
+	}
+	var hashed []string
+	for _, line := range info.files {
+		name, _, _ := strings.Cut(line, "\x00")
+		hashed = append(hashed, filepath.Base(name))
+	}
+	if !reflect.DeepEqual(hashed, want) {
+		t.Errorf("hashed %v, want %v", hashed, want)
 	}
 }
 
