@@ -150,7 +150,8 @@ faultcheck:
 # trace and metrics files (docs/OBSERVABILITY.md), for a coarse Level-3
 # run, a crash-recovery run, and the fine-grained CPE-level kernels:
 # fine2's point-to-point min-reduce and slice combine, and fine1's and
-# fine3's mesh allreduces (fine3 over two CGs).
+# fine3's mesh allreduces (fine3 over two CGs, at d=8, where each CPE's
+# stripe is 0 or 1 coordinates wide, and at d=100, 1 or 2 wide).
 # The final scenario is the scale gate: a 4,096-rank DES epoch under
 # the rollup recorder exports its aggregate profile, folded stacks and
 # aggregate Perfetto trace byte-identically twice, and cmd/obsdiff
@@ -180,6 +181,10 @@ obscheck:
 	$(OBSBASE) -algo fine3 -mprime 2 -trace-out $$tmp/g2.json -metrics-out $$tmp/g2.jsonl; \
 	cmp $$tmp/g1.json $$tmp/g2.json; \
 	cmp $$tmp/g1.jsonl $$tmp/g2.jsonl; \
+	$(OBSBASE) -algo fine3 -d 100 -mprime 2 -trace-out $$tmp/h1.json -metrics-out $$tmp/h1.jsonl; \
+	$(OBSBASE) -algo fine3 -d 100 -mprime 2 -trace-out $$tmp/h2.json -metrics-out $$tmp/h2.jsonl; \
+	cmp $$tmp/h1.json $$tmp/h2.json; \
+	cmp $$tmp/h1.jsonl $$tmp/h2.jsonl; \
 	mkdir -p obscheck-out; \
 	$(OBS4K) -profile-out obscheck-out/profile-4k.json -folded-out obscheck-out/folded-4k.txt -trace-out obscheck-out/trace-agg-4k.json; \
 	$(OBS4K) -profile-out $$tmp/p4k.json -folded-out $$tmp/f4k.txt -trace-out $$tmp/t4k.json; \

@@ -100,6 +100,43 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
+// SqDistRows sets out[j] to SqDist(x, rows[j*d:(j+1)*d]) for every j,
+// where d = len(x) and rows holds at least len(out) rows of d values.
+// It is the Level-3 CPE kernel's partial-distance pass, over stripes
+// that are often one coordinate wide. Coordinate 0 goes first, in one
+// pass over all rows: SqDist's first step, +0 + diff², is diff² itself,
+// bit for bit. The other coordinates are then added row by row in
+// coordinate order, the sum held in a register as in SqDist. A
+// coordinate-outer loop over all of x would not do: the compiler makes
+// an accumulator loaded from out the second operand of its addition,
+// and when both operands are NaNs the first one's payload wins, so
+// out[j] could differ from SqDist in a NaN's payload.
+func SqDistRows(x, rows, out []float64) {
+	d := len(x)
+	if d == 0 {
+		clear(out)
+		return
+	}
+	rows = rows[:len(out)*d]
+	x0 := x[0]
+	for j, r := 0, 0; j < len(out); j, r = j+1, r+d {
+		diff := x0 - rows[r]
+		out[j] = diff * diff
+	}
+	if d == 1 {
+		return
+	}
+	for j, r := 0, 0; j < len(out); j, r = j+1, r+d {
+		row := rows[r+1 : r+d]
+		s := out[j]
+		for u, xu := range x[1:] {
+			diff := xu - row[u]
+			s += diff * diff
+		}
+		out[j] = s
+	}
+}
+
 // initialCentroids dispatches on the configured init method, honouring
 // an explicit warm-start matrix first.
 func initialCentroids(cfg Config, src dataset.Source) ([]float64, error) {

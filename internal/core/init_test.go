@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -151,5 +152,50 @@ func TestLloydFromValidation(t *testing.T) {
 	}
 	if _, err := LloydFrom(g, nil, 5, 0); err == nil {
 		t.Error("empty initial matrix accepted")
+	}
+}
+
+// TestSqDistRowsMatchesSqDist pins the Level-3 stripe pass to SqDist
+// bit for bit, NaN payloads included: widths 0..33 (the CPE stripes of
+// the fine3 shapes in use are 0-2 wide), 0..9 rows, an out buffer that
+// starts dirty, and values mixing NaNs of several payloads, ±Inf, ±0,
+// subnormals and squares that overflow.
+func TestSqDistRowsMatchesSqDist(t *testing.T) {
+	specials := append([]float64{
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040,
+		math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff0000000000001),
+	}, nearestSpecials...)
+	rng := rand.New(rand.NewSource(23))
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+	for _, d := range []int{0, 1, 2, 3, 7, 8, 33} {
+		for rows := 0; rows <= 9; rows++ {
+			for trial := 0; trial < 20; trial++ {
+				x := make([]float64, d)
+				for i := range x {
+					x[i] = draw()
+				}
+				m := make([]float64, rows*d+rng.Intn(3)) // rows may run past the last one
+				for i := range m {
+					m[i] = draw()
+				}
+				out := make([]float64, rows)
+				for j := range out {
+					out[j] = draw()
+				}
+				SqDistRows(x, m, out)
+				for j := range out {
+					want := SqDist(x, m[j*d:(j+1)*d])
+					if math.Float64bits(out[j]) != math.Float64bits(want) {
+						t.Fatalf("d=%d rows=%d row %d: %g (bits %016x), SqDist %g (bits %016x)",
+							d, rows, j, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
 	}
 }

@@ -163,13 +163,6 @@ func (m *Mesh) FinishObserved() {
 	}
 }
 
-// Reset zeroes all CPE clocks, for reuse across measured iterations.
-func (m *Mesh) Reset() {
-	for _, c := range m.clocks {
-		c.Reset()
-	}
-}
-
 // MaxTime returns the latest CPE clock — the completion time of the
 // last Run.
 func (m *Mesh) MaxTime() float64 { return vclock.MaxTime(m.clocks...) }
@@ -352,9 +345,9 @@ type rendezvous struct {
 	sum   []float64
 	total []int64
 	sends [machine.CPEsPerCG][allReduceSteps]float64 // sends[i][step]: CPE i's clock when that step's send completes
-	// levels holds one block of the doubling tree's partial sums below
-	// the root.
-	levels [allReduceSteps - 1][sumBlock]float64
+	// levels holds one block of the doubling tree's partial sums at
+	// each level between the root and treeSum's 8-deposit base.
+	levels [allReduceSteps - 3][sumBlock]float64
 }
 
 // deposit is what one CPE brings to an allreduce round: its payload
@@ -419,14 +412,19 @@ func (r *rendezvous) combine(model Model, in *[machine.CPEsPerCG]deposit) {
 // in recursive-doubling order: both halves summed this way, then the
 // right half added to the left. At every node this is the addition each
 // CPE of the subtree performs on its exchange, with the operands
-// possibly swapped, and IEEE addition is commutative. len(in) is a
-// power of two, at least 2; levels holds log2(len(in))-1 scratch
-// blocks.
+// possibly swapped, and IEEE addition is commutative. The base case
+// sums 8 deposits per element as ((a+b)+(c+d))+((e+f)+(g+h)), the
+// tree's three lowest levels in one pass. len(in) is a power of two, at
+// least 8; levels holds log2(len(in))-3 scratch blocks.
 func treeSum(dst []float64, in []deposit, lo int, levels [][sumBlock]float64) {
-	if len(in) == 2 {
-		a, b := in[0].buf[lo:lo+len(dst)], in[1].buf[lo:lo+len(dst)]
-		for e := range dst {
-			dst[e] = a[e] + b[e]
+	if len(in) == 8 {
+		n := len(dst)
+		a, b := in[0].buf[lo:lo+n], in[1].buf[lo:lo+n]
+		c, d := in[2].buf[lo:lo+n], in[3].buf[lo:lo+n]
+		e, f := in[4].buf[lo:lo+n], in[5].buf[lo:lo+n]
+		g, h := in[6].buf[lo:lo+n], in[7].buf[lo:lo+n]
+		for i := range dst {
+			dst[i] = ((a[i] + b[i]) + (c[i] + d[i])) + ((e[i] + f[i]) + (g[i] + h[i]))
 		}
 		return
 	}

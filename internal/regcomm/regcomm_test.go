@@ -237,24 +237,6 @@ func TestAllReduceProperty(t *testing.T) {
 	}
 }
 
-func TestMeshReset(t *testing.T) {
-	mesh := NewMesh(spec(), nil)
-	t1 := mesh.Run(func(c *CPE) {
-		if err := c.AllReduce([]float64{1}, nil); err != nil {
-			t.Errorf("AllReduce: %v", err)
-		}
-	})
-	mesh.Reset()
-	t2 := mesh.Run(func(c *CPE) {
-		if err := c.AllReduce([]float64{1}, nil); err != nil {
-			t.Errorf("AllReduce: %v", err)
-		}
-	})
-	if math.Abs(t1-t2) > 1e-15 {
-		t.Errorf("iteration times differ after Reset: %g vs %g", t1, t2)
-	}
-}
-
 func TestStatsRecorded(t *testing.T) {
 	stats := trace.NewStats()
 	mesh := NewMesh(spec(), stats)

@@ -80,14 +80,12 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		mesh.SetObserver(opt.rec, fmt.Sprintf("cg%d/", pos))
 
 		// Per-CPE persistent state across iterations, prepared by the
-		// mesh kernel on first use: centroid stripes, stripe sums, the
-		// host-side sample staging and the batch's stripe-partial
-		// distances.
+		// mesh kernel on first use: centroid stripes, stripe sums and
+		// the batch's stripe-partial distances.
 		type cpeState struct {
-			cents  []float64
-			sums   []float64
-			sample []float64
-			part   []float64
+			cents []float64
+			sums  []float64
+			part  []float64
 		}
 		states := make([]*cpeState, machine.CPEsPerCG)
 		// Each CPE's share of the Update's centroid movement, summed in
@@ -98,6 +96,9 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		// assembled by the mesh allreduce (identical on every CPE; the
 		// MPE reads it afterwards).
 		dists := make([]float64, batch*max(1, kLocal))
+		// The batch's samples, generated once per CG: every CPE reads
+		// its stripe of each sample from here, in both mesh phases.
+		stage := make([]float64, batch*d)
 		vals := make([]float64, batch)
 		ids := make([]int64, batch)
 
@@ -133,10 +134,9 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 						}
 					}
 					st = &cpeState{
-						cents:  make([]float64, kLocal*dStripe),
-						sums:   make([]float64, kLocal*dStripe),
-						sample: make([]float64, d),
-						part:   make([]float64, batch*max(1, kLocal)),
+						cents: make([]float64, kLocal*dStripe),
+						sums:  make([]float64, kLocal*dStripe),
+						part:  make([]float64, batch*max(1, kLocal)),
 					}
 					states[cp.ID()] = st
 				}
@@ -152,24 +152,29 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				return err
 			}
 
-			// Batches: mesh computes full local distances, the MPE
-			// min-reduces across the group over MPI, the mesh
-			// accumulates the winners' stripes.
+			// Batches: the MPE stages the samples, the mesh computes
+			// full local distances, the MPE min-reduces across the group
+			// over MPI, the mesh accumulates the winners' stripes.
 			for base := 0; base < n; base += batch {
 				m := min(batch, n-base)
+				for s := 0; s < m; s++ {
+					src.Sample(base+s, stage[s*d:(s+1)*d])
+				}
 				mesh.Run(func(cp *regcomm.CPE) {
 					unit := mesh.Unit(cp.ID())
 					engine := engine.WithObserver(unit)
 					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
 					dStripe := uHi - uLo
 					st := states[cp.ID()]
-					sample, part := st.sample, st.part[:m*max(1, kLocal)]
-					x := sample[uLo:uHi]
-					for s := 0; s < m; s++ {
-						src.Sample(base+s, sample)
-						engine.Charge(cp.Clock(), dStripe)
-						for j := 0; j < kLocal; j++ {
-							part[s*kLocal+j] = core.SqDist(x, st.cents[j*dStripe:(j+1)*dStripe])
+					part := st.part[:m*max(1, kLocal)]
+					if dStripe == 0 {
+						// Every partial over an empty stripe is +0, and
+						// an empty stripe moves no bytes.
+						clear(part)
+					} else {
+						for s := 0; s < m; s++ {
+							engine.Charge(cp.Clock(), dStripe)
+							core.SqDistRows(stage[s*d+uLo:s*d+uHi], st.cents, part[s*kLocal:(s+1)*kLocal])
 						}
 					}
 					if dStripe > 0 && kLocal > 0 {
@@ -194,7 +199,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				// MPE: local argmin per sample, then the group
 				// min-reduce over MPI. The MPE continues from the
 				// mesh's completion time.
-				c.Clock().AdvanceTo(meshMax(mesh))
+				c.Clock().AdvanceTo(mesh.MaxTime())
 				for s := 0; s < m; s++ {
 					j, dist := core.NearestSliceDists(dists[s*kLocal:(s+1)*kLocal], kLo, k)
 					vals[s] = dist
@@ -217,23 +222,21 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				// Mesh accumulates the stripes of samples this CG won;
 				// mesh clocks re-sync from the MPE (the min-reduce
 				// result gates the accumulation).
-				syncMesh(mesh, c.Clock().Now())
+				mesh.AdvanceTo(c.Clock().Now())
 				mesh.Run(func(cp *regcomm.CPE) {
 					unit := mesh.Unit(cp.ID())
 					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
 					dStripe := uHi - uLo
 					st := states[cp.ID()]
-					sample := st.sample
 					//swlint:hot per-sample stripe accumulation
 					for s := 0; s < m; s++ {
 						w := int(ids[s])
 						if w < kLo || w >= kHi {
 							continue
 						}
-						src.Sample(base+s, sample)
 						row := st.sums[(w-kLo)*dStripe : (w-kLo+1)*dStripe]
-						for u := 0; u < dStripe; u++ {
-							row[u] += sample[uLo+u]
+						for u, v := range stage[s*d+uLo : s*d+uHi] {
+							row[u] += v
 						}
 					}
 					if dStripe > 0 {
@@ -270,7 +273,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 			for _, v := range movements {
 				movement += v
 			}
-			c.Clock().AdvanceTo(meshMax(mesh))
+			c.Clock().AdvanceTo(mesh.MaxTime())
 
 			// Convergence across slices.
 			mv := []float64{movement}
@@ -308,14 +311,4 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 	res.Converged = converged
 	res.IterTimes = iters.deltas(res.Iters)
 	return res, nil
-}
-
-// meshMax returns the latest CPE clock of a mesh.
-func meshMax(m *regcomm.Mesh) float64 {
-	return m.MaxTime()
-}
-
-// syncMesh advances every CPE clock of the mesh to at least t.
-func syncMesh(m *regcomm.Mesh, t float64) {
-	m.AdvanceTo(t)
 }

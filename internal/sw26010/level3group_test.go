@@ -1,11 +1,71 @@
 package sw26010
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/machine"
 )
+
+// countingSource counts Sample calls per index.
+type countingSource struct {
+	dataset.Source
+	calls []atomic.Int64
+}
+
+func (c *countingSource) Sample(i int, buf []float64) {
+	c.calls[i].Add(1)
+	c.Source.Sample(i, buf)
+}
+
+// TestRunLevel3GroupStagesEachBatchOncePerCG: every CG generates each
+// sample of a batch once, into its staged batch, and its 64 CPEs read
+// their stripes of it for both the distances and the winners' update —
+// n·m'·iters Sample calls in all, each index m'·iters times. The
+// results still equal sequential Lloyd.
+func TestRunLevel3GroupStagesEachBatchOncePerCG(t *testing.T) {
+	const n, d = 150, 40
+	g := mixture(t, n, d, 4)
+	for _, tc := range []struct {
+		name          string
+		k, mPrime, bs int
+	}{
+		{"one-cg", 5, 1, 32},
+		{"two-cgs-short-batch", 6, 2, 7},
+		// k < m': position 3 holds no centroids but stages all the same.
+		{"empty-slice", 3, 4, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			init, err := core.InitialCentroids(g, tc.k, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &countingSource{Source: g, calls: make([]atomic.Int64, n)}
+			res, err := RunLevel3Group(machine.MustSpec(1), src, init, tc.mPrime, tc.bs, 6, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesLloyd(t, tc.name, g, init, res, 6)
+			want := int64(tc.mPrime * res.Iters)
+			total, wrong := int64(0), -1
+			for i := range src.calls {
+				got := src.calls[i].Load()
+				total += got
+				if got != want && wrong < 0 {
+					wrong = i
+				}
+			}
+			if wrong >= 0 {
+				t.Errorf("sample %d generated %d times, want m'·iters = %d", wrong, src.calls[wrong].Load(), want)
+			}
+			if total != int64(n)*want {
+				t.Errorf("%d Sample calls, want n·m'·iters = %d", total, int64(n)*want)
+			}
+		})
+	}
+}
 
 func TestRunLevel3GroupMatchesLloyd(t *testing.T) {
 	g := mixture(t, 200, 48, 4)

@@ -64,10 +64,6 @@ func (c *Clock) AdvanceTo(t float64) {
 	}
 }
 
-// Reset returns the clock to zero. Engines reset clocks between
-// iterations when they measure per-iteration time directly.
-func (c *Clock) Reset() { c.t = 0 }
-
 // MaxTime returns the latest time across the given clocks, i.e. the
 // completion time of a fork-join region whose branches own the clocks.
 func MaxTime(clocks ...*Clock) float64 {

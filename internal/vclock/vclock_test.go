@@ -61,15 +61,6 @@ func TestAdvanceToPanicsOnNaN(t *testing.T) {
 	New().AdvanceTo(math.NaN())
 }
 
-func TestReset(t *testing.T) {
-	c := New()
-	c.Advance(10)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("Reset left clock at %g", c.Now())
-	}
-}
-
 func TestMaxTime(t *testing.T) {
 	a, b, c := New(), New(), New()
 	a.Advance(1)
