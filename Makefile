@@ -114,7 +114,9 @@ bench:
 # faultcheck runs the seeded fault matrix through the CLI: crash with
 # checkpoint restart, crash with dropped shards, pure transient noise,
 # a degraded fabric with a straggler, a whole-node loss, a Level-3
-# crash (checkpoint gather + re-striped restore), faults under
+# crash before the first checkpoint, a Level-3 crash with dropped
+# shards, a Level-3 restore (checkpoint gather, then the checkpoint
+# re-striped from m'=8 to m'=4 over the survivors), faults under
 # automatic level selection, and transient DMA and message faults on
 # 16 ranks, where a retry total summed in the order ranks happen to
 # retry would differ from run to run. Every scenario is deterministic
@@ -142,6 +144,7 @@ faultcheck:
 	run $(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3; \
 	run $(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2; \
 	run $(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost; \
+	run $(FAULTBASE) -level 3 -mprime 8 -k 8 -faults "seed=5; crash=5@1.5e-4; msg=0.01; retries=32" -ckpt 1; \
 	run $(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2; \
 	run -dataset gauss -n 8192 -d 16 -k 8 -nodes 4 -level 1 -iters 6 -faults "seed=11; dma=0.05; msg=0.05; retries=64"
 
@@ -152,6 +155,9 @@ faultcheck:
 # fine2's point-to-point min-reduce and slice combine, and fine1's and
 # fine3's mesh allreduces (fine3 over two CGs, at d=8, where each CPE's
 # stripe is 0 or 1 coordinates wide, and at d=100, 1 or 2 wide).
+# Mode equivalence: the Level-3 run, the crash-recovery run and fine3
+# over two CGs export the same profile and folded stacks from the
+# span-retaining recorder as from the -rollup one.
 # The final scenario is the scale gate: a 4,096-rank DES epoch under
 # the rollup recorder exports its aggregate profile, folded stacks and
 # aggregate Perfetto trace byte-identically twice, and cmd/obsdiff
@@ -185,6 +191,15 @@ obscheck:
 	$(OBSBASE) -algo fine3 -d 100 -mprime 2 -trace-out $$tmp/h2.json -metrics-out $$tmp/h2.jsonl; \
 	cmp $$tmp/h1.json $$tmp/h2.json; \
 	cmp $$tmp/h1.jsonl $$tmp/h2.jsonl; \
+	modes() { \
+		$(OBSBASE) "$$@" -profile-out $$tmp/ms.json -folded-out $$tmp/ms.txt; \
+		$(OBSBASE) "$$@" -rollup -profile-out $$tmp/mr.json -folded-out $$tmp/mr.txt; \
+		cmp $$tmp/ms.json $$tmp/mr.json; \
+		cmp $$tmp/ms.txt $$tmp/mr.txt; \
+	}; \
+	modes -level 3; \
+	modes -level 1 -iters 10 -faults "seed=7; crash=3@2e-5" -ckpt 2; \
+	modes -algo fine3 -mprime 2; \
 	mkdir -p obscheck-out; \
 	$(OBS4K) -profile-out obscheck-out/profile-4k.json -folded-out obscheck-out/folded-4k.txt -trace-out obscheck-out/trace-agg-4k.json; \
 	$(OBS4K) -profile-out $$tmp/p4k.json -folded-out $$tmp/f4k.txt -trace-out $$tmp/t4k.json; \

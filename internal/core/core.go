@@ -30,12 +30,13 @@
 // An engine contributes
 //
 //   - replan: shape one epoch over the surviving ranks — the epoch
-//     plan, the participating ranks and the shared model, one centroid
-//     stripe per CG-group position. At epoch 0 (and on every
-//     fault-free run) the epoch plan equals the full-strength plan.
-//   - setup: build a rank's per-epoch state from the full centroid
-//     matrix (initial or restored), carving out shards; the first rank
-//     at each position copies its stripe in.
+//     plan, the participating ranks, and one centroid stripe per
+//     CG-group position, each a row view of the epoch's one model
+//     matrix (initial or restored), which the epoch trains in place.
+//     At epoch 0 (and on every fault-free run) the epoch plan equals
+//     the full-strength plan.
+//   - setup: build a rank's per-epoch state: its communicators, its
+//     sample shard and its position's stripe.
 //   - step: one iteration — assign, partial sums, reduce, centroid
 //     update — reporting the epoch-global movement, the charged local
 //     cost, and the objective.
@@ -43,11 +44,11 @@
 //     checkpoint (free when rank 0 holds it; a stripe gather at
 //     Level 3).
 //
-// The loop owns everything else: iteration count, tolerance and
-// convergence, objective tracking, per-iteration time and phase
-// recording, and — when a fault plan is present — the checkpoint /
-// restore / re-plan cycle. Resilience therefore composes with every
-// level instead of being a separate driver.
+// The loop owns everything else: the epoch's model, iteration count,
+// tolerance and convergence, objective tracking, per-iteration time
+// and phase recording, and — when a fault plan is present — the
+// checkpoint / restore / re-plan cycle. Resilience therefore composes
+// with every level instead of being a separate driver.
 package core
 
 import (
@@ -106,7 +107,8 @@ type Config struct {
 	Init InitMethod
 	// Initial, when non-nil, warm-starts the run from an explicit
 	// k-by-d centroid matrix (for example one loaded with
-	// LoadCentroids), overriding Init.
+	// LoadCentroids), overriding Init. Run never writes it: it trains
+	// a copy, so the caller may keep reading the matrix during the run.
 	Initial []float64
 	// TrackObjective additionally computes the paper's objective O(C)
 	// every iteration (one extra scalar AllReduce per iteration).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/costmodel"
@@ -18,25 +19,25 @@ import (
 // iterEngine is the seam between one partition level's dataflow and
 // the shared epoch loop (runEngine): the paper's three levels are one
 // algorithm under three dataflow plans, and this interface is exactly
-// the part that differs. An engine is stateless; all per-epoch state
-// lives in the engineState its setup returns.
+// the part that differs. An engine is stateless: an epoch's shared
+// state (its model, stripes and staged batches) lives on the
+// epochEnv, and each rank's in the engineState its setup returns.
 type iterEngine interface {
 	// replan shapes one epoch over the surviving world ranks before the
 	// ranks start executing: it derives the epoch plan (env.eplan), the
-	// set of participating ranks (env.active), the shared model, one
-	// empty stripe per CG-group position (env.stripes), and, at Level
-	// 3, one empty staged batch per CG group (env.staged). At epoch 0
+	// set of participating ranks (env.active), one stripe per CG-group
+	// position (env.stripes), each a row view of the epoch's model
+	// (env.model), and, at Level 3, one empty staged batch per CG group
+	// (env.staged). Cutting the model by the epoch's CG-group size is
+	// what re-stripes the centroids after a Level-3 re-plan. At epoch 0
 	// every rank of the original plan is alive and the epoch plan must
 	// equal the original plan, so fault-free runs execute the
 	// full-strength dataflow unchanged.
 	replan(env *epochEnv) error
-	// setup builds a rank's per-epoch state on the working communicator
-	// from the full k-by-d centroid matrix (the deterministic initial
-	// centroids or a restored checkpoint), which every rank shares
-	// read-only. The first rank at each position copies its stripe out
-	// of it, which is what re-stripes centroids after a Level-3
-	// re-plan changed the CG-group size.
-	setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error)
+	// setup builds a rank's per-epoch state on the working communicator:
+	// its communicators, its sample shard and a pointer to its
+	// position's stripe.
+	setup(work *mpi.Comm, env *epochEnv) (engineState, error)
 }
 
 // engineState is one rank's view of one epoch.
@@ -62,7 +63,8 @@ type stepOut struct {
 }
 
 // epochEnv carries the shared context of one epoch: the run
-// configuration, the survivors, and the outputs of iterEngine.replan.
+// configuration, the survivors, the epoch's model, and the outputs of
+// iterEngine.replan.
 type epochEnv struct {
 	cfg      Config
 	src      dataset.Source
@@ -75,51 +77,56 @@ type epochEnv struct {
 	// chunkSeconds is the cost of re-transferring one DMA chunk on a
 	// transient fault (resilient runs only).
 	chunkSeconds float64
+	// model is the epoch's k-by-d centroid matrix, row-major, and the
+	// only one: the initial centroids (a copy of them in a faulty run)
+	// or the decoded checkpoint. The stripes are its row ranges, so the
+	// epoch trains it in place, and the last epoch's is the result.
+	model []float64
 
 	// Outputs of iterEngine.replan:
 	eplan       Plan          // the plan this epoch executes
 	active      map[int]bool  // world ranks participating (nil: all survivors)
 	groupOwners []int         // Level-3 droplost: epoch group -> original group
-	stripes     []stripe      // the model, one stripe per CG-group position
+	stripes     []stripe      // the model's row views, one per CG-group position
 	staged      []stagedBatch // Level 3: each epoch CG group's shared assign batch
 }
 
 // stripe is one CG-group position's share of the model, centroid rows
-// [kLo, kHi), as every rank at that position holds it. Position-equal
-// ranks compute bit-identical stripes, so an epoch stores each once
-// (DESIGN.md §5, "The host cost of replicated state"); the replicated
-// levels have one position, the whole model.
+// [kLo, kHi), as every rank at that position holds it: a view of those
+// rows of the epoch's model. Position-equal ranks compute bit-identical
+// stripes, so an epoch stores each once (DESIGN.md §5, "The host cost
+// of replicated state"); the replicated levels have one position, the
+// whole model. Positions own disjoint rows, so their updates never
+// touch the same values.
 //
-// The first member to set up fills it. After each Update allreduce,
-// which hands every member one shared sum, the first member to take
-// the mutex applies that sum and the others reuse its movement. The
-// members read cents and cumCounts without the mutex: the next read
-// after an update comes after the iteration's work-wide collective,
-// which no member enters before taking the mutex, so no read overlaps
-// the write.
+// After each Update allreduce, which hands every member one shared
+// sum, the first member to take the mutex applies that sum and the
+// others reuse its movement. The members read cents and cumCounts
+// without the mutex: the next read after an update comes after the
+// iteration's work-wide collective, which no member enters before
+// taking the mutex, so no read overlaps the write.
 type stripe struct {
 	mu        sync.Mutex
-	filled    bool      // guarded by mu
-	iter      int       // guarded by mu — the iteration last applied
+	iter      int       // guarded by mu — the iteration last applied, -1 before the first
 	movement  float64   // guarded by mu — its squared centroid movement
 	cents     []float64 // written under mu, read between collectives
 	cumCounts []int64   // mini-batch cumulative counts; as cents
 }
 
-// fill copies rows [lo, hi) of the epoch's k-by-d model in, with
-// mini-batch cumulative counts when miniBatch is set, unless a member
-// already did.
-func (s *stripe) fill(cents []float64, lo, hi, d int, miniBatch bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.filled {
-		return
+// newStripes cuts the k-by-d model into one stripe per CG-group
+// position, rows shareRange(k, positions, pos), with mini-batch
+// cumulative counts when miniBatch is set.
+func newStripes(model []float64, k, d, positions int, miniBatch bool) []stripe {
+	out := make([]stripe, positions)
+	for pos := range out {
+		lo, hi := shareRange(k, positions, pos)
+		var counts []int64
+		if miniBatch {
+			counts = make([]int64, hi-lo)
+		}
+		out[pos] = stripe{iter: -1, cents: model[lo*d : hi*d], cumCounts: counts}
 	}
-	s.filled, s.iter = true, -1
-	s.cents = append([]float64(nil), cents[lo*d:hi*d]...)
-	if miniBatch {
-		s.cumCounts = make([]int64, hi-lo)
-	}
+	return out
 }
 
 // update applies iteration iter's reduced sums to the stripe once and
@@ -150,21 +157,6 @@ func engineFor(plan Plan) iterEngine {
 		return level3Engine{}
 	}
 	return replicatedEngine{}
-}
-
-// assembleModel stitches a finished epoch's stripes into the full
-// k-by-d matrix: the replicated levels hold one full model, Level 3
-// one stripe per CG-group position.
-func assembleModel(env *epochEnv, k, d int) []float64 {
-	if len(env.stripes) == 1 {
-		return env.stripes[0].cents
-	}
-	out := make([]float64, k*d)
-	for pos := range env.stripes {
-		kLo, _ := shareRange(k, len(env.stripes), pos)
-		copy(out[kLo*d:], env.stripes[pos].cents)
-	}
-	return out
 }
 
 // runEngine executes cfg over src with the level's engine. It owns
@@ -262,6 +254,25 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 			inj: inj, assign: assign,
 			droplost:     faulty && cfg.DropLostShards,
 			chunkSeconds: chunkSeconds,
+			model:        init,
+		}
+		// The epoch's model: the last checkpoint, read back from stable
+		// storage, or the initial centroids. A restart before the first
+		// checkpoint begins from the initial centroids again, so an
+		// epoch that may abort trains a copy of them.
+		ckpt, ckIter, _ := store.load()
+		switch {
+		case ckpt != nil:
+			loaded, lk, ld, err := LoadCentroids(bytes.NewReader(ckpt))
+			if err != nil {
+				return nil, fmt.Errorf("core: restoring checkpoint: %w", err)
+			}
+			if lk != k || ld != d {
+				return nil, fmt.Errorf("core: checkpoint shape %dx%d does not match run %dx%d", lk, ld, k, d)
+			}
+			env.model = loaded
+		case faulty:
+			env.model = slices.Clone(init)
 		}
 		if err := eng.replan(env); err != nil {
 			return nil, fmt.Errorf("core: %v resilient engine: re-planning over %d survivors: %w",
@@ -303,34 +314,21 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 			}
 
 			// Restore: rank 0 reads the last checkpoint back from stable
-			// storage and broadcasts it; before the first checkpoint
-			// every rank derives the initial centroids locally, like the
-			// fault-free engines. Either way all ranks share one
-			// read-only matrix (Bcast hands every member the root's),
-			// and setup copies each stripe out of it once.
-			cents := init
+			// storage and broadcasts it. The loop decoded it into the
+			// epoch's model already, so this only charges the read and
+			// the broadcast, with their spans and fault rolls. Before
+			// the first checkpoint every rank derives the initial
+			// centroids locally, like the fault-free engines.
 			startIter := 0
-			if data, ckIter, _ := store.load(); data != nil {
+			if ckpt != nil {
 				t0 := work.Clock().Now()
 				om := u.Begin(t0)
-				var err error
-				cents, err = func() ([]float64, error) {
-					var loaded []float64
-					if work.Rank() == 0 {
-						var lk, ld int
-						var err error
-						loaded, lk, ld, err = LoadCentroids(bytes.NewReader(data))
-						if err != nil {
-							return nil, fmt.Errorf("core: restoring checkpoint: %w", err)
-						}
-						if lk != k || ld != d {
-							return nil, fmt.Errorf("core: checkpoint shape %dx%d does not match run %dx%d", lk, ld, k, d)
-						}
-						work.Clock().Advance(ckptCost)
-					}
-					loaded, _, err := work.Bcast(0, loaded, nil)
-					return loaded, err
-				}()
+				var root []float64
+				if work.Rank() == 0 {
+					work.Clock().Advance(ckptCost)
+					root = env.model
+				}
+				_, _, err := work.Bcast(0, root, nil)
 				u.End(om, obs.KindRestore, work.Clock().Now(), ckptBytes, 0)
 				if err != nil {
 					return err
@@ -341,7 +339,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 				startIter = ckIter
 			}
 
-			st, err := eng.setup(work, env, cents)
+			st, err := eng.setup(work, env)
 			if err != nil {
 				return err
 			}
@@ -466,7 +464,7 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 		rec.Replans++
 	}
 
-	res.Centroids = assembleModel(lastEnv, k, d)
+	res.Centroids = lastEnv.model
 	res.Iters = itersDone
 	res.Converged = converged
 	res.IterTimes = iterTimes[:itersDone]

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -33,6 +34,48 @@ type goldenRecord struct {
 	Centroids  []string `json:"centroid_bits"`
 	IterTimes  []string `json:"iter_time_bits"`
 	Objectives []string `json:"objective_bits,omitempty"`
+	// Recovery is the ledger of a faulty run: the counts as they are,
+	// the five overhead seconds (checkpoint, restore, replan, redo,
+	// retry) as bits.
+	Recovery *goldenRecovery `json:"recovery,omitempty"`
+}
+
+type goldenRecovery struct {
+	Replans        int      `json:"replans"`
+	LostRanks      []int    `json:"lost_ranks"`
+	DroppedSamples int      `json:"dropped_samples"`
+	Checkpoints    int      `json:"checkpoints"`
+	Seconds        []string `json:"seconds_bits"`
+}
+
+func recoveryRecord(r *Recovery) *goldenRecovery {
+	if r == nil {
+		return nil
+	}
+	return &goldenRecovery{
+		Replans: r.Replans, LostRanks: r.LostRanks,
+		DroppedSamples: r.DroppedSamples, Checkpoints: r.Checkpoints,
+		Seconds: floatsToBits([]float64{r.CheckpointSeconds, r.RestoreSeconds,
+			r.ReplanSeconds, r.RedoSeconds, r.RetrySeconds}),
+	}
+}
+
+// compareRecovery asserts the recovery ledger equals the recorded one,
+// seconds bit for bit.
+func compareRecovery(t *testing.T, got *Recovery, want *goldenRecovery) {
+	t.Helper()
+	g := recoveryRecord(got)
+	if (g == nil) != (want == nil) {
+		t.Fatalf("recovery %+v, golden %+v", got, want)
+	}
+	if g == nil {
+		return
+	}
+	if g.Replans != want.Replans || g.DroppedSamples != want.DroppedSamples ||
+		g.Checkpoints != want.Checkpoints || fmt.Sprint(g.LostRanks) != fmt.Sprint(want.LostRanks) {
+		t.Errorf("recovery %+v, golden %+v", g, want)
+	}
+	compareBits(t, "recovery seconds", bitsToFloats(t, g.Seconds), bitsToFloats(t, want.Seconds))
 }
 
 func floatsToBits(xs []float64) []string {
@@ -56,14 +99,23 @@ func bitsToFloats(t *testing.T, ss []string) []float64 {
 	return out
 }
 
+// goldenCase is one locked configuration. premise, when set, checks
+// that the run still exercises what the case is named for.
+type goldenCase struct {
+	name    string
+	cfg     Config
+	src     dataset.Source
+	premise func(t *testing.T, tc goldenCase, res *Result)
+}
+
 // goldenCases are the seed-dataset configurations the parity suite
 // locks down: one per level plus the mode variants (mini-batch,
-// stride, non-default batch) whose dataflow differs.
-func goldenCases(t *testing.T) []struct {
-	name string
-	cfg  Config
-	src  dataset.Source
-} {
+// stride, non-default batch) whose dataflow differs, and three faulty
+// runs from the fault matrix: a crash before the first checkpoint at
+// Level 1 and at Level 3, whose restart begins again from the initial
+// centroids, and a Level-3 restore that re-stripes a checkpoint over
+// a smaller CG group.
+func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	g1, err := dataset.NewGaussianMixture("golden1", 400, 8, 4, 0.05, 3.0, 7)
 	if err != nil {
@@ -77,11 +129,20 @@ func goldenCases(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name string
-		cfg  Config
-		src  dataset.Source
-	}{
+	// The fault matrix's dataset (swkmeans -dataset gauss -n 800 -d 8
+	// -components 4) and plans.
+	gf, err := dataset.NewGaussianMixture("gauss", 800, 8, 4, 0.2, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(spec string) fault.Plan {
+		p, err := fault.ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	return []goldenCase{
 		{
 			name: "level1",
 			cfg:  Config{Spec: machine.MustSpec(2), Level: Level1, K: 4, MaxIters: 12, Seed: 5, TrackObjective: true},
@@ -112,7 +173,70 @@ func goldenCases(t *testing.T) []struct {
 			cfg:  Config{Spec: machine.MustSpec(1), Level: Level3, K: 6, MPrimeGroup: 2, MaxIters: 10, Seed: 4, BatchSamples: 7},
 			src:  g3,
 		},
+		{
+			name: "level1_crash_before_ckpt",
+			cfg: Config{Spec: machine.MustSpec(2), Level: Level1, K: 4, MaxIters: 10, Seed: 1,
+				Faults: plan("seed=7; crash=3@2e-5; msg=0.01; retries=32"), CheckpointInterval: 2},
+			src:     gf,
+			premise: restartedFromInitial,
+		},
+		{
+			name: "level3_crash_before_ckpt",
+			cfg: Config{Spec: machine.MustSpec(2), Level: Level3, K: 4, MPrimeGroup: 4, MaxIters: 10, Seed: 1,
+				Faults: plan("seed=5; crash=5@2e-5; msg=0.01; retries=32"), CheckpointInterval: 2},
+			src:     gf,
+			premise: restartedFromInitial,
+		},
+		{
+			name: "level3_restore_restripe",
+			cfg: Config{Spec: machine.MustSpec(2), Level: Level3, K: 8, MPrimeGroup: 8, MaxIters: 10, Seed: 1,
+				Faults: plan("seed=5; crash=5@1.5e-4; msg=0.01; retries=32"), CheckpointInterval: 1},
+			src: gf,
+			premise: func(t *testing.T, tc goldenCase, res *Result) {
+				t.Helper()
+				rec := res.Recovery
+				if rec == nil || rec.Replans != 1 || rec.RestoreSeconds <= 0 {
+					t.Fatalf("recovery %+v, want one re-plan that restores a checkpoint", rec)
+				}
+				if got := restartMPrime(t, tc, res); got != 4 {
+					t.Fatalf("the restart runs at m'=%d, want a re-stripe from %d to 4", got, res.Plan.MPrimeGroup)
+				}
+			},
+		},
 	}
+}
+
+// restartedFromInitial is the premise of a crash before the first
+// checkpoint: one re-plan, and no restore, so the restart begins again
+// from the initial centroids.
+func restartedFromInitial(t *testing.T, _ goldenCase, res *Result) {
+	t.Helper()
+	rec := res.Recovery
+	if rec == nil || rec.Replans != 1 || rec.RestoreSeconds != 0 {
+		t.Fatalf("recovery %+v, want one re-plan and no restore", rec)
+	}
+}
+
+// restartMPrime returns the CG-group size a Level-3 run's restart
+// epoch executes: the engine's re-plan over the run's survivors.
+func restartMPrime(t *testing.T, tc goldenCase, res *Result) int {
+	t.Helper()
+	lost := make(map[int]bool)
+	for _, g := range res.Recovery.LostRanks {
+		lost[g] = true
+	}
+	var alive []int
+	for g := 0; g < res.Plan.Ranks; g++ {
+		if !lost[g] {
+			alive = append(alive, g)
+		}
+	}
+	env := &epochEnv{cfg: tc.cfg.withDefaults(), src: tc.src, plan: res.Plan, epoch: 1, alive: alive,
+		model: make([]float64, len(res.Centroids))}
+	if err := (level3Engine{}).replan(env); err != nil {
+		t.Fatal(err)
+	}
+	return env.eplan.MPrimeGroup
 }
 
 // drivers are the execution engines every golden scenario must agree
@@ -136,6 +260,9 @@ func TestEngineGoldenParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.premise != nil {
+				tc.premise(t, tc, res)
+			}
 			path := filepath.Join("testdata", "golden_"+tc.name+".json")
 			if update {
 				rec := goldenRecord{
@@ -145,6 +272,7 @@ func TestEngineGoldenParity(t *testing.T) {
 					Centroids:  floatsToBits(res.Centroids),
 					IterTimes:  floatsToBits(res.IterTimes),
 					Objectives: floatsToBits(res.Objectives),
+					Recovery:   recoveryRecord(res.Recovery),
 				}
 				data, err := json.MarshalIndent(rec, "", " ")
 				if err != nil {
@@ -183,6 +311,7 @@ func TestEngineGoldenParity(t *testing.T) {
 			if len(rec.Objectives) > 0 {
 				compareBits(t, "objective", res.Objectives, bitsToFloats(t, rec.Objectives))
 			}
+			compareRecovery(t, res.Recovery, rec.Recovery)
 		})
 	}
 }
@@ -234,6 +363,7 @@ func TestEngineDualDriverParity(t *testing.T) {
 			compareBits(t, "centroid", s.res.Centroids, g.res.Centroids)
 			compareBits(t, "iter time", s.res.IterTimes, g.res.IterTimes)
 			compareBits(t, "objective", s.res.Objectives, g.res.Objectives)
+			compareRecovery(t, s.res.Recovery, recoveryRecord(g.res.Recovery))
 			if !bytes.Equal(g.trace, s.trace) {
 				t.Error("exported Chrome traces differ between drivers")
 			}
@@ -273,6 +403,7 @@ func TestEngineGoldenParitySched(t *testing.T) {
 			}
 			compareBits(t, "centroid", res.Centroids, bitsToFloats(t, rec.Centroids))
 			compareBits(t, "iter time", res.IterTimes, bitsToFloats(t, rec.IterTimes))
+			compareRecovery(t, res.Recovery, rec.Recovery)
 		})
 	}
 }

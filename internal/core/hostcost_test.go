@@ -39,8 +39,9 @@ func runAlloc(t *testing.T, cfg Config, src dataset.Source) uint64 {
 // A private centroid stripe and dense sums per rank cost 2 × 15.6 rows
 // × 256 × 8 B = 64 KB a rank, 262 MB at 4,096 ranks; position-shared
 // stripes and row-sparse sums cost a few rows per position and per
-// touched slot, next to about 10 KB a rank of batch and sample
-// buffers.
+// touched slot, next to about 6 KB a rank of batch buffers (a winner
+// regenerates its sample into its CG group's spare row, not a row of
+// its own).
 func TestLevel3HostCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4,096-rank worlds in -short mode")
@@ -68,6 +69,49 @@ func TestLevel3HostCost(t *testing.T) {
 	}
 	if perRank >= 24<<10 {
 		t.Errorf("each rank beyond 1,024 allocates %.0f B, want < %d", perRank, 24<<10)
+	}
+}
+
+// TestLevel3HostCostLargeD is the host-cost guard of the one model
+// matrix: at d = 16,384 a d-wide buffer is 128 KB, so a copy of the
+// model, or a sample buffer per rank, shows at once. One Level-3
+// iteration (k = 64, m' = 16, every 4,096th of 65,536 samples, so one
+// sample per CG group) must allocate less than 80 MB at 1,024 ranks,
+// and each rank beyond 256 less than 64 KB, under both drivers. A
+// run that copies the model into stripes and back out, and gives each
+// rank its own d-wide buffer, allocates about 186 MB at 1,024 ranks,
+// 156 KB a rank; one k·d matrix (8 MiB) and a spare row per CG group
+// cost about 43 MB, 33 KB a rank.
+func TestLevel3HostCostLargeD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,024-rank worlds at d = 16,384 in -short mode")
+	}
+	const n, d, k, mPrime = 65536, 16384, 64, 16
+	g, err := dataset.NewGaussianMixture("larged", n, d, 16, 0.25, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, err := InitialCentroids(g, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, drv := range drivers {
+		alloc := func(nodes int) uint64 {
+			return runAlloc(t, Config{
+				Spec: machine.MustSpec(nodes), Level: Level3, K: k, MPrimeGroup: mPrime,
+				MaxIters: 1, Seed: 1, Initial: init, SampleStride: 4096, Sched: drv.sched,
+			}, g)
+		}
+		small, large := alloc(64), alloc(256)
+		perRank := float64(large-min(large, small)) / 768
+		t.Logf("%s driver: one iteration allocates %d B at 256 ranks, %d B at 1,024 (%.0f B per added rank)",
+			drv.name, small, large, perRank)
+		if large >= 80<<20 {
+			t.Errorf("%s driver: one iteration allocates %d B at 1,024 ranks, want < %d", drv.name, large, 80<<20)
+		}
+		if perRank >= 64<<10 {
+			t.Errorf("%s driver: each rank beyond 256 allocates %.0f B, want < %d", drv.name, perRank, 64<<10)
+		}
 	}
 }
 

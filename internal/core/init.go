@@ -138,7 +138,9 @@ func SqDistRows(x, rows, out []float64) {
 }
 
 // initialCentroids dispatches on the configured init method, honouring
-// an explicit warm-start matrix first.
+// an explicit warm-start matrix first. That matrix is copied, because
+// the run trains its model in place while the caller may still be
+// reading it (the serving trainer warm-starts from the live snapshot).
 func initialCentroids(cfg Config, src dataset.Source) ([]float64, error) {
 	if cfg.Initial != nil {
 		if len(cfg.Initial) != cfg.K*src.D() {

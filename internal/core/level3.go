@@ -71,7 +71,7 @@ func (level3Engine) replan(env *epochEnv) error {
 		env.eplan = e
 		env.active = active
 		env.groupOwners = owners
-		env.stripes = make([]stripe, e.MPrimeGroup)
+		env.stripes = newStripes(env.model, env.cfg.K, env.src.D(), e.MPrimeGroup, false)
 		env.staged = make([]stagedBatch, e.Groups)
 		return nil
 	}
@@ -110,12 +110,12 @@ func (level3Engine) replan(env *epochEnv) error {
 	e.Tiled = tiled
 	env.eplan = e
 	env.active = active
-	env.stripes = make([]stripe, mPrime)
+	env.stripes = newStripes(env.model, env.cfg.K, env.src.D(), mPrime, false)
 	env.staged = make([]stagedBatch, groups)
 	return nil
 }
 
-func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error) {
+func (level3Engine) setup(work *mpi.Comm, env *epochEnv) (engineState, error) {
 	e := env.eplan
 	n, d, k := env.src.N(), env.src.D(), env.cfg.K
 	mPrime, groups := e.MPrimeGroup, e.Groups
@@ -134,11 +134,7 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 			groupComm.Size(), posComm.Size(), mPrime, groups)
 	}
 
-	// The position's first member carves its centroid stripe out of the
-	// full model (the initial matrix or a restored checkpoint), so an
-	// epoch with a smaller m' naturally re-stripes with wider slices.
 	kLo, kHi := shareRange(k, mPrime, pos)
-	env.stripes[pos].fill(cents, kLo, kHi, d, false)
 
 	// The dataflow shard: the epoch group's share of the full dataset,
 	// or the original group's static shard under DropLostShards.
@@ -157,7 +153,6 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 		stripe: &env.stripes[pos],
 		part:   mpi.NewRowSums(kHi-kLo, d),
 		lo:     lo, hi: hi,
-		buf:  make([]float64, d),
 		idxs: make([]int, 0, batch),
 		vals: make([]float64, batch),
 		ids:  make([]int64, batch),
@@ -177,7 +172,6 @@ type level3State struct {
 	stripe     *stripe      // the position's shared centroid stripe
 	part       *mpi.RowSums // this iteration's sums of the rows it won
 	lo, hi     int
-	buf        []float64
 	idxs       []int
 	vals       []float64
 	ids        []int64
@@ -234,10 +228,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				localCnt++
 			}
 			if w >= st.kLo && w < st.kHi {
-				// The winner's own copy: the next batch may already be
-				// refilling the staged rows under another member.
-				env.src.Sample(i, st.buf)
-				st.part.Add(w-st.kLo, st.buf)
+				st.staged.addSample(env.src, i, st.part, w-st.kLo, d)
 			}
 		}
 	}
@@ -284,12 +275,15 @@ func (st *level3State) step(iter int) (stepOut, error) {
 //
 // One buffer is enough. A member refills it only after the group's
 // min-reduce of the previous batch returned, and that reduction needs
-// every member to have finished reading the previous rows first.
+// every member to have finished reading the previous rows first. The
+// winners' sums therefore do not read it (the next batch may already
+// be refilling it): a winner regenerates its sample into the spare row.
 type stagedBatch struct {
 	mu    sync.Mutex
 	first int       // guarded by mu — index of the staged batch's first sample
 	n     int       // guarded by mu — samples staged; 0 until the first fill
 	rows  []float64 // guarded by mu — n rows of d values, reused across batches
+	spare []float64 // guarded by mu — one d-wide row for a winner's sample
 }
 
 // load returns the samples idxs as consecutive d-wide rows, generating
@@ -311,6 +305,18 @@ func (s *stagedBatch) load(src dataset.Source, idxs []int, d int) []float64 {
 		s.first, s.n = idxs[0], len(idxs)
 	}
 	return s.rows
+}
+
+// addSample adds sample i of src to row r of sums, generating it into
+// the spare row. No member holds the mutex across a collective.
+func (s *stagedBatch) addSample(src dataset.Source, i int, sums *mpi.RowSums, r, d int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.spare == nil {
+		s.spare = make([]float64, d)
+	}
+	src.Sample(i, s.spare)
+	sums.Add(r, s.spare)
 }
 
 // gather assembles the full model on rank 0 for a coordinated

@@ -18,17 +18,18 @@ type replicatedEngine struct{}
 // replan shapes an epoch trivially: every survivor works, and the
 // dataflow is re-partitioned over the shrunken communicator (or kept
 // on the original static shards under DropLostShards, which setup
-// resolves per rank).
+// resolves per rank). The one stripe is the whole model; mini-batch
+// learning rates need each centroid's cumulative mass.
 func (replicatedEngine) replan(env *epochEnv) error {
 	e := env.plan
 	e.Ranks = len(env.alive)
 	e.Groups = len(env.alive)
 	env.eplan = e
-	env.stripes = make([]stripe, 1)
+	env.stripes = newStripes(env.model, env.cfg.K, env.src.D(), 1, env.cfg.MiniBatch > 0)
 	return nil
 }
 
-func (replicatedEngine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error) {
+func (replicatedEngine) setup(work *mpi.Comm, env *epochEnv) (engineState, error) {
 	n, d, k := env.src.N(), env.src.D(), env.cfg.K
 	// Shard assignment for this epoch: redistribute the full dataset
 	// over the survivors, or keep the original static shards and let
@@ -39,8 +40,6 @@ func (replicatedEngine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (e
 	} else {
 		lo, hi = shareRange(n, work.Size(), work.Rank())
 	}
-	// Mini-batch learning rates need each centroid's cumulative mass.
-	env.stripes[0].fill(cents, 0, k, d, env.cfg.MiniBatch > 0)
 	return &replicatedState{
 		env: env, work: work, model: &env.stripes[0], d: d,
 		part: mpi.NewRowSums(k, d),

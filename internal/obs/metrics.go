@@ -133,7 +133,7 @@ func Summarize(r *Recorder) Metrics {
 		if u.Name() == IterUnit {
 			continue
 		}
-		ph := u.iterPhases()
+		ph := u.rolled().phases
 		units = append(units, unitData{u.Name(), ph})
 		for it := range ph {
 			if !seen[it] {
@@ -208,7 +208,7 @@ func UnitTotals(r *Recorder) []UnitTotal {
 		if u.Name() == IterUnit {
 			continue
 		}
-		out = append(out, UnitTotal{Unit: u.Name(), Phases: u.totalPhases()})
+		out = append(out, UnitTotal{Unit: u.Name(), Phases: u.rolled().total})
 	}
 	return out
 }

@@ -151,10 +151,11 @@ func buildProfileData(r *Recorder) *profileData {
 		if u.Name() == IterUnit {
 			continue
 		}
-		keys, aggs := u.cells()
+		ur := u.rolled()
+		keys, aggs := ur.sortedKeys(), ur.aggs
 		ud := unitCellData{
 			name: u.Name(), class: UnitClass(u.Name()),
-			total: u.totalPhases(), keys: keys, aggs: aggs,
+			total: ur.total, keys: keys, aggs: aggs,
 		}
 		units = append(units, ud)
 		ca, ok := classes[ud.class]

@@ -5,12 +5,13 @@
 //
 // Equivalence contract. The fold happens at the exact point a span
 // would have been appended, with the same kind, iteration label and
-// duration, in the same order. Per-iteration phase seconds and
-// whole-run phase totals are accumulated with the same additions in
-// the same sequence the span-retaining mode's Summarize/UnitTotals
-// would perform, so the derived tables of the two modes are
-// bit-identical, not merely close (TestRollupMatchesSummarize pins
-// this at every partition level, including crash recovery).
+// duration, in the same order. The span-retaining mode derives its
+// tables by folding its retained spans through the same fold in
+// emission order (Unit.rolled), so the per-iteration phase seconds,
+// whole-run totals and profile cells of the two modes are one
+// computation, bit-identical rather than merely close
+// (TestRollupMatchesSummarize pins this at every partition level,
+// including crash recovery).
 package obs
 
 import "sort"
@@ -39,12 +40,10 @@ type aggCell struct {
 type unitRollup struct {
 	aggs map[aggKey]*aggCell
 	keys []aggKey // aggs keys in first-emission order
-	// phases accumulates per-iteration phase seconds in emission order
-	// — the identical addition sequence Summarize performs over
-	// retained spans, which is what makes the two modes bit-equal.
+	// phases accumulates per-iteration phase seconds in emission order.
 	phases map[int]*PhaseSeconds
 	// total is the whole-run phase breakdown, likewise accumulated in
-	// emission order to match UnitTotals on retained spans.
+	// emission order.
 	total PhaseSeconds
 }
 
@@ -78,73 +77,31 @@ func (ur *unitRollup) fold(kind string, iter int, d float64, bytes, flops int64)
 	ur.total.add(kind, d)
 }
 
-// iterPhases returns the unit's per-iteration phase breakdown — from
-// the online rollup when aggregating, by folding the retained spans
-// otherwise. Both paths perform the same additions in the same order.
-// The returned map is owned by the caller in span mode and shared in
-// rollup mode; treat it as read-only.
-func (u *Unit) iterPhases() map[int]*PhaseSeconds {
+// rolled returns the unit's rollup: the online one when aggregating,
+// otherwise the retained spans folded through fold in emission order,
+// the same folds the rollup mode performed. Treat it as read-only: in
+// rollup mode it is the unit's live state.
+func (u *Unit) rolled() *unitRollup {
 	if u.rollup != nil {
-		return u.rollup.phases
+		return u.rollup
 	}
-	m := make(map[int]*PhaseSeconds)
+	ur := newUnitRollup()
 	for _, s := range u.spans {
-		p, ok := m[s.Iter]
-		if !ok {
-			p = &PhaseSeconds{}
-			m[s.Iter] = p
-		}
-		p.add(s.Kind, s.Duration())
+		ur.fold(s.Kind, s.Iter, s.Duration(), s.Bytes, s.Flops)
 	}
-	return m
+	return ur
 }
 
-// totalPhases returns the unit's whole-run phase breakdown, with the
-// same mode-independent bit-exactness as iterPhases.
-func (u *Unit) totalPhases() PhaseSeconds {
-	if u.rollup != nil {
-		return u.rollup.total
-	}
-	var p PhaseSeconds
-	for _, s := range u.spans {
-		p.add(s.Kind, s.Duration())
-	}
-	return p
-}
-
-// cells returns the unit's (kind, iter) aggregates in (iter, kind)
-// order — from the rollup state when aggregating, by folding the
-// retained spans otherwise. The fold visits spans in emission order,
-// so the sums are bit-identical across modes; key order comes from
-// the first-emission sequence (never a map walk) and is then sorted
-// under a total order over the distinct keys.
-func (u *Unit) cells() ([]aggKey, map[aggKey]*aggCell) {
-	var aggs map[aggKey]*aggCell
-	var keys []aggKey
-	if u.rollup != nil {
-		aggs = u.rollup.aggs
-		keys = append(keys, u.rollup.keys...)
-	} else {
-		aggs = make(map[aggKey]*aggCell)
-		for _, s := range u.spans {
-			c, ok := aggs[aggKey{s.Kind, s.Iter}]
-			if !ok {
-				c = &aggCell{}
-				aggs[aggKey{s.Kind, s.Iter}] = c
-				keys = append(keys, aggKey{s.Kind, s.Iter})
-			}
-			c.count++
-			c.seconds += s.Duration()
-			c.bytes += s.Bytes
-			c.flops += s.Flops
-			c.hist.Observe(s.Duration())
-		}
-	}
+// sortedKeys returns the rollup's (kind, iter) keys in (iter, kind)
+// order. It sorts a copy of the first-emission sequence (never a map
+// walk) under a total order over the distinct keys.
+func (ur *unitRollup) sortedKeys() []aggKey {
+	keys := append([]aggKey(nil), ur.keys...)
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].iter != keys[j].iter {
 			return keys[i].iter < keys[j].iter
 		}
 		return keys[i].kind < keys[j].kind
 	})
-	return keys, aggs
+	return keys
 }

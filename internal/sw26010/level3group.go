@@ -61,9 +61,10 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 	}
 
 	assign := make([]int, n)
-	res := &Result{K: k, D: d, Assign: assign}
-	finalCents := make([]float64, k*d)
-	slices := make([][]float64, mPrime)
+	// The one model: each rank trains its slice's rows in place, and
+	// the final matrix is the result.
+	model := append([]float64(nil), initial...)
+	res := &Result{K: k, D: d, Assign: assign, Centroids: model}
 	iters := newTimeline(maxIters)
 	itersRan := 0      // written by rank 0 only, read after Run returns
 	converged := false // written by rank 0 only, read after Run returns
@@ -102,7 +103,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		vals := make([]float64, batch)
 		ids := make([]int64, batch)
 
-		cents := append([]float64(nil), initial[kLo*d:kHi*d]...)
+		cents := model[kLo*d : kHi*d]
 
 		for iter := 0; iter < maxIters; iter++ {
 			for j := range counts {
@@ -251,7 +252,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 			}
 
 			// Update (on the mesh): every CPE owns its stripes; write
-			// the new slice back into the rank's centroid buffer.
+			// the new slice back into the rank's rows of the model.
 			mesh.Run(func(cp *regcomm.CPE) {
 				engine := engine.WithObserver(mesh.Unit(cp.ID()))
 				uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
@@ -259,7 +260,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				st := states[cp.ID()]
 				// The stripe copy still holds this iteration's centroids,
 				// so updating it and copying it back is the update of
-				// the rank's buffer.
+				// the rank's rows.
 				movements[cp.ID()] = core.ApplyUpdate(st.cents, st.sums, counts[:kLocal], dStripe)
 				for j := 0; j < kLocal; j++ {
 					copy(cents[j*d+uLo:j*d+uHi], st.cents[j*dStripe:(j+1)*dStripe])
@@ -296,17 +297,11 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		}
 		mesh.FinishObserved()
 		c.Obs().Finish(c.Clock().Now())
-		slices[pos] = cents
 		return nil
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	for pos := 0; pos < mPrime; pos++ {
-		kLo, _ := share(k, mPrime, pos)
-		copy(finalCents[kLo*d:], slices[pos])
-	}
-	res.Centroids = finalCents
 	res.Iters = itersRan
 	res.Converged = converged
 	res.IterTimes = iters.deltas(res.Iters)
