@@ -90,3 +90,17 @@ func FuzzIngest(f *testing.F) {
 		serveFuzz(t, s, "/v1/ingest", body, deadlineUS)
 	})
 }
+
+// FuzzDecodeBody holds the server's decoding of arbitrary bodies, on
+// both endpoints, to encoding/json's Decoder (checkDecode).
+func FuzzDecodeBody(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, e := range decodeEdges {
+		f.Add([]byte(e.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body)
+	})
+}

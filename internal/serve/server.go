@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -65,8 +66,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.DefaultDeadline == 0 {
 		cfg.DefaultDeadline = 250 * time.Millisecond
 	}
+	if cfg.DefaultDeadline < 0 {
+		return nil, fmt.Errorf("serve: default deadline must be positive, got %v", cfg.DefaultDeadline)
+	}
 	if cfg.MaxPoints == 0 {
 		cfg.MaxPoints = 512
+	}
+	if cfg.MaxPoints < 0 {
+		return nil, fmt.Errorf("serve: max points must be positive, got %d", cfg.MaxPoints)
 	}
 	if cfg.Start.IsZero() {
 		cfg.Start = time.Now()
@@ -148,10 +155,10 @@ type ingestRequest struct {
 }
 
 // Request bodies are bounded before they are decoded: a body longer
-// than the bound is answered 413 as soon as the decoder reads past it.
-// A number takes at most jsonNumberBytes characters with its separator
-// and some whitespace, a point jsonPointBytes more for its brackets,
-// and the envelope jsonEnvelopeBytes.
+// than the bound is answered 413 whatever it holds. A number takes at
+// most jsonNumberBytes characters with its separator and some
+// whitespace, a point jsonPointBytes more for its brackets, and the
+// envelope jsonEnvelopeBytes.
 const (
 	jsonNumberBytes   = 32
 	jsonPointBytes    = 8
@@ -164,10 +171,14 @@ func bodyLimit(points, d int) int64 {
 	return jsonEnvelopeBytes + int64(points)*(jsonPointBytes+int64(d)*jsonNumberBytes)
 }
 
-// decodeBody decodes a request body of at most limit bytes into v. It
-// writes the 413 or 400 answer itself and reports whether v is usable.
+// decodeBody reads a request body of at most limit bytes whole and
+// decodes it into v (decodeRequest). It writes the 413 or 400 answer
+// itself and reports whether v is usable.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	if err == nil {
+		err = decodeRequest(body, v)
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -228,7 +239,11 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+		// A deadline longer than a Duration holds is the longest one.
+		deadline = time.Duration(math.MaxInt64)
+		if req.DeadlineMS <= math.MaxInt64/int64(time.Millisecond) {
+			deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+		}
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), t0.Add(deadline))
 	defer cancel()

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -64,6 +66,12 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(ServerConfig{Store: &Store{}, Metrics: &Metrics{}, QueueDepth: -1}); err == nil {
 		t.Error("negative queue depth accepted")
+	}
+	if _, err := NewServer(ServerConfig{Store: &Store{}, Metrics: &Metrics{}, DefaultDeadline: -time.Second}); err == nil {
+		t.Error("negative default deadline accepted")
+	}
+	if _, err := NewServer(ServerConfig{Store: &Store{}, Metrics: &Metrics{}, MaxPoints: -1}); err == nil {
+		t.Error("negative max points accepted")
 	}
 }
 
@@ -163,6 +171,18 @@ func TestAssignDeadline(t *testing.T) {
 	}
 	if s.cfg.Metrics.Deadline.Load() != 1 {
 		t.Errorf("deadline counter %d, want 1", s.cfg.Metrics.Deadline.Load())
+	}
+}
+
+// TestAssignLongDeadline: a deadline_ms longer than a time.Duration
+// holds waits the longest Duration; it does not wrap into the past.
+func TestAssignLongDeadline(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	for _, ms := range []int64{math.MaxInt64, 9_300_000_000_000} {
+		w := postJSON(t, s.Handler(), "/v1/assign", assignRequest{Points: [][]float64{{0, 0}}, DeadlineMS: ms})
+		if w.Code != http.StatusOK {
+			t.Errorf("deadline_ms %d: status %d, want 200: %s", ms, w.Code, w.Body)
+		}
 	}
 }
 
@@ -306,7 +326,8 @@ func TestStatsEndpoint(t *testing.T) {
 // TestBodyCap: assign and ingest bodies are bounded before they are
 // decoded. A body padded to exactly its bound gets the usual answer,
 // one byte more is answered 413 with the JSON error body and counted
-// on /v1/stats and /metrics.
+// on /v1/stats and /metrics, and so is a body whose JSON value ends
+// well inside the bound when padding after it runs past.
 func TestBodyCap(t *testing.T) {
 	src, err := dataset.NewGaussianMixture("serve-cap", 64, 2, 2, 0.15, 2.0, 0xCAB)
 	if err != nil {
@@ -319,14 +340,17 @@ func TestBodyCap(t *testing.T) {
 	}
 	s.cfg.Trainer = tr
 	h := s.Handler()
-	post := func(path string, body any, size int64) *httptest.ResponseRecorder {
+	// post sends body padded with spaces to size bytes, before the
+	// value or after it.
+	post := func(path string, body any, size int64, after bool) *httptest.ResponseRecorder {
 		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Leading whitespace is valid JSON the decoder must read
-		// through before it reaches the value.
 		pad := bytes.Repeat([]byte(" "), int(size)-len(raw))
+		if after {
+			raw, pad = pad, raw
+		}
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(append(pad, raw...)))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
@@ -341,23 +365,33 @@ func TestBodyCap(t *testing.T) {
 		{"/v1/assign", assignRequest{Points: [][]float64{{9, 1}}}, bodyLimit(3, 2), http.StatusOK},
 		{"/v1/ingest", ingestRequest{Points: [][]float64{{1, 2}}}, bodyLimit(4*2, 2), http.StatusOK},
 	} {
-		if w := post(tc.path, tc.body, tc.limit); w.Code != tc.ok {
-			t.Errorf("%s at the bound: status %d, want %d: %s", tc.path, w.Code, tc.ok, w.Body)
+		for _, after := range []bool{false, true} {
+			if w := post(tc.path, tc.body, tc.limit, after); w.Code != tc.ok {
+				t.Errorf("%s at the bound, padded after %v: status %d, want %d: %s", tc.path, after, w.Code, tc.ok, w.Body)
+			}
 		}
-		w := post(tc.path, tc.body, tc.limit+1)
-		var eb errorBody
-		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusRequestEntityTooLarge || eb.Error != "too_large" {
-			t.Errorf("%s one byte over: status %d body %s, want 413 too_large", tc.path, w.Code, w.Body)
+		// One byte over, and 18 over with the value first: at d=2 and
+		// MaxPoints 3 that is a 490-byte body over a 472-byte bound.
+		for _, over := range []struct {
+			size  int64
+			after bool
+		}{{tc.limit + 1, false}, {tc.limit + 18, true}} {
+			w := post(tc.path, tc.body, over.size, over.after)
+			var eb errorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusRequestEntityTooLarge || eb.Error != "too_large" {
+				t.Errorf("%s %d bytes over, padded after %v: status %d body %s, want 413 too_large",
+					tc.path, over.size-tc.limit, over.after, w.Code, w.Body)
+			}
 		}
 	}
 	var snap MetricsSnapshot
 	if err := json.Unmarshal(getPath(h, "/v1/stats").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.TooLarge != 2 || snap.BadRequest != 0 {
-		t.Errorf("stats too_large %d bad_request %d, want 2 and 0", snap.TooLarge, snap.BadRequest)
+	if snap.TooLarge != 4 || snap.BadRequest != 0 {
+		t.Errorf("stats too_large %d bad_request %d, want 4 and 0", snap.TooLarge, snap.BadRequest)
 	}
-	if m := getPath(h, "/metrics").Body.String(); !strings.Contains(m, "swkmeansd_too_large_total 2\n") {
-		t.Errorf("/metrics lacks swkmeansd_too_large_total 2:\n%s", m)
+	if m := getPath(h, "/metrics").Body.String(); !strings.Contains(m, "swkmeansd_too_large_total 4\n") {
+		t.Errorf("/metrics lacks swkmeansd_too_large_total 4:\n%s", m)
 	}
 }
