@@ -73,13 +73,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs all twelve native fuzz targets for FUZZTIME each, one at a
+# fuzz runs all ten native fuzz targets for FUZZTIME each, one at a
 # time (go test -fuzz takes one target per run): the fault-plan
 # grammar, swlint's suppression and baseline parsers, the
 # nearest-centroid kernel, the collective rendezvous against its
-# point-to-point reference, the model, binary-matrix and CSV loaders,
-# the daemon's /v1/assign and /v1/ingest handlers, its request-body
-# decoder against encoding/json, and obsdiff's export parser.
+# point-to-point reference, the model loader, the daemon's /v1/assign
+# and /v1/ingest handlers, its request-body decoder against
+# encoding/json, and obsdiff's export parser.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -89,8 +89,6 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadCentroids$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAssign$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME)

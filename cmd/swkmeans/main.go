@@ -16,9 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-
+	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/core"
@@ -111,6 +112,10 @@ func main() {
 		traceAgg: *traceAgg,
 		sched:    *schedFlag,
 	}
+	if err := checkModeFlags(opts); err != nil {
+		fmt.Fprintln(os.Stderr, "swkmeans:", err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -176,6 +181,39 @@ type options struct {
 	traceAgg                int
 	sched                   bool
 	rec                     *obs.Recorder
+}
+
+// checkModeFlags refuses a flag that the chosen mode would silently
+// drop: the simulated machine's fault, checkpoint, stride, driver and
+// summary flags under a fine-grained kernel or a host baseline, -save
+// under a fine-grained kernel, and a -mgroup or -mprime that the
+// chosen kernel has no group for. The error names the flag.
+func checkModeFlags(o options) error {
+	sim := o.algo == "sim"
+	fine := strings.HasPrefix(o.algo, "fine")
+	mode := "-algo " + o.algo
+	if sim {
+		mode = fmt.Sprintf("-level %d", o.level)
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-faults", !sim && !reflect.DeepEqual(o.faults, fault.Plan{})},
+		{"-ckpt", !sim && o.ckpt != 0},
+		{"-droplost", !sim && o.dropLost},
+		{"-stride", !sim && o.stride != 1},
+		{"-sched", !sim && o.sched},
+		{"-summary", !sim && o.summary},
+		{"-save", fine && o.savePath != ""},
+		{"-mgroup", o.mgroup != 0 && o.algo != "fine2" && !(sim && (o.level == 0 || o.level == 2))},
+		{"-mprime", o.mprime != 0 && o.algo != "fine3" && !(sim && (o.level == 0 || o.level == 3))},
+	} {
+		if f.set {
+			return fmt.Errorf("%s does not use %s; drop the flag", mode, f.name)
+		}
+	}
+	return nil
 }
 
 // obsRequested reports whether any observability output was asked for.

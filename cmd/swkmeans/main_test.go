@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func base(out *strings.Builder) options {
@@ -347,5 +349,51 @@ func TestRunProfileWithoutRollup(t *testing.T) {
 	}
 	if span, roll := render(false, "span"), render(true, "roll"); span != roll {
 		t.Error("profile bytes differ between recorder modes")
+	}
+}
+
+// TestCheckModeFlags: a flag that the chosen mode would drop is refused
+// by name, and the flags each mode uses pass.
+func TestCheckModeFlags(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		flag string // "" when the flags must pass
+	}{
+		{"fine1 faults", func(o *options) { o.algo, o.faults = "fine1", fault.Plan{Seed: 7} }, "-faults"},
+		{"fine2 ckpt", func(o *options) { o.algo, o.ckpt = "fine2", 2 }, "-ckpt"},
+		{"fine3 droplost", func(o *options) { o.algo, o.dropLost = "fine3", true }, "-droplost"},
+		{"fine1 stride", func(o *options) { o.algo, o.stride = "fine1", 4 }, "-stride"},
+		{"fine1 sched", func(o *options) { o.algo, o.sched = "fine1", true }, "-sched"},
+		{"fine3 summary", func(o *options) { o.algo, o.summary = "fine3", true }, "-summary"},
+		{"fine1 save", func(o *options) { o.algo, o.savePath = "fine1", "m.bin" }, "-save"},
+		{"lloyd faults", func(o *options) { o.algo, o.faults = "lloyd", fault.Plan{Crashes: []fault.Crash{{CG: 0, At: 1e-9}}} }, "-faults"},
+		{"hamerly stride", func(o *options) { o.algo, o.stride = "hamerly", 4 }, "-stride"},
+		{"elkan summary", func(o *options) { o.algo, o.summary = "elkan", true }, "-summary"},
+		{"minibatch sched", func(o *options) { o.algo, o.sched = "minibatch", true }, "-sched"},
+		{"fine1 mgroup", func(o *options) { o.algo, o.mgroup = "fine1", 8 }, "-mgroup"},
+		{"fine2 mprime", func(o *options) { o.algo, o.mprime = "fine2", 2 }, "-mprime"},
+		{"fine3 mgroup", func(o *options) { o.algo, o.mgroup = "fine3", 8 }, "-mgroup"},
+		{"lloyd mprime", func(o *options) { o.algo, o.mprime = "lloyd", 2 }, "-mprime"},
+		{"level 1 mgroup", func(o *options) { o.mgroup = 8 }, "-mgroup"},
+		{"level 2 mprime", func(o *options) { o.level, o.mprime = 2, 2 }, "-mprime"},
+		{"level 3 mgroup", func(o *options) { o.level, o.mgroup = 3, 8 }, "-mgroup"},
+		{"sim everything", func(o *options) {
+			o.level, o.mgroup, o.mprime, o.faults, o.ckpt, o.dropLost = 0, 8, 2, fault.Plan{Seed: 7}, 2, true
+			o.stride, o.sched, o.summary, o.savePath = 4, true, true, "m.bin"
+		}, ""},
+		{"fine2 mgroup", func(o *options) { o.algo, o.mgroup = "fine2", 8 }, ""},
+		{"fine3 mprime", func(o *options) { o.algo, o.mprime = "fine3", 2 }, ""},
+		{"lloyd save", func(o *options) { o.algo, o.savePath = "lloyd", "m.bin" }, ""},
+	} {
+		o := base(&strings.Builder{})
+		c.set(&o)
+		err := checkModeFlags(o)
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.flag != "" && (err == nil || !strings.Contains(err.Error(), c.flag)):
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.flag)
+		}
 	}
 }

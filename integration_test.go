@@ -253,37 +253,33 @@ func TestAllExecutionPathsAgreeOnNonFiniteInput(t *testing.T) {
 	}
 }
 
-// TestPreprocessedPipeline: standardization view feeding the engine,
-// with internal quality indexes on the result.
+// TestPreprocessedPipeline: a mixture feeding the engine, with
+// internal quality indexes on the result.
 func TestPreprocessedPipeline(t *testing.T) {
 	raw, err := dataset.NewGaussianMixture("prep", 600, 8, 4, 0.2, 2.0, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	std, err := dataset.Standardize(raw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
 		Spec: machine.MustSpec(1), Level: Level3, K: 4, MaxIters: 25,
 		Init: InitKMeansPlusPlus, Seed: 4,
-	}, std)
+	}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := quality.DaviesBouldin(std, res.Centroids, res.D, res.Assign)
+	db, err := quality.DaviesBouldin(raw, res.Centroids, res.D, res.Assign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sil, err := quality.Silhouette(std, res.Assign, 100)
+	sil, err := quality.Silhouette(raw, res.Assign, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db > 1.0 {
-		t.Errorf("Davies-Bouldin = %g on separable standardized data", db)
+		t.Errorf("Davies-Bouldin = %g on separable data", db)
 	}
 	if sil < 0.6 {
-		t.Errorf("silhouette = %g on separable standardized data", sil)
+		t.Errorf("silhouette = %g on separable data", sil)
 	}
 }
 

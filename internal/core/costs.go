@@ -9,6 +9,16 @@ import (
 	"repro/internal/vclock"
 )
 
+// straggle stretches the compute term of a rank's per-iteration cost by
+// its CG's straggler factor, exactly 1 without one (fault.Injector.
+// ComputeFactor). Fault-free runs have no injector and keep the cost.
+func straggle(ic costmodel.Cost, work *mpi.Comm, env *epochEnv) costmodel.Cost {
+	if env.inj != nil {
+		ic.ComputeSeconds *= env.inj.ComputeFactor(work.CG())
+	}
+	return ic
+}
+
 // chargeCost applies a local per-iteration cost to a rank's clock and
 // trace counters, and records the cost's phase triple — DMA read,
 // compute, register communication — as consecutive spans on the
@@ -33,7 +43,7 @@ func chargeTransientDMA(work *mpi.Comm, env *epochEnv, ic costmodel.Cost, at flo
 		return
 	}
 	transfers := int((ic.DMAElems + costmodel.DMAChunkElems - 1) / costmodel.DMAChunkElems)
-	retries, _ := env.inj.DMARetryCount(work.CG(), at, costmodel.DMAChunkElems, transfers)
+	retries := env.inj.DMARetryCount(work.CG(), at, costmodel.DMAChunkElems, transfers)
 	if retries <= 0 {
 		return
 	}

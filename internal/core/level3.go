@@ -232,7 +232,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 			}
 		}
 	}
-	ic := costmodel.Level3(cfg.Spec, st.hi-st.lo, k, d, e.MPrimeGroup, batch, e.Tiled)
+	ic := straggle(costmodel.Level3(cfg.Spec, st.hi-st.lo, k, d, e.MPrimeGroup, batch, e.Tiled), st.work, env)
 	chargeCost(ic, st.work.Clock(), cfg.Stats, st.work.Obs())
 	chargeTransientDMA(st.work, env, ic, at)
 

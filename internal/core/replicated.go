@@ -98,6 +98,7 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 	} else {
 		ic = costmodel.Level2(cfg.Spec, chargedN, cfg.K, d, env.eplan.MGroup, cfg.BatchSamples)
 	}
+	ic = straggle(ic, st.work, env)
 	chargeCost(ic, st.work.Clock(), cfg.Stats, st.work.Obs())
 	chargeTransientDMA(st.work, env, ic, at)
 

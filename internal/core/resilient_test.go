@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -369,6 +370,72 @@ func TestResilientConfigValidation(t *testing.T) {
 		Spec: machine.MustSpec(1), Level: Level1, K: 2, MaxIters: 5, Faults: bad,
 	}, g); err == nil {
 		t.Error("invalid fault plan accepted")
+	}
+}
+
+// TestFaultUnitsMustExist: a plan naming a CG the machine lacks is
+// rejected, whether a crash, a straggler or a link endpoint names it.
+func TestFaultUnitsMustExist(t *testing.T) {
+	g, err := dataset.NewGaussianMixture("g", 256, 8, 4, 0.1, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"crash", fault.Plan{Crashes: []fault.Crash{{CG: 77, At: 1e-5}}}},
+		{"crash one past the end", fault.Plan{Crashes: []fault.Crash{{CG: 4, At: 1e-5}}}},
+		{"straggler", fault.Plan{Stragglers: []fault.Straggler{{CG: 4, CPE: -1, Factor: 2}}}},
+		{"link source", fault.Plan{Links: []fault.LinkDegrade{{FromCG: 9, ToCG: -1, From: 0, To: 1, Factor: 2}}}},
+		{"link destination", fault.Plan{Links: []fault.LinkDegrade{{FromCG: 0, ToCG: 4, From: 0, To: 1, Factor: 2}}}},
+	} {
+		_, err := Run(Config{Spec: machine.MustSpec(1), Level: Level1, K: 4, MaxIters: 1, Faults: c.plan}, g)
+		if err == nil || !strings.Contains(err.Error(), "machine has CGs [0,4)") {
+			t.Errorf("%s: error %v, want one naming the machine's CGs", c.name, err)
+		}
+	}
+}
+
+// TestStragglerSlowsCompute: a straggling CG's compute is charged at
+// its factor. A x1000 straggler slows the run and scales its rank's
+// profiled compute seconds by the factor; a factor of 1 added to a
+// faulty plan changes nothing, bit for bit.
+func TestStragglerSlowsCompute(t *testing.T) {
+	g, err := dataset.NewGaussianMixture("g", 800, 8, 4, 0.1, 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []Level{Level1, Level2, Level3} {
+		run := func(p fault.Plan) (*Result, float64) {
+			rec := obs.NewRecorder()
+			res := runObserved(t, Config{Spec: machine.MustSpec(2), Level: level, K: 4, MaxIters: 3, Seed: 1, Faults: p}, g, rec)
+			for _, u := range obs.BuildProfile(rec).TopUnits {
+				if u.Unit == "rank/0" {
+					return res, u.Phases.Compute
+				}
+			}
+			t.Fatalf("%v: the profile has no rank/0 row", level)
+			return nil, 0
+		}
+		straggler := func(p fault.Plan, factor float64) fault.Plan {
+			p.Stragglers = []fault.Straggler{{CG: 0, CPE: -1, Factor: factor}}
+			return p
+		}
+		clean, cleanCompute := run(fault.Plan{Seed: 1})
+		slow, slowCompute := run(straggler(fault.Plan{Seed: 1}, 1000))
+		if totalIterSeconds(slow) <= totalIterSeconds(clean) {
+			t.Errorf("%v: x1000 straggler run %.9gs not slower than clean %.9gs", level, totalIterSeconds(slow), totalIterSeconds(clean))
+		}
+		if cleanCompute <= 0 || math.Abs(slowCompute-1000*cleanCompute) > 1e-9*slowCompute {
+			t.Errorf("%v: straggler's compute %.17g s, want 1000 x %.17g s", level, slowCompute, cleanCompute)
+		}
+		faulty := fault.Plan{Seed: 1, MsgFailRate: 0.05, MaxRetries: 32}
+		a, _ := run(faulty)
+		b, _ := run(straggler(faulty, 1))
+		if d := timelineDiff(a, b); d != "" {
+			t.Errorf("%v: a x1 straggler moved the run: %s", level, d)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -236,7 +235,7 @@ func TestLandCoverFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lc.N() != 1200 || lc.D() != 12 || lc.Width() != 40 || lc.Height() != 30 {
+	if lc.N() != 1200 || lc.D() != 12 || lc.width != 40 || lc.height != 30 {
 		t.Fatalf("shape wrong: n=%d d=%d", lc.N(), lc.D())
 	}
 	if lc.Classes() != 7 {
@@ -321,59 +320,6 @@ func TestLandCoverPPM(t *testing.T) {
 		return m
 	}()); err != nil {
 		t.Errorf("out-of-range class: %v", err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	g, _ := NewGaussianMixture("t", 8, 3, 2, 0.1, 1, 3)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != 8 || m.D() != 3 {
-		t.Fatalf("round-trip shape %dx%d", m.N(), m.D())
-	}
-	orig := make([]float64, 3)
-	for i := 0; i < 8; i++ {
-		g.Sample(i, orig)
-		for u := range orig {
-			if math.Abs(m.Row(i)[u]-orig[u]) > 1e-12 {
-				t.Fatalf("row %d dim %d: %g vs %g", i, u, m.Row(i)[u], orig[u])
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("1,two\n")); err == nil {
-		t.Error("non-numeric CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("1,2\n3\n")); err == nil {
-		t.Error("ragged CSV accepted")
-	}
-	for _, c := range []struct{ in, at string }{
-		{"1,NaN\n2,+Inf\n", "line 1 column 2"},
-		{"1,2\n\n-Inf,4\n", "line 3 column 1"},
-		{"1,2\n3, infinity\n", "line 2 column 2"},
-	} {
-		_, err := ReadCSV(strings.NewReader(c.in))
-		if err == nil || !strings.Contains(err.Error(), c.at) {
-			t.Errorf("ReadCSV(%q): error %v, want one naming %s", c.in, err, c.at)
-		}
-	}
-	m, err := ReadCSV(strings.NewReader("1,2\n\n 3 , 4 \n"))
-	if err != nil {
-		t.Fatalf("blank lines and spaces should parse: %v", err)
-	}
-	if m.N() != 2 || m.Row(1)[0] != 3 {
-		t.Error("CSV content wrong")
 	}
 }
 

@@ -48,12 +48,6 @@ func NewLandCover(width, height, d int, seed uint64) (*LandCover, error) {
 	}, nil
 }
 
-// Width returns the number of block columns.
-func (lc *LandCover) Width() int { return lc.width }
-
-// Height returns the number of block rows.
-func (lc *LandCover) Height() int { return lc.height }
-
 // N implements Source.
 func (lc *LandCover) N() int { return lc.width * lc.height }
 

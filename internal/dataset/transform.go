@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SliceView is a contiguous sample-range view of a Source.
 type SliceView struct {
@@ -27,107 +24,3 @@ func (v *SliceView) D() int { return v.src.D() }
 
 // Sample implements Source.
 func (v *SliceView) Sample(i int, buf []float64) { v.src.Sample(v.lo+i, buf) }
-
-// ProjectView is a column-subset view of a Source.
-type ProjectView struct {
-	src  Source
-	dims []int
-	full []float64
-}
-
-// Project returns a view of src restricted to the given dimension
-// indexes (in the given order). The view is safe for concurrent use.
-func Project(src Source, dims []int) (*ProjectView, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("dataset: projection needs at least one dimension")
-	}
-	for _, u := range dims {
-		if u < 0 || u >= src.D() {
-			return nil, fmt.Errorf("dataset: projected dimension %d out of range [0,%d)", u, src.D())
-		}
-	}
-	return &ProjectView{src: src, dims: append([]int(nil), dims...)}, nil
-}
-
-// N implements Source.
-func (p *ProjectView) N() int { return p.src.N() }
-
-// D implements Source.
-func (p *ProjectView) D() int { return len(p.dims) }
-
-// Sample implements Source.
-func (p *ProjectView) Sample(i int, buf []float64) {
-	// A fresh staging buffer per call keeps the view concurrency-safe;
-	// projections are used at functional scale where this is cheap.
-	full := make([]float64, p.src.D())
-	p.src.Sample(i, full)
-	for j, u := range p.dims {
-		buf[j] = full[u]
-	}
-}
-
-// StandardizedView applies per-dimension z-score normalization
-// ((x-mean)/stddev) computed once from a deterministic sample of the
-// source — the preprocessing step most k-means deployments apply to
-// features with heterogeneous scales (e.g. the UCI Census mix).
-type StandardizedView struct {
-	src   Source
-	mean  []float64
-	scale []float64 // 1/stddev, 1 where stddev == 0
-}
-
-// Standardize fits a standardizer on up to fitN deterministically
-// spread samples (fitN <= 0 uses every sample).
-func Standardize(src Source, fitN int) (*StandardizedView, error) {
-	n, d := src.N(), src.D()
-	if fitN <= 0 || fitN > n {
-		fitN = n
-	}
-	stride := n / fitN
-	if stride < 1 {
-		stride = 1
-	}
-	mean := make([]float64, d)
-	m2 := make([]float64, d)
-	buf := make([]float64, d)
-	count := 0
-	for i := 0; i < n && count < fitN; i += stride {
-		src.Sample(i, buf)
-		count++
-		for u, v := range buf {
-			delta := v - mean[u]
-			mean[u] += delta / float64(count)
-			m2[u] += delta * (v - mean[u])
-		}
-	}
-	if count < 2 {
-		return nil, fmt.Errorf("dataset: standardization needs at least 2 samples, fitted %d", count)
-	}
-	scale := make([]float64, d)
-	for u := range scale {
-		sd := math.Sqrt(m2[u] / float64(count-1))
-		if sd > 0 {
-			scale[u] = 1 / sd
-		} else {
-			scale[u] = 1
-		}
-	}
-	return &StandardizedView{src: src, mean: mean, scale: scale}, nil
-}
-
-// N implements Source.
-func (s *StandardizedView) N() int { return s.src.N() }
-
-// D implements Source.
-func (s *StandardizedView) D() int { return s.src.D() }
-
-// Sample implements Source.
-func (s *StandardizedView) Sample(i int, buf []float64) {
-	s.src.Sample(i, buf)
-	for u := range buf[:s.src.D()] {
-		buf[u] = (buf[u] - s.mean[u]) * s.scale[u]
-	}
-}
-
-// Mean returns the fitted per-dimension means.
-func (s *StandardizedView) Mean() []float64 { return append([]float64(nil), s.mean...) }

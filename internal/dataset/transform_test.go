@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestSliceView(t *testing.T) {
 	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
@@ -30,119 +27,5 @@ func TestSliceView(t *testing.T) {
 		if _, err := Slice(m, c.lo, c.hi); err == nil {
 			t.Errorf("Slice(%d,%d) accepted", c.lo, c.hi)
 		}
-	}
-}
-
-func TestProjectView(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Project(m, []int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.N() != 2 || p.D() != 2 {
-		t.Fatalf("shape %dx%d", p.N(), p.D())
-	}
-	buf := make([]float64, 2)
-	p.Sample(1, buf)
-	if buf[0] != 6 || buf[1] != 4 {
-		t.Errorf("Sample(1) = %v, want [6 4]", buf)
-	}
-	if _, err := Project(m, nil); err == nil {
-		t.Error("empty projection accepted")
-	}
-	if _, err := Project(m, []int{3}); err == nil {
-		t.Error("out-of-range dimension accepted")
-	}
-	// Mutating the caller's dims must not affect the view.
-	dims := []int{0}
-	p2, _ := Project(m, dims)
-	dims[0] = 2
-	p2.Sample(0, buf[:1])
-	if buf[0] != 1 {
-		t.Error("projection aliases caller's dims slice")
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	g, err := NewGaussianMixture("std", 2000, 6, 3, 0.3, 2.0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Standardize(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The standardized stream must have ~zero mean and ~unit variance.
-	n, d := s.N(), s.D()
-	mean := make([]float64, d)
-	m2 := make([]float64, d)
-	buf := make([]float64, d)
-	for i := 0; i < n; i++ {
-		s.Sample(i, buf)
-		for u, v := range buf {
-			mean[u] += v
-			m2[u] += v * v
-		}
-	}
-	for u := 0; u < d; u++ {
-		mu := mean[u] / float64(n)
-		variance := m2[u]/float64(n) - mu*mu
-		if math.Abs(mu) > 0.02 {
-			t.Errorf("dim %d: mean %g after standardization", u, mu)
-		}
-		if math.Abs(variance-1) > 0.05 {
-			t.Errorf("dim %d: variance %g after standardization", u, variance)
-		}
-	}
-}
-
-func TestStandardizeSubsampled(t *testing.T) {
-	g, err := NewGaussianMixture("std", 5000, 4, 2, 0.3, 1.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Standardize(g, 500) // fit on a tenth
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Mean()) != 4 {
-		t.Fatal("mean vector wrong size")
-	}
-	buf := make([]float64, 4)
-	s.Sample(0, buf) // must not panic and must be finite
-	for _, v := range buf {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("standardized value %g", v)
-		}
-	}
-}
-
-func TestStandardizeConstantDimension(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 5}, {2, 5}, {3, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Standardize(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 2)
-	s.Sample(0, buf)
-	// Constant dimension: scale 1, just centred.
-	if buf[1] != 0 {
-		t.Errorf("constant dim standardized to %g, want 0", buf[1])
-	}
-}
-
-func TestStandardizeTooFewSamples(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Standardize(m, 0); err == nil {
-		t.Error("single-sample standardization accepted")
 	}
 }

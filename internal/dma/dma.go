@@ -14,7 +14,6 @@ package dma
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/ldm"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -27,9 +26,7 @@ type Engine struct {
 	bw      float64 // bytes per second
 	latency float64 // seconds per transfer
 	stats   *trace.Stats
-	inj     *fault.Injector // nil when no faults are injected
-	cg      int             // core group the injector attributes faults to
-	unit    *obs.Unit       // span sink of the issuing CPE; nil disables
+	unit    *obs.Unit // span sink of the issuing CPE; nil disables
 }
 
 // New returns a DMA engine with the spec's published bandwidth and
@@ -50,23 +47,9 @@ func MustNew(spec *machine.Spec, stats *trace.Stats) *Engine {
 	return e
 }
 
-// WithFaults returns a derived engine whose transfers consult the
-// injector for transient failures attributed to core group cg. Each
-// transiently failed attempt is retried after an exponential backoff,
-// with the wasted transfer time and the backoff charged to the virtual
-// clock; once the retry budget is exhausted the transfer fails with an
-// error wrapping fault.ErrDMAFailed. The receiver is unchanged.
-func (e *Engine) WithFaults(inj *fault.Injector, cg int) *Engine {
-	d := *e
-	d.inj = inj
-	d.cg = cg
-	return &d
-}
-
 // WithObserver returns a derived engine that records every transfer as
-// a "dma" span on the unit — retries included, so the span covers what
-// the transfer really cost the issuing CPE. A nil unit returns the
-// receiver unchanged, keeping the unobserved path allocation-free.
+// a "dma" span on the unit. A nil unit returns the receiver unchanged,
+// keeping the unobserved path allocation-free.
 func (e *Engine) WithObserver(u *obs.Unit) *Engine {
 	if u == nil {
 		return e
@@ -106,9 +89,6 @@ func (e *Engine) transfer(clock *vclock.Clock, dst, src []float64) error {
 		return nil
 	}
 	start := e.spanStart(clock)
-	if err := e.faultDelay(clock, len(src)); err != nil {
-		return err
-	}
 	copy(dst, src)
 	e.account(clock, len(src))
 	e.spanEnd(clock, start, len(src))
@@ -124,40 +104,13 @@ func (e *Engine) spanStart(clock *vclock.Clock) float64 {
 	return clock.Now()
 }
 
-// spanEnd records the whole transfer — retries and backoff included —
-// as one "dma" span of elems modelled elements.
+// spanEnd records the transfer as one "dma" span of elems modelled
+// elements.
 func (e *Engine) spanEnd(clock *vclock.Clock, start float64, elems int) {
 	if e.unit == nil || clock == nil {
 		return
 	}
 	e.unit.Record(obs.KindDMA, start, clock.Now(), int64(elems*ldm.ElemBytes), 0)
-}
-
-// faultDelay charges the retry cost of transient DMA faults for a
-// transfer of elems elements. The fault decision for each attempt is a
-// pure hash of (cg, virtual time, elems, attempt), so identical runs
-// replay identical fault streams regardless of goroutine scheduling.
-func (e *Engine) faultDelay(clock *vclock.Clock, elems int) error {
-	if e.inj == nil {
-		return nil
-	}
-	tt := e.TransferTime(elems)
-	now := 0.0
-	if clock != nil {
-		now = clock.Now()
-	}
-	for attempt := 0; e.inj.DMAFault(e.cg, now, elems, attempt); attempt++ {
-		if attempt >= e.inj.MaxRetries() {
-			return fmt.Errorf("dma: CG %d transfer of %d elems at t=%.9fs exhausted %d retries: %w",
-				e.cg, elems, now, e.inj.MaxRetries(), fault.ErrDMAFailed)
-		}
-		cost := tt + e.inj.Backoff(attempt+1)
-		if clock != nil {
-			clock.Advance(cost)
-			now = clock.Now()
-		}
-	}
-	return nil
 }
 
 // Charge accounts for a transfer of elems elements without performing

@@ -1,11 +1,9 @@
 package dma
 
 import (
-	"errors"
 	"math"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/ldm"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -141,53 +139,5 @@ func TestNilClockAccountsTrafficOnly(t *testing.T) {
 	}
 	if stats.Snapshot().DMABytes == 0 {
 		t.Error("traffic not recorded with nil clock")
-	}
-}
-
-func TestWithFaultsRetriesAreDeterministic(t *testing.T) {
-	spec := machine.MustSpec(1)
-	run := func() float64 {
-		e := MustNew(spec, nil).WithFaults(
-			fault.MustInjector(fault.Plan{Seed: 3, DMAFailRate: 0.4, MaxRetries: 8}), 0)
-		clock := vclock.New()
-		buf := make([]float64, 64)
-		src := make([]float64, 64)
-		for i := 0; i < 200; i++ {
-			if err := e.Get(clock, buf, src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return clock.Now()
-	}
-	t1, t2 := run(), run()
-	if math.Float64bits(t1) != math.Float64bits(t2) {
-		t.Fatalf("identical faulty runs diverged: %.17g vs %.17g", t1, t2)
-	}
-	cleanClock := vclock.New()
-	e := MustNew(spec, nil)
-	for i := 0; i < 200; i++ {
-		if err := e.Get(cleanClock, make([]float64, 64), make([]float64, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if t1 <= cleanClock.Now() {
-		t.Errorf("faulty run %.12g not slower than clean run %.12g", t1, cleanClock.Now())
-	}
-}
-
-func TestWithFaultsPermanentFailure(t *testing.T) {
-	e := MustNew(machine.MustSpec(1), trace.NewStats()).WithFaults(
-		fault.MustInjector(fault.Plan{DMAFailRate: 1, MaxRetries: 2}), 0)
-	err := e.Put(vclock.New(), make([]float64, 8), make([]float64, 8))
-	if !errors.Is(err, fault.ErrDMAFailed) {
-		t.Fatalf("rate-1 transfer error = %v, want fault.ErrDMAFailed", err)
-	}
-}
-
-func TestWithFaultsLeavesReceiverClean(t *testing.T) {
-	e := MustNew(machine.MustSpec(1), nil)
-	_ = e.WithFaults(fault.MustInjector(fault.Plan{DMAFailRate: 1}), 0)
-	if err := e.Get(vclock.New(), make([]float64, 4), make([]float64, 4)); err != nil {
-		t.Fatalf("original engine became faulty: %v", err)
 	}
 }

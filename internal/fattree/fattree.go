@@ -86,15 +86,6 @@ func (m *Model) FlowTime(stride, nBytes, flows int) (float64, error) {
 	}
 }
 
-// AllReduceTime models a binomial reduce+broadcast of elems elements
-// over count contiguous CG ranks starting at CG first. A single
-// binomial tree is almost contention-free on a fat tree (few pairs
-// exchange at the wide strides); see ConcurrentAllReduceTime for the
-// pattern that does congest.
-func (m *Model) AllReduceTime(first, count, elems int) (float64, error) {
-	return m.ConcurrentAllReduceTime(first, count, elems, 1)
-}
-
 // ConcurrentAllReduceTime models `concurrent` independent binomial
 // allreduces of the same shape running simultaneously over the same
 // rank range — the Level-3 Update step, where every centroid-slice

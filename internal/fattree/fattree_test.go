@@ -72,16 +72,16 @@ func TestFlowTimeContention(t *testing.T) {
 
 func TestAllReduceTimeValidation(t *testing.T) {
 	m := MustNew(machine.MustSpec(8))
-	if _, err := m.AllReduceTime(0, 0, 10); err == nil {
+	if _, err := m.ConcurrentAllReduceTime(0, 0, 10, 1); err == nil {
 		t.Error("count 0 accepted")
 	}
-	if _, err := m.AllReduceTime(0, 1000, 10); err == nil {
+	if _, err := m.ConcurrentAllReduceTime(0, 1000, 10, 1); err == nil {
 		t.Error("range beyond CGs accepted")
 	}
-	if _, err := m.AllReduceTime(0, 4, -1); err == nil {
+	if _, err := m.ConcurrentAllReduceTime(0, 4, -1, 1); err == nil {
 		t.Error("negative payload accepted")
 	}
-	single, err := m.AllReduceTime(0, 1, 100)
+	single, err := m.ConcurrentAllReduceTime(0, 1, 100, 1)
 	if err != nil || single != 0 {
 		t.Errorf("single-rank allreduce = %g (%v), want 0", single, err)
 	}
@@ -90,11 +90,11 @@ func TestAllReduceTimeValidation(t *testing.T) {
 func TestAllReduceScalesWithSpan(t *testing.T) {
 	m := MustNew(machine.MustSpec(2048)) // 8 supernodes
 	const elems = 1 << 20
-	within, err := m.AllReduceTime(0, 1024, elems) // one supernode
+	within, err := m.ConcurrentAllReduceTime(0, 1024, elems, 1) // one supernode
 	if err != nil {
 		t.Fatal(err)
 	}
-	across, err := m.AllReduceTime(0, 8192, elems) // all 8
+	across, err := m.ConcurrentAllReduceTime(0, 8192, elems, 1) // all 8
 	if err != nil {
 		t.Fatal(err)
 	}

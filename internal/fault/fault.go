@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/machine"
 )
 
 // Crash schedules a fail-stop of one core group: the CG executes
@@ -166,8 +168,8 @@ func (p Plan) Validate() error {
 		if s.CG < 0 {
 			return fmt.Errorf("fault: straggler CG must be non-negative, got %d", s.CG)
 		}
-		if s.CPE < -1 {
-			return fmt.Errorf("fault: straggler CPE must be an index or -1, got %d", s.CPE)
+		if s.CPE < -1 || s.CPE >= machine.CPEsPerCG {
+			return fmt.Errorf("fault: straggler CPE must be an index in [0,%d) or -1, got %d", machine.CPEsPerCG, s.CPE)
 		}
 		if s.Factor < 1 || math.IsNaN(s.Factor) || math.IsInf(s.Factor, 0) {
 			return fmt.Errorf("fault: straggler factor %v must be finite and at least 1", s.Factor)
@@ -175,10 +177,6 @@ func (p Plan) Validate() error {
 	}
 	return nil
 }
-
-// ErrDMAFailed marks a DMA transfer that exhausted its transient-fault
-// retries; errors.Is(err, ErrDMAFailed) identifies it through wrapping.
-var ErrDMAFailed = errors.New("fault: dma transfer failed permanently")
 
 // ErrLinkFailed marks a message transmission that exhausted its
 // retries.
@@ -190,9 +188,8 @@ var ErrLinkFailed = errors.New("fault: message transmission failed permanently")
 type Injector struct {
 	plan     Plan
 	crashAt  map[int]float64 // CG -> earliest scheduled crash time
-	slowOf   map[[2]int]float64
-	slowCG   map[int]float64
-	maxSlow  float64
+	slowCG   map[int]float64 // CG -> whole-CG straggler factor
+	compute  map[int]float64 // CG -> compute factor, slowest CPE included
 	haveLink bool
 }
 
@@ -205,9 +202,8 @@ func NewInjector(p Plan) (*Injector, error) {
 	inj := &Injector{
 		plan:     p,
 		crashAt:  make(map[int]float64, len(p.Crashes)),
-		slowOf:   make(map[[2]int]float64),
 		slowCG:   make(map[int]float64),
-		maxSlow:  1,
+		compute:  make(map[int]float64),
 		haveLink: len(p.Links) > 0,
 	}
 	for _, c := range p.Crashes {
@@ -215,13 +211,16 @@ func NewInjector(p Plan) (*Injector, error) {
 			inj.crashAt[c.CG] = c.At
 		}
 	}
+	slowCPE := make(map[int]float64) // CG -> its slowest CPE's factor
 	for _, s := range p.Stragglers {
 		if s.CPE < 0 {
 			inj.slowCG[s.CG] = max(inj.slowCG[s.CG], s.Factor)
 		} else {
-			inj.slowOf[[2]int{s.CG, s.CPE}] = max(inj.slowOf[[2]int{s.CG, s.CPE}], s.Factor)
+			slowCPE[s.CG] = max(slowCPE[s.CG], s.Factor)
 		}
-		inj.maxSlow = max(inj.maxSlow, s.Factor)
+	}
+	for _, s := range p.Stragglers {
+		inj.compute[s.CG] = max(inj.slowCG[s.CG], 1) * max(slowCPE[s.CG], 1)
 	}
 	return inj, nil
 }
@@ -234,9 +233,6 @@ func MustInjector(p Plan) *Injector {
 	}
 	return inj
 }
-
-// Plan returns the compiled plan (with defaults applied).
-func (inj *Injector) Plan() Plan { return inj.plan }
 
 // CrashTime returns the scheduled crash time of a core group and
 // whether one exists.
@@ -283,25 +279,19 @@ func (inj *Injector) DMAFault(cg int, at float64, elems, attempt int) bool {
 // DMARetryCount folds the per-transfer DMA fault decisions of a batch
 // of `transfers` transfers (as the closed-form engines charge them)
 // into the deterministic total number of retries, honouring the retry
-// budget per transfer. The second return is the number of transfers
-// that exhausted the budget and failed permanently.
-func (inj *Injector) DMARetryCount(cg int, at float64, elems, transfers int) (retries, permanent int) {
+// budget per transfer: a transfer that exhausts its budget is charged
+// the budget, and the run goes on.
+func (inj *Injector) DMARetryCount(cg int, at float64, elems, transfers int) (retries int) {
 	//swlint:ignore float-eq -- a rate of exactly zero (the unset sentinel) skips the per-transfer fold
 	if inj.plan.DMAFailRate == 0 {
-		return 0, 0
+		return 0
 	}
 	for t := 0; t < transfers; t++ {
-		attempt := 0
-		for inj.DMAFault(cg, at, elems+t, attempt) {
-			attempt++
-			if attempt > inj.plan.MaxRetries {
-				permanent++
-				break
-			}
+		for attempt := 0; attempt < inj.plan.MaxRetries && inj.DMAFault(cg, at, elems+t, attempt); attempt++ {
 			retries++
 		}
 	}
-	return retries, permanent
+	return retries
 }
 
 // MsgFault reports whether transmission attempt (0-based) of the
@@ -339,20 +329,24 @@ func linkMatches(l LinkDegrade, a, b int) bool {
 	return (end(l.FromCG, a) && end(l.ToCG, b)) || (end(l.FromCG, b) && end(l.ToCG, a))
 }
 
-// ComputeFactor returns the compute-time multiplier of one CPE
-// (cpe = -1 queries the whole-CG factor only). Factors compose: a slow
-// CG with one additionally slow CPE multiplies both.
-func (inj *Injector) ComputeFactor(cg, cpe int) float64 {
-	f := 1.0
+// CGFactor returns the whole-CG straggler factor of core group cg,
+// ignoring its CPE stragglers (1 when it has none).
+func (inj *Injector) CGFactor(cg int) float64 {
 	if s, ok := inj.slowCG[cg]; ok {
-		f *= s
+		return s
 	}
-	if cpe >= 0 {
-		if s, ok := inj.slowOf[[2]int{cg, cpe}]; ok {
-			f *= s
-		}
+	return 1
+}
+
+// ComputeFactor returns the compute-time multiplier of core group cg:
+// its whole-CG factor times the largest factor among its CPEs, since
+// the CG's compute phase ends with its slowest CPE. It is exactly 1
+// for a CG without a straggler.
+func (inj *Injector) ComputeFactor(cg int) float64 {
+	if f, ok := inj.compute[cg]; ok {
+		return f
 	}
-	return f
+	return 1
 }
 
 // roll draws the deterministic decision for one fault opportunity:

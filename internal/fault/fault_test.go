@@ -82,38 +82,43 @@ func TestLinkFactorWindowsCompose(t *testing.T) {
 	}
 }
 
+// TestComputeFactor: a CG computes at its whole-CG factor times its
+// slowest CPE's; serve's shards read the whole-CG factor alone.
 func TestComputeFactor(t *testing.T) {
 	inj := MustInjector(Plan{Stragglers: []Straggler{
 		{CG: 2, CPE: -1, Factor: 1.5},
 		{CG: 2, CPE: 7, Factor: 2},
+		{CG: 2, CPE: 9, Factor: 1.25},
 		{CG: 4, CPE: 0, Factor: 3},
 	}})
-	if got := inj.ComputeFactor(2, -1); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("CG-wide factor = %v, want 1.5", got)
-	}
-	if got := inj.ComputeFactor(2, 7); math.Abs(got-3) > 1e-12 {
-		t.Errorf("composed CPE factor = %v, want 3", got)
-	}
-	if got := inj.ComputeFactor(4, 1); got != 1 {
-		t.Errorf("unaffected CPE factor = %v, want 1", got)
-	}
-	if got := inj.ComputeFactor(0, 0); got != 1 {
-		t.Errorf("clean CG factor = %v, want 1", got)
+	for _, c := range []struct {
+		cg             int
+		whole, compute float64
+	}{{2, 1.5, 3}, {4, 1, 3}, {0, 1, 1}} {
+		if got := inj.CGFactor(c.cg); got != c.whole {
+			t.Errorf("CG %d: whole-CG factor = %v, want %v", c.cg, got, c.whole)
+		}
+		if got := inj.ComputeFactor(c.cg); got != c.compute {
+			t.Errorf("CG %d: compute factor = %v, want %v", c.cg, got, c.compute)
+		}
 	}
 }
 
 func TestDMARetryCountDeterministic(t *testing.T) {
 	inj := MustInjector(Plan{Seed: 11, DMAFailRate: 0.25, MaxRetries: 3})
-	r1, p1 := inj.DMARetryCount(5, 0.125, 1024, 400)
-	r2, p2 := inj.DMARetryCount(5, 0.125, 1024, 400)
-	if r1 != r2 || p1 != p2 {
-		t.Fatalf("retry counts differ across identical calls: %d/%d vs %d/%d", r1, p1, r2, p2)
+	r1 := inj.DMARetryCount(5, 0.125, 1024, 400)
+	if r2 := inj.DMARetryCount(5, 0.125, 1024, 400); r1 != r2 {
+		t.Fatalf("retry counts differ across identical calls: %d vs %d", r1, r2)
 	}
 	if r1 == 0 {
 		t.Fatal("rate 0.25 over 400 transfers produced no retries")
 	}
-	if clean, perm := MustInjector(Plan{Seed: 11}).DMARetryCount(5, 0.125, 1024, 400); clean != 0 || perm != 0 {
-		t.Fatalf("zero-rate plan produced %d retries, %d permanent", clean, perm)
+	if clean := MustInjector(Plan{Seed: 11}).DMARetryCount(5, 0.125, 1024, 400); clean != 0 {
+		t.Fatalf("zero-rate plan produced %d retries", clean)
+	}
+	// A transfer that exhausts its budget is charged the budget.
+	if all := MustInjector(Plan{DMAFailRate: 1, MaxRetries: 3}).DMARetryCount(5, 0.125, 1024, 10); all != 30 {
+		t.Fatalf("rate-1 plan charged %d retries over 10 transfers, want the 3-retry budget each (30)", all)
 	}
 }
 
@@ -137,6 +142,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Links: []LinkDegrade{{FromCG: 0, ToCG: 1, From: 0.5, To: 0.2, Factor: 2}}},
 		{Links: []LinkDegrade{{FromCG: 0, ToCG: 1, From: 0, To: 1, Factor: 0.5}}},
 		{Stragglers: []Straggler{{CG: 0, CPE: -1, Factor: 0.9}}},
+		{Stragglers: []Straggler{{CG: 0, CPE: 64, Factor: 2}}},
+		{Stragglers: []Straggler{{CG: 0, CPE: 99, Factor: 2}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -145,5 +152,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	}
 	if err := (Plan{}).Validate(); err != nil {
 		t.Errorf("zero plan rejected: %v", err)
+	}
+	if err := (Plan{Stragglers: []Straggler{{CG: 0, CPE: 63, Factor: 2}}}).Validate(); err != nil {
+		t.Errorf("last CPE rejected: %v", err)
 	}
 }

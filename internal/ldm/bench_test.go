@@ -6,18 +6,6 @@ import (
 	"repro/internal/machine"
 )
 
-func BenchmarkAllocFree(b *testing.B) {
-	a := NewAllocator(machine.LDMBytes)
-	for i := 0; i < b.N; i++ {
-		if err := a.AllocFloats("buf", 1024); err != nil {
-			b.Fatal(err)
-		}
-		if err := a.Free("buf"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCheckLevel3(b *testing.B) {
 	spec := machine.MustSpec(4096)
 	for i := 0; i < b.N; i++ {

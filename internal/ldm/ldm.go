@@ -27,7 +27,6 @@ package ldm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 )
@@ -98,36 +97,6 @@ func (a *Allocator) Alloc(name string, size int) error {
 // AllocFloats reserves a buffer of n data elements.
 func (a *Allocator) AllocFloats(name string, n int) error {
 	return a.Alloc(name, n*ElemBytes)
-}
-
-// Free releases the named buffer.
-func (a *Allocator) Free(name string) error {
-	size, live := a.buffers[name]
-	if !live {
-		return fmt.Errorf("ldm: buffer %q not allocated", name)
-	}
-	delete(a.buffers, name)
-	a.used -= size
-	return nil
-}
-
-// Used returns the bytes currently reserved.
-func (a *Allocator) Used() int { return a.used }
-
-// Free bytes remaining.
-func (a *Allocator) FreeBytes() int { return a.capacity - a.used }
-
-// Capacity returns the total LDM size in bytes.
-func (a *Allocator) Capacity() int { return a.capacity }
-
-// Buffers returns the live buffer names in sorted order.
-func (a *Allocator) Buffers() []string {
-	names := make([]string, 0, len(a.buffers))
-	for n := range a.buffers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ConstraintError reports a problem shape that violates one of the

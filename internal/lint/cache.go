@@ -51,7 +51,9 @@ type RunStats struct {
 	Suppressions map[string]int
 }
 
-// RunWithOptions is Run with explicit parallelism and caching. Findings
+// RunWithOptions loads the packages selected by patterns, runs every
+// rule over them in parallel, with the result cache when opts name a
+// directory, and returns the surviving (non-suppressed) findings. They
 // are returned sorted by position regardless of completion order, so
 // output is deterministic — the analyzer holds itself to the invariant
 // it enforces.

@@ -190,24 +190,11 @@ func (m metaRule) Doc() string { return m.doc }
 // Check implements Rule.
 func (m metaRule) Check(*Package) []Finding { return nil }
 
-// Run loads the packages selected by patterns, runs every rule and
-// returns the surviving (non-suppressed) findings sorted by position.
-// Packages are analyzed in parallel; see RunWithOptions for caching.
-func Run(cfg Config, patterns []string) ([]Finding, error) {
-	return RunWithOptions(cfg, patterns, RunOptions{})
-}
-
-// CheckPackage runs the rules over one loaded package, filters
+// checkPackageWithSupp runs the rules over one loaded package, filters
 // suppressed findings, and appends the suppression machinery's own
 // findings (bad-suppress for malformed comments, unused-suppress for
 // stale ones — scoped to the rules actually run, so partial rule runs
-// do not misreport).
-func CheckPackage(rules []Rule, p *Package) []Finding {
-	out, _ := checkPackageWithSupp(rules, p)
-	return out
-}
-
-// checkPackageWithSupp is CheckPackage plus the package's per-rule
+// do not misreport). It also returns the package's per-rule
 // suppression census, which the driver aggregates for -stats and the
 // SARIF run properties.
 func checkPackageWithSupp(rules []Rule, p *Package) ([]Finding, map[string]int) {

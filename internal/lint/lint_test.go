@@ -44,6 +44,13 @@ func loadFixture(t *testing.T, fixture, importPath string) *Package {
 	return p
 }
 
+// checkPackage runs the rules over one package and returns its
+// surviving findings, without the suppression census.
+func checkPackage(rules []Rule, p *Package) []Finding {
+	out, _ := checkPackageWithSupp(rules, p)
+	return out
+}
+
 // expect is one finding the fixture is seeded with: the rule, the
 // fixture file's base name, the 1-based line and a fragment of the
 // message.
@@ -272,7 +279,7 @@ func TestSuppressions(t *testing.T) {
 		{"float-eq", "suppress.go", 54, "floating-point"},
 	})
 
-	filtered := CheckPackage([]Rule{FloatEqRule{}}, p)
+	filtered := checkPackage([]Rule{FloatEqRule{}}, p)
 	checkFindings(t, filtered, []expect{
 		{"float-eq", "suppress.go", 26, "floating-point"},    // wrong rule named
 		{"bad-suppress", "suppress.go", 32, "malformed"},     // legacy reason-free form
@@ -288,7 +295,7 @@ func TestSuppressions(t *testing.T) {
 	// With err-wrap in the run, the err-wrap half of the comma-list
 	// comment is also reported stale; no-wallclock stays exempt because
 	// it did not run.
-	both := CheckPackage([]Rule{FloatEqRule{}, ErrWrapRule{}}, p)
+	both := checkPackage([]Rule{FloatEqRule{}, ErrWrapRule{}}, p)
 	checkFindings(t, both, []expect{
 		{"unused-suppress", "suppress.go", 19, "err-wrap"},
 		{"float-eq", "suppress.go", 26, "floating-point"},

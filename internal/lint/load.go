@@ -71,9 +71,6 @@ func NewLoader(root, module string) *Loader {
 	}
 }
 
-// Fset exposes the loader's file set for position resolution.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer for dependency resolution during
 // type checking.
 func (l *Loader) Import(path string) (*types.Package, error) {
@@ -248,23 +245,6 @@ func (l *Loader) ResolveDirs(patterns []string) ([]string, error) {
 	}
 	sort.Strings(sorted)
 	return sorted, nil
-}
-
-// Load resolves package patterns into loaded packages.
-func (l *Loader) Load(patterns []string) ([]*Package, error) {
-	sorted, err := l.ResolveDirs(patterns)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, d := range sorted {
-		p, err := l.LoadDir(d, "")
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }
 
 // resolve interprets a pattern as a directory, relative to the module

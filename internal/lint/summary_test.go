@@ -49,7 +49,7 @@ func TestInterprocCallSiteSuppression(t *testing.T) {
 	p := loadFixture(t, "interproc", cfg.ModulePath+"/internal/core")
 	rule := CollectiveMatchRule{CommPackage: cfg.CommPackage, Sums: testSummarizer(t)}
 
-	got := CheckPackage([]Rule{rule}, p)
+	got := checkPackage([]Rule{rule}, p)
 	for _, f := range got {
 		if f.Pos.Line == 77 {
 			t.Errorf("call-site suppression did not silence the summary-propagated finding: %s", f)

@@ -3,7 +3,10 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
 	"go/build"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,7 +42,7 @@ func TestApplyFixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := CheckPackage(rules, p)
+	findings := checkPackage(rules, p)
 	fixable := 0
 	for _, f := range findings {
 		if f.Fix != nil {
@@ -72,12 +75,12 @@ func TestApplyFixes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixed source does not type-check: %v", err)
 	}
-	if rest := CheckPackage(rules, p2); len(rest) != 0 {
+	if rest := checkPackage(rules, p2); len(rest) != 0 {
 		t.Fatalf("findings survive the fix: %v", rest)
 	}
 
 	// Idempotency: a second -fix pass has nothing to apply.
-	changed2, _, err := ApplyFixes(CheckPackage(rules, p2))
+	changed2, _, err := ApplyFixes(checkPackage(rules, p2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,4 +416,201 @@ func TestSimPackageSuffixesResolve(t *testing.T) {
 			t.Errorf("simPackageSuffixes entry %q has no Go sources", suffix)
 		}
 	}
+}
+
+// exportAllowList names the exported functions and methods under
+// internal/ that no non-test file calls and that stay on purpose,
+// keyed by types.Func.FullName, each with its reason.
+var exportAllowList = map[string]string{
+	"(*repro/internal/core.Result).Centroid":               "reachable through the facade (repro.Result) and used in docs/TUTORIAL.md",
+	"repro/internal/dataset.FromRows":                      "fixture constructor that the dataset, core and quality tests share; shared test support cannot live in a _test.go file",
+	"(*repro/internal/dataset.Matrix).Row":                 "fixture accessor that the dataset, core and root tests share",
+	"(*repro/internal/dataset.GaussianMixture).Center":     "ground truth that tests compare recovered centroids against",
+	"(*repro/internal/dataset.GaussianMixture).Components": "ground truth that tests compare recovered centroids against",
+	"(*repro/internal/dataset.HardMixture).Center":         "ground truth that tests compare recovered centroids against",
+	"(*repro/internal/dataset.HardMixture).Components":     "ground truth that tests compare recovered centroids against",
+	"(*repro/internal/dataset.LandCover).Signature":        "ground truth that the land-cover tests compare clusters against",
+	"(*repro/internal/obs.Unit).EndTime":                   "the tiling invariant that the obs, core and sw26010 tests check",
+	"(*repro/internal/machine.Spec).WriteJSON":             "writes the spec file that swkmeans -spec reads",
+	"(*repro/internal/mpi.Comm).AllGatherInts":             "swlint's collective-match fixtures type-check against it; removing it is a change of its own",
+}
+
+// TestExportedFunctionsHaveCallers is the dead-code meta-test: every
+// exported function or method declared in a non-test file under
+// internal/ must be referenced from non-test code outside its own
+// declaration (cmd/, examples/ and bench/ count as callers), unless an
+// exemption rule or exportAllowList covers it. Each allow-list entry
+// must still name such a function and must still lack a caller.
+func TestExportedFunctionsHaveCallers(t *testing.T) {
+	l, cfg := fixtureLoader(t)
+	dirs, err := l.packageDirs(cfg.ModuleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		p, err := l.LoadDir(dir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	dead, declared := uncalledExports(t, l, pkgs, cfg.ModulePath+"/internal/")
+	for _, name := range sortedKeys(dead) {
+		if _, ok := exportAllowList[name]; !ok {
+			pos := dead[name]
+			if rel, err := filepath.Rel(cfg.ModuleRoot, pos.Filename); err == nil {
+				pos.Filename = rel
+			}
+			t.Errorf("%s: exported %s has no non-test caller; delete it, or allow-list it with a reason", pos, name)
+		}
+	}
+	for _, name := range sortedKeys(exportAllowList) {
+		switch _, isDead := dead[name]; {
+		case !declared[name]:
+			t.Errorf("exportAllowList names %s, which is not an exported function under internal/", name)
+		case !isDead:
+			t.Errorf("exportAllowList names %s, which now has a non-test caller or an exemption; drop the entry", name)
+		}
+	}
+}
+
+// uncalledExports returns the exported functions and methods declared
+// under the internal prefix that nothing outside their own declaration
+// references and no exemption covers, with their positions, and the
+// set of every exported function declared there. Exempt are Must*
+// wrappers, methods the standard library calls by name, and methods
+// through which their type implements an interface type that module
+// code names or gives a field, parameter or variable.
+func uncalledExports(t *testing.T, l *Loader, pkgs []*Package, internal string) (map[string]token.Position, map[string]bool) {
+	t.Helper()
+	type decl struct {
+		fn  *types.Func
+		pos token.Position
+		fd  *ast.FuncDecl
+	}
+	decls := make(map[string]decl)
+	called := make(map[string]bool)
+	ifaces := make(map[string]*types.Interface)
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.Path+"/", internal) {
+			for _, f := range p.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+						fn := p.Info.Defs[fd.Name].(*types.Func)
+						decls[fn.FullName()] = decl{fn, p.Fset.Position(fd.Pos()), fd}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			switch obj := obj.(type) {
+			case *types.Func:
+				// Every package shares the loader's file set, so a
+				// position inside the declaration's span is in its body.
+				name := obj.Origin().FullName()
+				if d, ok := decls[name]; !ok || id.Pos() < d.fd.Pos() || id.Pos() >= d.fd.End() {
+					called[name] = true
+				}
+			case *types.TypeName:
+				addInterface(t, l, ifaces, obj.Type())
+			case *types.Var:
+				addInterface(t, l, ifaces, obj.Type())
+			}
+		}
+	}
+	dead := make(map[string]token.Position)
+	declared := make(map[string]bool)
+	for name, d := range decls {
+		declared[name] = true
+		if called[name] || strings.HasPrefix(d.fn.Name(), "Must") || calledByName(d.fn.Name()) {
+			continue
+		}
+		if recv := d.fn.Type().(*types.Signature).Recv(); recv != nil && implementsNamed(t, l, recv.Type(), d.fn.Name(), ifaces) {
+			continue
+		}
+		dead[name] = d.pos
+	}
+	return dead, declared
+}
+
+// addInterface records typ in ifaces if it is a named interface type:
+// one that module code names, or the type of a field, parameter or
+// variable that module code uses (types.Config{Importer: l}).
+func addInterface(t *testing.T, l *Loader, ifaces map[string]*types.Interface, typ types.Type) {
+	named, ok := typ.(*types.Named)
+	if !ok || !types.IsInterface(named) {
+		return
+	}
+	key := types.TypeString(named, nil)
+	if _, seen := ifaces[key]; seen {
+		return
+	}
+	if c := canonicalType(t, l, named.Obj()); c != nil {
+		ifaces[key] = c.Underlying().(*types.Interface)
+	}
+}
+
+// calledByName reports whether the standard library calls a method of
+// this name dynamically (fmt, errors, encoding/*).
+func calledByName(name string) bool {
+	switch name {
+	case "String", "Format", "Error", "Is", "As", "Unwrap":
+		return true
+	}
+	return strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal")
+}
+
+// implementsNamed reports whether the receiver type, or a pointer to
+// it, implements one of ifaces that declares a method called name.
+func implementsNamed(t *testing.T, l *Loader, recv types.Type, name string, ifaces map[string]*types.Interface) bool {
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	typ := canonicalType(t, l, named.Obj())
+	if typ == nil {
+		return false
+	}
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == name &&
+				(types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// canonicalType returns the package-level type named by obj as the
+// loader's import cache holds it, so types from separately loaded
+// packages compare by identity; nil for function-local types.
+func canonicalType(t *testing.T, l *Loader, obj *types.TypeName) types.Type {
+	t.Helper()
+	if obj.Pkg() == nil {
+		return obj.Type()
+	}
+	pkg, err := l.Import(obj.Pkg().Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, ok := pkg.Scope().Lookup(obj.Name()).(*types.TypeName); ok {
+		return o.Type()
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

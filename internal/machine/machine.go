@@ -145,13 +145,6 @@ func (s *Spec) CGs() int { return s.Nodes * CGsPerNode }
 // CPEs returns the total number of computing processing elements.
 func (s *Spec) CPEs() int { return s.CGs() * CPEsPerCG }
 
-// Cores returns the total number of cores including the managing
-// processing element of every core group, matching the paper's habit of
-// reporting 65 cores per CG (e.g. 4,096 nodes = 1,064,496 cores... the
-// paper's own figure counts 65*4*4096 = 1,064,960; we report the same
-// accounting: CPEs + MPEs).
-func (s *Spec) Cores() int { return s.CGs() * (CPEsPerCG + 1) }
-
 // Supernodes returns the number of supernodes spanned by the deployment
 // (partially filled supernodes count as one).
 func (s *Spec) Supernodes() int {

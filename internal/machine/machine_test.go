@@ -23,9 +23,6 @@ func TestNewSpecDefaults(t *testing.T) {
 	if got := s.CPEs(); got != 512 {
 		t.Errorf("CPEs() = %d, want 512", got)
 	}
-	if got := s.Cores(); got != 8*65 {
-		t.Errorf("Cores() = %d, want %d", got, 8*65)
-	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("Validate() = %v, want nil", err)
 	}
@@ -53,9 +50,6 @@ func TestPaperScaleCoreCount(t *testing.T) {
 	// 1,064,496 cores; the architectural accounting (65 cores per CG,
 	// 4 CGs per node) gives 1,064,960. We reproduce the architecture.
 	s := MustSpec(4096)
-	if got := s.Cores(); got != 4096*4*65 {
-		t.Errorf("Cores() = %d, want %d", got, 4096*4*65)
-	}
 	if got := s.CPEs(); got != 1048576 {
 		t.Errorf("CPEs() = %d, want 1048576", got)
 	}

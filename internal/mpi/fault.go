@@ -110,7 +110,7 @@ func (w *World) SetFaults(inj *fault.Injector) {
 func (w *World) markCrashed(g int, at float64) {
 	w.noteGone(g, w.crashed, &RankFailure{
 		Rank:       g,
-		CG:         w.cgOf[g],
+		CG:         g,
 		CrashedAt:  at,
 		DetectedAt: at + w.inj.HeartbeatTimeout(),
 	})
@@ -176,14 +176,14 @@ func (c *Comm) checkSelfCrash() error {
 	}
 	g := c.Global()
 	if w.isCrashed(g) {
-		return &CrashStop{Rank: g, CG: w.cgOf[g], At: w.crashed[g].CrashedAt}
+		return &CrashStop{Rank: g, CG: g, At: w.crashed[g].CrashedAt}
 	}
-	at, ok := w.inj.CrashTime(w.cgOf[g])
+	at, ok := w.inj.CrashTime(g)
 	if !ok || c.Clock().Now() < at {
 		return nil
 	}
 	w.markCrashed(g, at)
-	return &CrashStop{Rank: g, CG: w.cgOf[g], At: at}
+	return &CrashStop{Rank: g, CG: g, At: at}
 }
 
 // abortFailureFor derives the failure a peer should observe when a
@@ -204,7 +204,7 @@ func (w *World) abortFailureFor(g int, err error, now float64) *RankFailure {
 		}
 		return &RankFailure{Rank: cs.Rank, CG: cs.CG, CrashedAt: cs.At, DetectedAt: det}
 	}
-	return &RankFailure{Rank: g, CG: w.cgOf[g], CrashedAt: now, DetectedAt: now}
+	return &RankFailure{Rank: g, CG: g, CrashedAt: now, DetectedAt: now}
 }
 
 // opState accumulates the failure one member discovers during one

@@ -45,11 +45,9 @@ type packet struct {
 
 // World owns the rank set of one simulated job.
 type World struct {
-	spec  *machine.Spec
 	net   *netmodel.Model
 	stats *trace.Stats
-	size  int
-	cgOf  []int // world rank -> global CG index
+	size  int // world rank g runs on global CG g
 
 	// driver selects the execution engine (see sched.go); des is the
 	// DES driver's per-epoch state, non-nil only while a sched epoch is
@@ -103,7 +101,31 @@ type World struct {
 // paper's placement advice. size must not exceed the number of CGs of
 // the deployment. The stats sink may be nil.
 func NewWorld(spec *machine.Spec, stats *trace.Stats, size int) (*World, error) {
-	return NewWorldPlaced(spec, stats, size, CompactPlacement)
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
+	}
+	if size <= 0 {
+		return nil, fmt.Errorf("mpi: world size must be positive, got %d", size)
+	}
+	if size > spec.CGs() {
+		return nil, fmt.Errorf("mpi: world size %d exceeds %d CGs of the deployment", size, spec.CGs())
+	}
+	w := &World{
+		net:       netmodel.MustNew(spec),
+		stats:     stats,
+		size:      size,
+		held:      make([][]packet, size),
+		waitSrc:   make([]int, size),
+		waitTag:   make([]uint64, size),
+		conds:     make([]sync.Cond, size),
+		clocks:    make([]*vclock.Clock, size),
+		abortFail: make([]*RankFailure, size),
+	}
+	for g := range w.clocks {
+		w.conds[g].L = &w.rvMu
+		w.clocks[g] = vclock.New()
+	}
+	return w, nil
 }
 
 // MustWorld is NewWorld that panics on error.
@@ -114,12 +136,6 @@ func MustWorld(spec *machine.Spec, stats *trace.Stats, size int) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Spec returns the deployment spec.
-func (w *World) Spec() *machine.Spec { return w.spec }
 
 // MaxTime returns the latest virtual clock across ranks — the job's
 // completion time after Run returns.
@@ -262,7 +278,7 @@ func (c *Comm) Size() int { return c.size }
 func (c *Comm) Global() int { return c.grp.members[c.rank] }
 
 // CG returns the global core-group index this rank is placed on.
-func (c *Comm) CG() int { return c.w.cgOf[c.Global()] }
+func (c *Comm) CG() int { return c.Global() }
 
 // Clock returns the rank's virtual clock. Engines advance it directly
 // for local compute and DMA work.
@@ -348,13 +364,12 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 	// The sender is busy for the injection duration; the wire time is
 	// charged on the receive side through the timestamp.
 	p := packet{src: srcG, tag: tag, data: data, ints: ints, fail: fail}
-	srcCG, dstCG := c.w.cgOf[srcG], c.w.cgOf[dstG]
-	tt, err := c.w.transferTime(srcCG, dstCG, bytes, c.Clock().Now())
+	tt, err := c.w.transferTime(srcG, dstG, bytes, c.Clock().Now())
 	if err != nil {
 		return err
 	}
 	if inj := c.w.inj; inj != nil {
-		for attempt := 0; inj.MsgFault(srcCG, dstCG, tag, c.Clock().Now(), attempt); attempt++ {
+		for attempt := 0; inj.MsgFault(srcG, dstG, tag, c.Clock().Now(), attempt); attempt++ {
 			if attempt >= inj.MaxRetries() {
 				// A rank that cannot get a message through is dead to
 				// its peers: fail-stop so the heartbeat detector takes

@@ -41,6 +41,24 @@ func TestNewWorldValidation(t *testing.T) {
 	MustWorld(spec, nil, 99)
 }
 
+// TestCommCG: rank g runs on CG g, whichever communicator asks.
+func TestCommCG(t *testing.T) {
+	w := world(t, 2, 8)
+	err := w.Run(func(c *Comm) error {
+		sub, err := c.Split(c.Rank()%2, -c.Rank())
+		if err != nil {
+			return err
+		}
+		if c.CG() != c.Rank() || sub.CG() != c.Rank() {
+			return fmt.Errorf("rank %d: CG %d, sub-communicator CG %d", c.Rank(), c.CG(), sub.CG())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunRanks(t *testing.T) {
 	w := world(t, 2, 8)
 	var mu sync.Mutex

@@ -394,7 +394,7 @@ func (x *call) send(w *World, r, dst int, tag uint64, elems int) edge {
 	}
 	srcG, dstG := x.grp.members[r], x.grp.members[dst]
 	if s.clock >= s.crashAt {
-		x.stop(s, s.crashAt, &CrashStop{Rank: srcG, CG: w.cgOf[srcG], At: s.crashAt})
+		x.stop(s, s.crashAt, &CrashStop{Rank: srcG, CG: srcG, At: s.crashAt})
 		return edge{}
 	}
 	bytes := 0
@@ -403,13 +403,12 @@ func (x *call) send(w *World, r, dst int, tag uint64, elems int) edge {
 	}
 	s.msgs++
 	s.bytes += int64(bytes)
-	srcCG, dstCG := w.cgOf[srcG], w.cgOf[dstG]
-	tt, err := w.transferTime(srcCG, dstCG, bytes, s.clock)
+	tt, err := w.transferTime(srcG, dstG, bytes, s.clock)
 	if err != nil && x.err == nil {
 		x.err = err
 	}
 	if inj := w.inj; inj != nil {
-		for attempt := 0; inj.MsgFault(srcCG, dstCG, tag, s.clock, attempt); attempt++ {
+		for attempt := 0; inj.MsgFault(srcG, dstG, tag, s.clock, attempt); attempt++ {
 			if attempt >= inj.MaxRetries() {
 				x.stop(s, s.clock, fmt.Errorf("mpi: rank %d message to rank %d (tag %#x) exhausted %d retries at t=%.9fs: %w",
 					srcG, dstG, tag, inj.MaxRetries(), s.clock, fault.ErrLinkFailed))
@@ -436,7 +435,7 @@ func (x *call) recv(w *World, r, src int, e edge) bool {
 	}
 	if s.clock >= s.crashAt {
 		g := x.grp.members[r]
-		x.stop(s, s.crashAt, &CrashStop{Rank: g, CG: w.cgOf[g], At: s.crashAt})
+		x.stop(s, s.crashAt, &CrashStop{Rank: g, CG: g, At: s.crashAt})
 		return false
 	}
 	if !e.sent {
@@ -473,7 +472,7 @@ func (x *call) failureOf(w *World, r int) *RankFailure {
 	g := x.grp.members[r]
 	switch {
 	case s.dead:
-		f.lost = &RankFailure{Rank: g, CG: w.cgOf[g], CrashedAt: f.crashedAt,
+		f.lost = &RankFailure{Rank: g, CG: g, CrashedAt: f.crashedAt,
 			DetectedAt: f.crashedAt + w.inj.HeartbeatTimeout()}
 	case w.isCrashed(g):
 		f.lost = w.crashed[g]

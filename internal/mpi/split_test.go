@@ -101,7 +101,7 @@ func splitTables(rng *rand.Rand, size int) map[string]splitTable {
 // digests.
 func splitDigests(t *testing.T, w *World, split func(*Comm, int, int) (*Comm, error), outer splitTable, inner *splitTable) []string {
 	t.Helper()
-	out := make([]string, w.Size())
+	out := make([]string, w.size)
 	err := w.Run(func(c *Comm) error {
 		g := c.Global()
 		sub, err := split(c, outer.color[g], outer.key[g])

@@ -46,9 +46,6 @@ func MustNew(spec *machine.Spec) *Model {
 	return m
 }
 
-// Spec returns the deployment the model was built over.
-func (m *Model) Spec() *machine.Spec { return m.spec }
-
 // Bandwidth returns the effective point-to-point bandwidth in bytes
 // per second for a message travelling the given distance class.
 func (m *Model) Bandwidth(d machine.Distance) float64 {

@@ -12,7 +12,7 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(spec); err == nil {
 		t.Error("New with invalid spec: want error")
 	}
-	if m := MustNew(machine.MustSpec(2)); m.Spec().Nodes != 2 {
+	if m := MustNew(machine.MustSpec(2)); m.spec.Nodes != 2 {
 		t.Error("MustNew lost the spec")
 	}
 }
@@ -152,7 +152,7 @@ func TestTransferTimeAtDegraded(t *testing.T) {
 		t.Errorf("inside the window: %g, should exceed the clean time %g", inside, clean)
 	}
 	// Only the serialization term doubles; latency is unchanged.
-	dclass, err := m.Spec().DistanceBetween(0, 8)
+	dclass, err := m.spec.DistanceBetween(0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

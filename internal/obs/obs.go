@@ -252,12 +252,6 @@ func NewRollupRecorder() *Recorder {
 	return &Recorder{units: make(map[string]*Unit), rollup: true}
 }
 
-// Rollup reports whether the recorder aggregates online instead of
-// retaining spans. A nil recorder reports false.
-func (r *Recorder) Rollup() bool {
-	return r != nil && r.rollup
-}
-
 // Unit returns the unit with the given name, creating it on first use.
 // A nil recorder returns a nil unit, whose methods all no-op.
 func (r *Recorder) Unit(name string) *Unit {

@@ -52,8 +52,8 @@ func driveSynthetic(r *Recorder) {
 
 func TestRollupRetainsNoSpans(t *testing.T) {
 	r := NewRollupRecorder()
-	if !r.Rollup() {
-		t.Fatal("NewRollupRecorder().Rollup() = false")
+	if !r.rollup {
+		t.Fatal("NewRollupRecorder() is not in rollup mode")
 	}
 	driveSynthetic(r)
 	for _, u := range r.Units() {

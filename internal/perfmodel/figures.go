@@ -1,8 +1,6 @@
 package perfmodel
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -158,17 +156,6 @@ func Figure8() []Series {
 		})
 	}
 	return []Series{mk(core.Level2, "Level 2"), mk(core.Level3, "Level 3")}
-}
-
-// WeakScaling is the classic companion to Figure 9's strong scaling
-// (an extension beyond the paper): the per-node problem size is held
-// constant while nodes grow, so flat curves mean perfect scalability.
-// samplesPerNode fixes n = nodes·samplesPerNode at each point.
-func WeakScaling(level core.Level, samplesPerNode, k, d int, nodeCounts []int) Series {
-	return Sweep(fmt.Sprintf("%v weak scaling (%d samples/node)", level, samplesPerNode),
-		level, nodeCounts, func(nodes int) Scenario {
-			return Scenario{Nodes: nodes, N: nodes * samplesPerNode, K: k, D: d}
-		})
 }
 
 // Figure9 compares Levels 2 and 3 while the node count grows

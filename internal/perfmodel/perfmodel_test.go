@@ -345,27 +345,3 @@ func TestSweepExported(t *testing.T) {
 		t.Error("constraint violation not recorded")
 	}
 }
-
-// TestWeakScaling: with constant per-node work, Level 3's iteration
-// time must stay near-flat as nodes grow (the collective terms grow
-// only logarithmically), demonstrating the scalability headroom of
-// the nkd-partition beyond the paper's strong-scaling exhibit.
-func TestWeakScaling(t *testing.T) {
-	s := WeakScaling(core.Level3, 10000, 2000, 4096, []int{16, 64, 256, 1024})
-	if len(s.Points) != 4 {
-		t.Fatalf("%d points", len(s.Points))
-	}
-	var first, last float64
-	for i, p := range s.Points {
-		if p.Infeasible {
-			t.Fatalf("nodes=%d infeasible: %s", p.X, p.Reason)
-		}
-		if i == 0 {
-			first = p.Seconds
-		}
-		last = p.Seconds
-	}
-	if last > first*1.5 {
-		t.Errorf("weak scaling degrades: %.4f s at 16 nodes vs %.4f s at 1024", first, last)
-	}
-}

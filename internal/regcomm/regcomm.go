@@ -186,12 +186,6 @@ type CPE struct {
 // ID returns the mesh index in [0, 64).
 func (c *CPE) ID() int { return c.id }
 
-// Row returns the mesh row in [0, 8).
-func (c *CPE) Row() int { return c.id / machine.MeshSide }
-
-// Col returns the mesh column in [0, 8).
-func (c *CPE) Col() int { return c.id % machine.MeshSide }
-
 // Clock returns the CPE's virtual clock.
 func (c *CPE) Clock() *vclock.Clock { return c.mesh.clocks[c.id] }
 

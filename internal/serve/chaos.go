@@ -88,7 +88,7 @@ func (c *Chaos) ShardDelay(s int) time.Duration {
 	if c == nil {
 		return 0
 	}
-	f := c.inj.ComputeFactor(s, -1)
+	f := c.inj.CGFactor(s)
 	if f <= 1 {
 		return 0
 	}

@@ -182,9 +182,6 @@ func (t *Trainer) Degraded() bool {
 	return snap == nil || snap.Staleness() > t.cfg.StaleAfter
 }
 
-// TrainedSamples returns the cumulative samples consumed.
-func (t *Trainer) TrainedSamples() int64 { return t.trained.Load() }
-
 // Ingest appends samples to the bounded ingest buffer; they are
 // consumed ahead of the configured stream by the next rounds. It
 // accepts a prefix and returns ErrIngestFull when the buffer sheds the

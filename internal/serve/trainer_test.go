@@ -177,7 +177,7 @@ func TestTrainerIngestFeedsRounds(t *testing.T) {
 		tr.mu.Lock()
 		queued := len(tr.ingest)
 		tr.mu.Unlock()
-		return queued == 0 && tr.TrainedSamples() > 0
+		return queued == 0 && tr.trained.Load() > 0
 	})
 }
 

@@ -50,9 +50,6 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 	if err != nil {
 		return nil, err
 	}
-	if opt.inj != nil {
-		engine = engine.WithFaults(opt.inj, opt.cg)
-	}
 
 	mainCents := append([]float64(nil), initial...)
 	assign := make([]int, n)
@@ -99,7 +96,6 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 		// so one pair serves every exchange.
 		redF := make([]float64, 1)
 		redI := make([]int64, 1)
-		slow := opt.slowdown(c.ID())
 
 		lo, hi := share(n, groups, group)
 		for iter := 0; iter < maxIters; iter++ {
@@ -125,7 +121,7 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 				bestJ, bestD := core.NearestSlice(sample, cents, d, kLo, k)
 				if kLocal > 0 {
 					t0 := c.Clock().Now()
-					c.Clock().AdvanceScaled(float64(d*3*kLocal)/spec.CPU.FlopsPerCPE, slow)
+					c.Clock().Advance(float64(d*3*kLocal) / spec.CPU.FlopsPerCPE)
 					//swlint:ignore hot-path-alloc -- span recording appends to the unit's span buffer; growth is amortized and only the observed run pays it
 					unit.Record(obs.KindCompute, t0, c.Clock().Now(), 0, int64(d)*int64(3*kLocal))
 				}
@@ -146,7 +142,7 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 					}
 					counts[wJ-kLo]++
 					t0 := c.Clock().Now()
-					c.Clock().AdvanceScaled(float64(d)/spec.CPU.FlopsPerCPE, slow)
+					c.Clock().Advance(float64(d) / spec.CPU.FlopsPerCPE)
 					//swlint:ignore hot-path-alloc -- span recording appends to the unit's span buffer; growth is amortized and only the observed run pays it
 					unit.Record(obs.KindCompute, t0, c.Clock().Now(), 0, int64(d))
 				}

@@ -1,31 +1,13 @@
 package sw26010
 
-import (
-	"repro/internal/fault"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
-// Option configures a fine-grained CG run without widening the core
-// entry-point signatures for every fault-free caller.
+// Option configures a fine-grained CG run without widening the entry
+// points' signatures for every unobserved caller.
 type Option func(*runOpts)
 
 type runOpts struct {
-	inj *fault.Injector
-	cg  int
 	rec *obs.Recorder
-}
-
-// WithFaults makes the run consult the injector, attributing its
-// faults to global core group cg: DMA transfers retry transient
-// failures (with backoff charged to the issuing CPE's clock) and
-// straggler CPEs advance their clocks by the scaled compute cost, so
-// the mesh collectives naturally stretch the iteration to the slowest
-// CPE — the same mechanism that slows a real CG down.
-func WithFaults(inj *fault.Injector, cg int) Option {
-	return func(o *runOpts) {
-		o.inj = inj
-		o.cg = cg
-	}
 }
 
 // WithObserver makes the run record spans on the recorder: one unit
@@ -47,13 +29,4 @@ func applyOpts(opts []Option) runOpts {
 		}
 	}
 	return o
-}
-
-// slowdown returns the compute-time factor of one CPE under the
-// options (1 when no faults are injected).
-func (o runOpts) slowdown(cpe int) float64 {
-	if o.inj == nil {
-		return 1
-	}
-	return o.inj.ComputeFactor(o.cg, cpe)
 }

@@ -65,9 +65,6 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 	if err != nil {
 		return nil, err
 	}
-	if opt.inj != nil {
-		engine = engine.WithFaults(opt.inj, opt.cg)
-	}
 
 	// Shared "main memory": the centroid matrix CPE 0 writes back each
 	// iteration. Guarded by a phase barrier below, so no mutex is
@@ -115,7 +112,6 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 		cents := make([]float64, k*d)
 		sums := make([]float64, k*d)
 		counts := make([]int64, k)
-		slow := opt.slowdown(c.ID())
 
 		lo, hi := share(n, machine.CPEsPerCG, c.ID())
 		for iter := 0; iter < maxIters; iter++ {
@@ -151,7 +147,7 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 					counts[best]++
 				}
 				t0 := c.Clock().Now()
-				c.Clock().AdvanceScaled(float64(m*d*(3*k+1))/spec.CPU.FlopsPerCPE, slow)
+				c.Clock().Advance(float64(m*d*(3*k+1)) / spec.CPU.FlopsPerCPE)
 				unit.Record(obs.KindCompute, t0, c.Clock().Now(), 0, int64(m*d)*int64(3*k+1))
 			}
 			// The two AllReduce operations of Algorithm 1 line 14, as

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -157,92 +156,5 @@ func BenchmarkRunLevel1CG(b *testing.B) {
 		if _, err := RunLevel1CG(spec, g, init, 2, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestWithFaultsStragglerStretchesIterations: a straggler CPE must not
-// change the clustering (the mesh synchronizes every iteration), only
-// stretch the per-iteration completion time — and identically on every
-// run with the same plan.
-func TestWithFaultsStragglerStretchesIterations(t *testing.T) {
-	g := mixture(t, 512, 8, 4)
-	spec := machine.MustSpec(1)
-	init, err := core.InitialCentroids(g, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := RunLevel1CG(spec, g, init, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.MustInjector(fault.Plan{Stragglers: []fault.Straggler{{CG: 0, CPE: 17, Factor: 4}}})
-	slow, err := RunLevel1CG(spec, g, init, 5, 0, WithFaults(inj, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow2, err := RunLevel1CG(spec, g, init, 5, 0, WithFaults(inj, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean.Assign {
-		if clean.Assign[i] != slow.Assign[i] {
-			t.Fatalf("straggler changed assignment at %d", i)
-		}
-	}
-	total, slowTotal := 0.0, 0.0
-	for i := range clean.IterTimes {
-		total += clean.IterTimes[i]
-		slowTotal += slow.IterTimes[i]
-		if slow.IterTimes[i] != slow2.IterTimes[i] {
-			t.Fatalf("straggler timing not deterministic at iteration %d: %g vs %g",
-				i, slow.IterTimes[i], slow2.IterTimes[i])
-		}
-	}
-	if slowTotal <= total {
-		t.Errorf("straggler run %.9gs not slower than clean run %.9gs", slowTotal, total)
-	}
-
-	// A different CG is unaffected by this CG's straggler.
-	other, err := RunLevel1CG(spec, g, init, 5, 0, WithFaults(inj, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean.IterTimes {
-		if other.IterTimes[i] != clean.IterTimes[i] {
-			t.Fatalf("straggler of CG 0 leaked into CG 1 at iteration %d", i)
-		}
-	}
-}
-
-// TestLevel2WithFaultsDMARetries: transient DMA faults in the Level 2
-// kernel slow the run but never change the clustering.
-func TestLevel2WithFaultsDMARetries(t *testing.T) {
-	g := mixture(t, 384, 8, 4)
-	spec := machine.MustSpec(1)
-	init, err := core.InitialCentroids(g, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := RunLevel2CG(spec, g, init, 8, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.MustInjector(fault.Plan{Seed: 5, DMAFailRate: 0.2, MaxRetries: 16})
-	faulty, err := RunLevel2CG(spec, g, init, 8, 4, 0, WithFaults(inj, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean.Assign {
-		if clean.Assign[i] != faulty.Assign[i] {
-			t.Fatalf("dma retries changed assignment at %d", i)
-		}
-	}
-	total, faultyTotal := 0.0, 0.0
-	for i := range clean.IterTimes {
-		total += clean.IterTimes[i]
-		faultyTotal += faulty.IterTimes[i]
-	}
-	if faultyTotal <= total {
-		t.Errorf("faulty run %.9gs not slower than clean run %.9gs", faultyTotal, total)
 	}
 }

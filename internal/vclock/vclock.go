@@ -40,18 +40,6 @@ func (c *Clock) Advance(d float64) {
 	c.t += d
 }
 
-// AdvanceScaled moves the clock forward by d seconds stretched by a
-// slowdown factor — the hook the fault injector's straggler model uses
-// to make one unit's compute run slow without touching the cost models
-// themselves. factor must be at least 1: stragglers lose time, they
-// never gain it.
-func (c *Clock) AdvanceScaled(d, factor float64) {
-	if factor < 1 || math.IsNaN(factor) || math.IsInf(factor, 0) {
-		panic(fmt.Sprintf("vclock: invalid slowdown factor %v", factor))
-	}
-	c.Advance(d * factor)
-}
-
 // AdvanceTo moves the clock forward to time t if t is later than the
 // current time; earlier times leave the clock unchanged (virtual time
 // never runs backwards).

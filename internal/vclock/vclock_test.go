@@ -73,25 +73,3 @@ func TestMaxTime(t *testing.T) {
 		t.Errorf("MaxTime() of nothing = %g, want 0", got)
 	}
 }
-
-func TestAdvanceScaled(t *testing.T) {
-	c := New()
-	c.AdvanceScaled(2, 1.5)
-	if math.Abs(c.Now()-3) > 1e-12 {
-		t.Errorf("AdvanceScaled(2, 1.5): clock = %g, want 3", c.Now())
-	}
-	c.AdvanceScaled(1, 1)
-	if math.Abs(c.Now()-4) > 1e-12 {
-		t.Errorf("factor 1 must behave like Advance: clock = %g, want 4", c.Now())
-	}
-	for _, factor := range []float64{0.5, 0, -1, math.NaN(), math.Inf(1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AdvanceScaled with factor %v did not panic", factor)
-				}
-			}()
-			New().AdvanceScaled(1, factor)
-		}()
-	}
-}
