@@ -116,6 +116,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "swkmeans:", err)
 		os.Exit(2)
 	}
+	if err := checkFaultUnits(opts); err != nil {
+		fmt.Fprintln(os.Stderr, "swkmeans: -faults:", err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -185,35 +189,63 @@ type options struct {
 
 // checkModeFlags refuses a flag that the chosen mode would silently
 // drop: the simulated machine's fault, checkpoint, stride, driver and
-// summary flags under a fine-grained kernel or a host baseline, -save
-// under a fine-grained kernel, and a -mgroup or -mprime that the
-// chosen kernel has no group for. The error names the flag.
+// summary flags under a fine-grained kernel, a host baseline or -load,
+// -save under a fine-grained kernel or -load, a -mgroup or -mprime that
+// the chosen kernel has no group for, and -ckpt or -droplost without a
+// -faults plan that injects something, the only case in which the
+// simulated machine reads them. The error names the flag.
 func checkModeFlags(o options) error {
-	sim := o.algo == "sim"
-	fine := strings.HasPrefix(o.algo, "fine")
+	infer := o.loadPath != ""
+	sim := o.algo == "sim" && !infer
+	fine := strings.HasPrefix(o.algo, "fine") && !infer
 	mode := "-algo " + o.algo
-	if sim {
+	switch {
+	case infer:
+		mode = "-load"
+	case sim:
 		mode = fmt.Sprintf("-level %d", o.level)
 	}
 	for _, f := range []struct {
 		name string
 		set  bool
 	}{
+		{"-algo", infer && o.algo != "sim"},
 		{"-faults", !sim && !reflect.DeepEqual(o.faults, fault.Plan{})},
 		{"-ckpt", !sim && o.ckpt != 0},
 		{"-droplost", !sim && o.dropLost},
 		{"-stride", !sim && o.stride != 1},
 		{"-sched", !sim && o.sched},
 		{"-summary", !sim && o.summary},
-		{"-save", fine && o.savePath != ""},
-		{"-mgroup", o.mgroup != 0 && o.algo != "fine2" && !(sim && (o.level == 0 || o.level == 2))},
-		{"-mprime", o.mprime != 0 && o.algo != "fine3" && !(sim && (o.level == 0 || o.level == 3))},
+		{"-save", (fine || infer) && o.savePath != ""},
+		{"-kmeanspp", infer && o.useKpp},
+		{"-mgroup", o.mgroup != 0 && !(fine && o.algo == "fine2") && !(sim && (o.level == 0 || o.level == 2))},
+		{"-mprime", o.mprime != 0 && !(fine && o.algo == "fine3") && !(sim && (o.level == 0 || o.level == 3))},
 	} {
 		if f.set {
 			return fmt.Errorf("%s does not use %s; drop the flag", mode, f.name)
 		}
 	}
+	if o.faults.Empty() && (o.ckpt != 0 || o.dropLost) {
+		name := "-ckpt"
+		if o.ckpt == 0 {
+			name = "-droplost"
+		}
+		return fmt.Errorf("%s takes effect only under a -faults plan that injects a fault; add one or drop the flag", name)
+	}
 	return nil
+}
+
+// checkFaultUnits refuses a -faults plan that names a core group the
+// machine lacks, before anything is printed.
+func checkFaultUnits(o options) error {
+	if o.faults.Empty() {
+		return nil
+	}
+	spec, err := o.buildSpec()
+	if err != nil {
+		return nil // run reports the spec's own error, exit 1 as without -faults
+	}
+	return o.faults.CheckUnits(spec.CGs())
 }
 
 // obsRequested reports whether any observability output was asked for.

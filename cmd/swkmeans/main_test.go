@@ -355,6 +355,7 @@ func TestRunProfileWithoutRollup(t *testing.T) {
 // TestCheckModeFlags: a flag that the chosen mode would drop is refused
 // by name, and the flags each mode uses pass.
 func TestCheckModeFlags(t *testing.T) {
+	crash := fault.Plan{Seed: 7, Crashes: []fault.Crash{{CG: 0, At: 1e-9}}}
 	for _, c := range []struct {
 		name string
 		set  func(*options)
@@ -378,10 +379,25 @@ func TestCheckModeFlags(t *testing.T) {
 		{"level 1 mgroup", func(o *options) { o.mgroup = 8 }, "-mgroup"},
 		{"level 2 mprime", func(o *options) { o.level, o.mprime = 2, 2 }, "-mprime"},
 		{"level 3 mgroup", func(o *options) { o.level, o.mgroup = 3, 8 }, "-mgroup"},
+		{"load faults", func(o *options) { o.loadPath, o.faults = "m.swkm", crash }, "-faults"},
+		{"load ckpt", func(o *options) { o.loadPath, o.ckpt = "m.swkm", 3 }, "-ckpt"},
+		{"load droplost", func(o *options) { o.loadPath, o.dropLost = "m.swkm", true }, "-droplost"},
+		{"load summary", func(o *options) { o.loadPath, o.summary = "m.swkm", true }, "-summary"},
+		{"load stride", func(o *options) { o.loadPath, o.stride = "m.swkm", 4 }, "-stride"},
+		{"load sched", func(o *options) { o.loadPath, o.sched = "m.swkm", true }, "-sched"},
+		{"load save", func(o *options) { o.loadPath, o.savePath = "m.swkm", "m.bin" }, "-save"},
+		{"load kmeanspp", func(o *options) { o.loadPath, o.useKpp = "m.swkm", true }, "-kmeanspp"},
+		{"load algo", func(o *options) { o.loadPath, o.algo = "m.swkm", "fine3" }, "-algo"},
+		{"load mprime", func(o *options) { o.loadPath, o.level, o.mprime = "m.swkm", 3, 2 }, "-mprime"},
+		{"load mgroup", func(o *options) { o.loadPath, o.level, o.mgroup = "m.swkm", 2, 8 }, "-mgroup"},
+		{"ckpt without faults", func(o *options) { o.ckpt = 3 }, "-ckpt"},
+		{"droplost without faults", func(o *options) { o.dropLost = true }, "-droplost"},
+		{"ckpt under a seed-only plan", func(o *options) { o.faults, o.ckpt = fault.Plan{Seed: 7}, 3 }, "-ckpt"},
 		{"sim everything", func(o *options) {
-			o.level, o.mgroup, o.mprime, o.faults, o.ckpt, o.dropLost = 0, 8, 2, fault.Plan{Seed: 7}, 2, true
+			o.level, o.mgroup, o.mprime, o.faults, o.ckpt, o.dropLost = 0, 8, 2, crash, 2, true
 			o.stride, o.sched, o.summary, o.savePath = 4, true, true, "m.bin"
 		}, ""},
+		{"load alone", func(o *options) { o.loadPath = "m.swkm" }, ""},
 		{"fine2 mgroup", func(o *options) { o.algo, o.mgroup = "fine2", 8 }, ""},
 		{"fine3 mprime", func(o *options) { o.algo, o.mprime = "fine3", 2 }, ""},
 		{"lloyd save", func(o *options) { o.algo, o.savePath = "lloyd", "m.bin" }, ""},
@@ -394,6 +410,48 @@ func TestCheckModeFlags(t *testing.T) {
 			t.Errorf("%s: refused: %v", c.name, err)
 		case c.flag != "" && (err == nil || !strings.Contains(err.Error(), c.flag)):
 			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.flag)
+		}
+	}
+}
+
+// TestCheckFaultUnits: a -faults plan naming a CG outside the machine
+// the flags build is refused before the run starts; one inside it, and
+// a spec that does not build (run's error to report), pass.
+func TestCheckFaultUnits(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		want string // "" when the plan must pass
+	}{
+		{"crash outside one node", func(o *options) {
+			o.faults = fault.Plan{Crashes: []fault.Crash{{CG: 77, At: 1e-5}}}
+		}, "names CG 77, but the machine has CGs [0,4)"},
+		{"straggler one past the end", func(o *options) {
+			o.faults = fault.Plan{Stragglers: []fault.Straggler{{CG: 8, CPE: -1, Factor: 2}}}
+			o.nodes = 2
+		}, "names CG 8, but the machine has CGs [0,8)"},
+		{"crash inside two nodes", func(o *options) {
+			o.faults = fault.Plan{Crashes: []fault.Crash{{CG: 7, At: 1e-5}}}
+			o.nodes = 2
+		}, ""},
+		{"preset machine", func(o *options) {
+			o.faults = fault.Plan{Crashes: []fault.Crash{{CG: 77, At: 1e-5}}}
+			o.preset = "processor"
+		}, "names CG 77, but the machine has CGs [0,4)"},
+		{"no plan", func(o *options) {}, ""},
+		{"spec that does not build", func(o *options) {
+			o.faults = fault.Plan{Crashes: []fault.Crash{{CG: 77, At: 1e-5}}}
+			o.preset = "nope"
+		}, ""},
+	} {
+		o := base(&strings.Builder{})
+		c.set(&o)
+		err := checkFaultUnits(o)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -235,39 +235,11 @@ func (cfg Config) validate() error {
 		if _, err := fault.NewInjector(cfg.Faults); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if err := faultUnitsInRange(cfg.Faults, cfg.Spec.CGs()); err != nil {
-			return err
+		if err := cfg.Faults.CheckUnits(cfg.Spec.CGs()); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 		if cfg.MiniBatch > 0 {
 			return fmt.Errorf("core: mini-batch mode and fault injection are mutually exclusive")
-		}
-	}
-	return nil
-}
-
-// faultUnitsInRange rejects a plan that names a core group the machine
-// of cgs CGs lacks: a crash, a straggler or a link endpoint other than
-// the -1 wildcard (fault.Plan.Validate rejects negative units).
-func faultUnitsInRange(p fault.Plan, cgs int) error {
-	check := func(what string, cg int) error {
-		if cg >= cgs {
-			return fmt.Errorf("core: fault plan's %s names CG %d, but the machine has CGs [0,%d)", what, cg, cgs)
-		}
-		return nil
-	}
-	for _, c := range p.Crashes {
-		if err := check("crash", c.CG); err != nil {
-			return err
-		}
-	}
-	for _, s := range p.Stragglers {
-		if err := check("straggler", s.CG); err != nil {
-			return err
-		}
-	}
-	for _, l := range p.Links {
-		if err := check("link", max(l.FromCG, l.ToCG)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -178,6 +178,34 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// CheckUnits rejects a plan that names a core group a machine of cgs
+// CGs lacks: a crash, a straggler or a link endpoint other than the -1
+// wildcard (Validate rejects negative units).
+func (p Plan) CheckUnits(cgs int) error {
+	check := func(what string, cg int) error {
+		if cg >= cgs {
+			return fmt.Errorf("fault plan's %s names CG %d, but the machine has CGs [0,%d)", what, cg, cgs)
+		}
+		return nil
+	}
+	for _, c := range p.Crashes {
+		if err := check("crash", c.CG); err != nil {
+			return err
+		}
+	}
+	for _, s := range p.Stragglers {
+		if err := check("straggler", s.CG); err != nil {
+			return err
+		}
+	}
+	for _, l := range p.Links {
+		if err := check("link", max(l.FromCG, l.ToCG)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ErrLinkFailed marks a message transmission that exhausted its
 // retries.
 var ErrLinkFailed = errors.New("fault: message transmission failed permanently")

@@ -264,14 +264,47 @@ func (c *CPE) Recv(src int) ([]float64, []int64, error) {
 // of the partner's. The host runs it as one rendezvous: the last CPE to
 // arrive sums the partials in the doubling tree's order, which yields
 // the bits every CPE would end with, and computes every CPE's six send
-// completion times. Each CPE then copies the result and replays its
-// sends and receives on its clock, span unit and traffic counters
-// exactly as Send and Recv record them.
+// completion times. Each CPE then replays its sends and receives on its
+// clock, span unit and traffic counters exactly as Send and Recv record
+// them. AllReduce copies the result into buf and counts; a caller that
+// only reads it calls AllReduceShared instead.
 func (c *CPE) AllReduce(buf []float64, counts []int64) error {
+	sum, total, err := c.AllReduceShared(buf, counts)
+	if err != nil {
+		return err
+	}
+	copy(buf, sum)
+	copy(counts, total)
+	return nil
+}
+
+// AllReduceShared is AllReduce without the copy: it leaves buf and
+// counts as they were and returns the round's one result, shared by all
+// 64 CPEs. The slices are read-only and stay valid until this CPE
+// enters its next allreduce: the next round's last arriver overwrites
+// them, and that round cannot complete without this CPE.
+func (c *CPE) AllReduceShared(buf []float64, counts []int64) ([]float64, []int64, error) {
+	return c.allReduce(deposit{buf: buf, floats: len(buf), counts: counts})
+}
+
+// AllReduceZeros enters the allreduce with n floats that are all +0 and
+// no counts, without a buffer: a CPE whose stripe is empty contributes
+// nothing to the sum but still takes its six steps. It is charged,
+// replayed and length-checked exactly like AllReduceShared of n zeros,
+// and returns the same shared result.
+func (c *CPE) AllReduceZeros(n int) ([]float64, error) {
+	sum, _, err := c.allReduce(deposit{floats: n, zeros: true})
+	return sum, err
+}
+
+// allReduce deposits d in the mesh's rendezvous, waits for the round to
+// complete and replays this CPE's steps.
+func (c *CPE) allReduce(d deposit) ([]float64, []int64, error) {
 	r := &c.mesh.reduce
+	d.clock = c.Clock().Now()
 	r.mu.Lock()
 	round := r.round
-	r.in[c.id] = deposit{buf: buf, counts: counts, clock: c.Clock().Now()}
+	r.in[c.id] = d
 	r.arrived++
 	if r.arrived == machine.CPEsPerCG {
 		r.combine(c.mesh.model, &r.in)
@@ -287,12 +320,10 @@ func (c *CPE) AllReduce(buf []float64, counts []int64) error {
 	// The round's outcome stays put until all 64 CPEs have entered the
 	// next round, so reading it unlocked is safe.
 	if r.err != nil {
-		return r.err
+		return nil, nil, r.err
 	}
-	copy(buf, r.sum)
-	copy(counts, r.total)
-	c.replay(&r.sends, len(buf)+len(counts))
-	return nil
+	c.replay(&r.sends, d.floats+len(d.counts))
+	return slices.Clip(r.sum), slices.Clip(r.total), nil
 }
 
 // replay charges the CPE's six recursive-doubling steps of an
@@ -345,9 +376,12 @@ type rendezvous struct {
 }
 
 // deposit is what one CPE brings to an allreduce round: its payload
-// and its clock on entry.
+// and its clock on entry. A zero deposit declares floats +0 values and
+// has no buf.
 type deposit struct {
 	buf    []float64
+	floats int
+	zeros  bool
 	counts []int64
 	clock  float64
 }
@@ -359,11 +393,11 @@ const sumBlock = 512
 // combine computes a round's outcome from every CPE's deposit. The
 // caller holds mu and is the last CPE to arrive.
 func (r *rendezvous) combine(model Model, in *[machine.CPEsPerCG]deposit) {
-	n, ni := len(in[0].buf), len(in[0].counts)
+	n, ni := in[0].floats, len(in[0].counts)
 	for i, d := range in {
-		if len(d.buf) != n || len(d.counts) != ni {
+		if d.floats != n || len(d.counts) != ni {
 			r.err = fmt.Errorf("regcomm: allreduce payload mismatch: CPE %d brings %d floats and %d counts, CPE 0 %d and %d",
-				i, len(d.buf), len(d.counts), n, ni)
+				i, d.floats, len(d.counts), n, ni)
 			return
 		}
 	}
@@ -410,25 +444,64 @@ func (r *rendezvous) combine(model Model, in *[machine.CPEsPerCG]deposit) {
 // sums 8 deposits per element as ((a+b)+(c+d))+((e+f)+(g+h)), the
 // tree's three lowest levels in one pass. len(in) is a power of two, at
 // least 8; levels holds log2(len(in))-3 scratch blocks.
+//
+// Zero deposits skip the sums whose result is known: a subtree of them
+// sums to +0, which dst is set to directly; a right half of them adds
+// +0, which dst += 0 does without summing it; and in the base case a
+// zero deposit reads a block of +0. Each computes the bits the explicit
+// sum of +0 buffers would, −0 and NaN payloads included.
 func treeSum(dst []float64, in []deposit, lo int, levels [][sumBlock]float64) {
+	if allZeros(in) {
+		clear(dst)
+		return
+	}
 	if len(in) == 8 {
 		n := len(dst)
-		a, b := in[0].buf[lo:lo+n], in[1].buf[lo:lo+n]
-		c, d := in[2].buf[lo:lo+n], in[3].buf[lo:lo+n]
-		e, f := in[4].buf[lo:lo+n], in[5].buf[lo:lo+n]
-		g, h := in[6].buf[lo:lo+n], in[7].buf[lo:lo+n]
+		a, b := in[0].block(lo, n), in[1].block(lo, n)
+		c, d := in[2].block(lo, n), in[3].block(lo, n)
+		e, f := in[4].block(lo, n), in[5].block(lo, n)
+		g, h := in[6].block(lo, n), in[7].block(lo, n)
 		for i := range dst {
 			dst[i] = ((a[i] + b[i]) + (c[i] + d[i])) + ((e[i] + f[i]) + (g[i] + h[i]))
 		}
 		return
 	}
 	half := len(in) / 2
-	right := levels[0][:len(dst)]
 	treeSum(dst, in[:half], lo, levels[1:])
+	if allZeros(in[half:]) {
+		// x + +0 is x except that −0 becomes +0, so the addition stays.
+		for e := range dst {
+			dst[e] += 0
+		}
+		return
+	}
+	right := levels[0][:len(dst)]
 	treeSum(right, in[half:], lo, levels[1:])
 	for e := range dst {
 		dst[e] += right[e]
 	}
+}
+
+// zeroBlock is the base case's operand for a zero deposit. Nothing
+// writes it.
+var zeroBlock [sumBlock]float64
+
+// block returns the deposit's floats lo..lo+n, n at most sumBlock.
+func (d *deposit) block(lo, n int) []float64 {
+	if d.zeros {
+		return zeroBlock[:n]
+	}
+	return d.buf[lo : lo+n]
+}
+
+// allZeros reports whether every deposit in in is a zero deposit.
+func allZeros(in []deposit) bool {
+	for i := range in {
+		if !in[i].zeros {
+			return false
+		}
+	}
+	return true
 }
 
 // resize returns s with length n, reusing its array when it is large

@@ -41,6 +41,9 @@ func toBits(xs []float64) []string {
 // TestFineKernelGolden covers the Level-3 stripe widths the kernel
 // distinguishes and one Level-1 run:
 //   - level3_d8: d=8 over 64 CPEs, so 56 stripes are empty;
+//   - level3_d12: CPEs 8–11 of the mesh's second octet hold one
+//     coordinate each and 12–15 none, so the allreduce's 8-deposit
+//     base mixes full and empty stripes;
 //   - level3_d100_batch7: stripes 1 and 2 coordinates wide, and n not a
 //     multiple of the batch, so the last batch is short;
 //   - level1: RunLevel1CG, whose Update sums k·d floats per CPE through
@@ -58,6 +61,7 @@ func TestFineKernelGolden(t *testing.T) {
 		batch   int
 	}{
 		{name: "level3_d8", n: 160, d: 8, k: 5, seed: 3, iters: 6, mPrime: 2, batch: 32},
+		{name: "level3_d12", n: 120, d: 12, k: 5, seed: 2, iters: 5, mPrime: 2, batch: 16},
 		{name: "level3_d100_batch7", n: 96, d: 100, k: 6, seed: 1, iters: 5, mPrime: 2, batch: 7},
 		{name: "level1", n: 1024, d: 8, k: 6, seed: 5, iters: 6},
 	}

@@ -68,6 +68,8 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 	iters := newTimeline(maxIters)
 	itersRan := 0      // written by rank 0 only, read after Run returns
 	converged := false // written by rank 0 only, read after Run returns
+	stage := newGroupStage(batch, d)
+	batches := (n + batch - 1) / batch
 
 	runErr := world.Run(func(c *mpi.Comm) error {
 		pos := c.Rank()
@@ -80,122 +82,179 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 		mesh := regcomm.NewMesh(spec, nil)
 		mesh.SetObserver(opt.rec, fmt.Sprintf("cg%d/", pos))
 
-		// Per-CPE persistent state across iterations, prepared by the
-		// mesh kernel on first use: centroid stripes, stripe sums and
-		// the batch's stripe-partial distances.
+		// Per-CPE persistent state across iterations. Every CPE's LDM
+		// budget is checked here, before the first Mesh.Run: a CPE
+		// that failed inside a run reaching the allreduce would leave
+		// the other 63 waiting in it for ever.
 		type cpeState struct {
-			cents []float64
-			sums  []float64
-			part  []float64
+			engine   *dma.Engine
+			uLo, uHi int
+			cents    []float64 // centroid stripes
+			sums     []float64 // stripe sums of the samples this CG won
+			part     []float64 // a batch's stripe-partial distances; nil for an empty stripe
 		}
-		states := make([]*cpeState, machine.CPEsPerCG)
+		states := make([]cpeState, machine.CPEsPerCG)
+		for id := range states {
+			uLo, uHi := share(d, machine.CPEsPerCG, id)
+			dStripe := uHi - uLo
+			alloc := ldm.NewAllocator(spec.LDMBytesPerCPE)
+			for _, buf := range []struct {
+				name  string
+				elems int
+			}{
+				{"stripe-stream", max(1, batch*dStripe)},
+				{"centroid-stripes", max(1, kLocal*dStripe)},
+				{"sum-stripes", max(1, kLocal*dStripe)},
+				{"counts", max(1, kLocal)},
+				{"dist-partials", batch * max(1, kLocal)},
+			} {
+				if err := alloc.AllocFloats(buf.name, buf.elems); err != nil {
+					return fmt.Errorf("CG %d CPE %d: %w", pos, id, err)
+				}
+			}
+			st := cpeState{
+				engine: engine.WithObserver(mesh.Unit(id)),
+				uLo:    uLo, uHi: uHi,
+				cents: make([]float64, kLocal*dStripe),
+				sums:  make([]float64, kLocal*dStripe),
+			}
+			if dStripe > 0 {
+				st.part = make([]float64, batch*kLocal)
+			}
+			states[id] = st
+		}
 		// Each CPE's share of the Update's centroid movement, summed in
 		// CPE order so the total does not depend on scheduling.
 		movements := make([]float64, machine.CPEsPerCG)
 		counts := make([]int64, max(1, kLocal))
-		// Full distance matrix for one batch against the local slice,
-		// assembled by the mesh allreduce (identical on every CPE; the
-		// MPE reads it afterwards).
-		dists := make([]float64, batch*max(1, kLocal))
-		// The batch's samples, generated once per CG: every CPE reads
-		// its stripe of each sample from here, in both mesh phases.
-		stage := make([]float64, batch*d)
 		vals := make([]float64, batch)
 		ids := make([]int64, batch)
-
 		cents := model[kLo*d : kHi*d]
+		// A batch's distances to the local slice: CPE 0's view of the
+		// mesh allreduce's result. The MPE reads it between runs, and
+		// only the next run's allreduce replaces it.
+		var dists []float64
+
+		// The CPE phases of Algorithm 3. Each charges the CPE's clock,
+		// DMA engine and span unit for its own work only, so the
+		// virtual time depends on their order, not on how the mesh runs
+		// group them.
+		loadStripes := func(cp *regcomm.CPE, st *cpeState) {
+			dStripe := st.uHi - st.uLo
+			for j := 0; j < kLocal; j++ {
+				copy(st.cents[j*dStripe:(j+1)*dStripe], cents[j*d+st.uLo:j*d+st.uHi])
+			}
+			st.engine.Charge(cp.Clock(), kLocal*dStripe)
+			clear(st.sums)
+		}
+		// distances computes the stripe partials of the samples in rows
+		// and enters the allreduce that sums them.
+		distances := func(cp *regcomm.CPE, st *cpeState, rows []float64) error {
+			dStripe, m := st.uHi-st.uLo, len(rows)/d
+			if dStripe > 0 {
+				// An empty stripe moves no bytes, and every partial
+				// over it is +0, which the allreduce takes declared.
+				for s := 0; s < m; s++ {
+					st.engine.Charge(cp.Clock(), dStripe)
+					core.SqDistRows(rows[s*d+st.uLo:s*d+st.uHi], st.cents, st.part[s*kLocal:(s+1)*kLocal])
+				}
+			}
+			if dStripe > 0 && kLocal > 0 {
+				t0 := cp.Clock().Now()
+				cp.Clock().Advance(float64(m*kLocal*3*dStripe) / spec.CPU.FlopsPerCPE)
+				mesh.Unit(cp.ID()).Record(obs.KindCompute, t0, cp.Clock().Now(), 0,
+					int64(m)*int64(kLocal)*int64(3*dStripe))
+			}
+			if kLocal == 0 {
+				return nil
+			}
+			var sum []float64
+			var err error
+			if dStripe == 0 {
+				sum, err = cp.AllReduceZeros(m * kLocal)
+			} else {
+				sum, _, err = cp.AllReduceShared(st.part[:m*kLocal], nil)
+			}
+			if cp.ID() == 0 {
+				dists = sum
+			}
+			return err
+		}
+		// accumulate adds the stripes of the samples in rows that this
+		// CG won to the stripe sums.
+		accumulate := func(cp *regcomm.CPE, st *cpeState, rows []float64) {
+			dStripe, m := st.uHi-st.uLo, len(rows)/d
+			//swlint:hot per-sample stripe accumulation
+			for s := 0; s < m; s++ {
+				w := int(ids[s])
+				if w < kLo || w >= kHi {
+					continue
+				}
+				row := st.sums[(w-kLo)*dStripe : (w-kLo+1)*dStripe]
+				for u, v := range rows[s*d+st.uLo : s*d+st.uHi] {
+					row[u] += v
+				}
+			}
+			if dStripe > 0 {
+				t0 := cp.Clock().Now()
+				cp.Clock().Advance(float64(m*dStripe) / spec.CPU.FlopsPerCPE)
+				mesh.Unit(cp.ID()).Record(obs.KindCompute, t0, cp.Clock().Now(), 0, int64(m)*int64(dStripe))
+			}
+		}
+		// update moves the CPE's centroid stripes to their means and
+		// writes them back into the rank's rows of the model.
+		update := func(cp *regcomm.CPE, st *cpeState) {
+			dStripe := st.uHi - st.uLo
+			movements[cp.ID()] = core.ApplyUpdate(st.cents, st.sums, counts[:kLocal], dStripe)
+			for j := 0; j < kLocal; j++ {
+				copy(cents[j*d+st.uLo:j*d+st.uHi], st.cents[j*dStripe:(j+1)*dStripe])
+			}
+			st.engine.Charge(cp.Clock(), kLocal*dStripe)
+		}
 
 		for iter := 0; iter < maxIters; iter++ {
-			for j := range counts {
-				counts[j] = 0
-			}
+			clear(counts)
 			var meshFail errOnce
-			fail := meshFail.set
-			// Phase A (on the mesh): load stripes, zero sums.
-			mesh.Run(func(cp *regcomm.CPE) {
-				engine := engine.WithObserver(mesh.Unit(cp.ID()))
-				uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
-				dStripe := uHi - uLo
-				st := states[cp.ID()]
-				if st == nil {
-					alloc := ldm.NewAllocator(spec.LDMBytesPerCPE)
-					for _, buf := range []struct {
-						name  string
-						elems int
-					}{
-						{"stripe-stream", max(1, batch*dStripe)},
-						{"centroid-stripes", max(1, kLocal*dStripe)},
-						{"sum-stripes", max(1, kLocal*dStripe)},
-						{"counts", max(1, kLocal)},
-						{"dist-partials", batch * max(1, kLocal)},
-					} {
-						if err := alloc.AllocFloats(buf.name, buf.elems); err != nil {
-							fail(fmt.Errorf("CG %d CPE %d: %w", pos, cp.ID(), err))
-							return
-						}
-					}
-					st = &cpeState{
-						cents: make([]float64, kLocal*dStripe),
-						sums:  make([]float64, kLocal*dStripe),
-						part:  make([]float64, batch*max(1, kLocal)),
-					}
-					states[cp.ID()] = st
+			// One mesh run per batch b, plus one: run b first
+			// accumulates batch b−1's winners (at b = 0 it loads the
+			// stripes and zeroes the sums), then computes batch b's
+			// partial distances (at b = batches, the Update). The MPE's
+			// min-reduce of a batch falls between its distances and its
+			// accumulation, which is where each run starts, so every
+			// CPE clock still sees load, then distances, re-sync and
+			// accumulation per batch, then the Update.
+			var prev []float64 // batch b−1's samples
+			for b := 0; b <= batches; b++ {
+				var rows []float64
+				m := 0
+				if b < batches {
+					base := b * batch
+					m = min(batch, n-base)
+					rows = stage.load(src, iter*batches+b, base, m, d)
 				}
-				for j := 0; j < kLocal; j++ {
-					copy(st.cents[j*dStripe:(j+1)*dStripe], cents[j*d+uLo:j*d+uHi])
-				}
-				engine.Charge(cp.Clock(), kLocal*dStripe)
-				for i := range st.sums {
-					st.sums[i] = 0
-				}
-			})
-			if err := meshFail.get(); err != nil {
-				return err
-			}
-
-			// Batches: the MPE stages the samples, the mesh computes
-			// full local distances, the MPE min-reduces across the group
-			// over MPI, the mesh accumulates the winners' stripes.
-			for base := 0; base < n; base += batch {
-				m := min(batch, n-base)
-				for s := 0; s < m; s++ {
-					src.Sample(base+s, stage[s*d:(s+1)*d])
+				if b > 0 {
+					// The min-reduce result gates the accumulation:
+					// mesh clocks re-sync from the MPE.
+					mesh.AdvanceTo(c.Clock().Now())
 				}
 				mesh.Run(func(cp *regcomm.CPE) {
-					unit := mesh.Unit(cp.ID())
-					engine := engine.WithObserver(unit)
-					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
-					dStripe := uHi - uLo
-					st := states[cp.ID()]
-					part := st.part[:m*max(1, kLocal)]
-					if dStripe == 0 {
-						// Every partial over an empty stripe is +0, and
-						// an empty stripe moves no bytes.
-						clear(part)
+					st := &states[cp.ID()]
+					if b == 0 {
+						loadStripes(cp, st)
 					} else {
-						for s := 0; s < m; s++ {
-							engine.Charge(cp.Clock(), dStripe)
-							core.SqDistRows(stage[s*d+uLo:s*d+uHi], st.cents, part[s*kLocal:(s+1)*kLocal])
-						}
+						accumulate(cp, st, prev)
 					}
-					if dStripe > 0 && kLocal > 0 {
-						t0 := cp.Clock().Now()
-						cp.Clock().Advance(float64(m*kLocal*3*dStripe) / spec.CPU.FlopsPerCPE)
-						unit.Record(obs.KindCompute, t0, cp.Clock().Now(), 0,
-							int64(m)*int64(kLocal)*int64(3*dStripe))
-					}
-					if kLocal > 0 {
-						if err := cp.AllReduce(part, nil); err != nil {
-							fail(err)
-							return
-						}
-					}
-					if cp.ID() == 0 {
-						copy(dists[:m*max(1, kLocal)], part)
+					if b == batches {
+						update(cp, st)
+					} else if err := distances(cp, st, rows); err != nil {
+						meshFail.set(err)
 					}
 				})
 				if err := meshFail.get(); err != nil {
 					return err
+				}
+				if b == batches {
+					break
 				}
 				// MPE: local argmin per sample, then the group
 				// min-reduce over MPI. The MPE continues from the
@@ -211,7 +270,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				}
 				if pos == 0 {
 					for s := 0; s < m; s++ {
-						assign[base+s] = int(ids[s])
+						assign[b*batch+s] = int(ids[s])
 					}
 				}
 				for s := 0; s < m; s++ {
@@ -220,55 +279,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 						counts[w-kLo]++
 					}
 				}
-				// Mesh accumulates the stripes of samples this CG won;
-				// mesh clocks re-sync from the MPE (the min-reduce
-				// result gates the accumulation).
-				mesh.AdvanceTo(c.Clock().Now())
-				mesh.Run(func(cp *regcomm.CPE) {
-					unit := mesh.Unit(cp.ID())
-					uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
-					dStripe := uHi - uLo
-					st := states[cp.ID()]
-					//swlint:hot per-sample stripe accumulation
-					for s := 0; s < m; s++ {
-						w := int(ids[s])
-						if w < kLo || w >= kHi {
-							continue
-						}
-						row := st.sums[(w-kLo)*dStripe : (w-kLo+1)*dStripe]
-						for u, v := range stage[s*d+uLo : s*d+uHi] {
-							row[u] += v
-						}
-					}
-					if dStripe > 0 {
-						t0 := cp.Clock().Now()
-						cp.Clock().Advance(float64(m*dStripe) / spec.CPU.FlopsPerCPE)
-						unit.Record(obs.KindCompute, t0, cp.Clock().Now(), 0, int64(m)*int64(dStripe))
-					}
-				})
-				if err := meshFail.get(); err != nil {
-					return err
-				}
-			}
-
-			// Update (on the mesh): every CPE owns its stripes; write
-			// the new slice back into the rank's rows of the model.
-			mesh.Run(func(cp *regcomm.CPE) {
-				engine := engine.WithObserver(mesh.Unit(cp.ID()))
-				uLo, uHi := share(d, machine.CPEsPerCG, cp.ID())
-				dStripe := uHi - uLo
-				st := states[cp.ID()]
-				// The stripe copy still holds this iteration's centroids,
-				// so updating it and copying it back is the update of
-				// the rank's rows.
-				movements[cp.ID()] = core.ApplyUpdate(st.cents, st.sums, counts[:kLocal], dStripe)
-				for j := 0; j < kLocal; j++ {
-					copy(cents[j*d+uLo:j*d+uHi], st.cents[j*dStripe:(j+1)*dStripe])
-				}
-				engine.Charge(cp.Clock(), kLocal*dStripe)
-			})
-			if err := meshFail.get(); err != nil {
-				return err
+				prev = rows
 			}
 			movement := 0.0
 			for _, v := range movements {

@@ -20,12 +20,12 @@ func (c *countingSource) Sample(i int, buf []float64) {
 	c.Source.Sample(i, buf)
 }
 
-// TestRunLevel3GroupStagesEachBatchOncePerCG: every CG generates each
-// sample of a batch once, into its staged batch, and its 64 CPEs read
-// their stripes of it for both the distances and the winners' update —
-// n·m'·iters Sample calls in all, each index m'·iters times. The
-// results still equal sequential Lloyd.
-func TestRunLevel3GroupStagesEachBatchOncePerCG(t *testing.T) {
+// TestRunLevel3GroupStagesEachBatchOncePerGroup: the CG group generates
+// each sample of a batch once per iteration, into its shared stage, and
+// every CG's 64 CPEs read their stripes of it for both the distances
+// and the winners' update — n·iters Sample calls in all, each index
+// iters times, whatever m'. The results still equal sequential Lloyd.
+func TestRunLevel3GroupStagesEachBatchOncePerGroup(t *testing.T) {
 	const n, d = 150, 40
 	g := mixture(t, n, d, 4)
 	for _, tc := range []struct {
@@ -34,8 +34,10 @@ func TestRunLevel3GroupStagesEachBatchOncePerCG(t *testing.T) {
 	}{
 		{"one-cg", 5, 1, 32},
 		{"two-cgs-short-batch", 6, 2, 7},
-		// k < m': position 3 holds no centroids but stages all the same.
+		// k < m': position 3 holds no centroids but reads the stage all
+		// the same.
 		{"empty-slice", 3, 4, 16},
+		{"four-cgs-one-batch", 6, 4, 150},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			init, err := core.InitialCentroids(g, tc.k, 2)
@@ -48,7 +50,7 @@ func TestRunLevel3GroupStagesEachBatchOncePerCG(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertMatchesLloyd(t, tc.name, g, init, res, 6)
-			want := int64(tc.mPrime * res.Iters)
+			want := int64(res.Iters)
 			total, wrong := int64(0), -1
 			for i := range src.calls {
 				got := src.calls[i].Load()
@@ -58,10 +60,10 @@ func TestRunLevel3GroupStagesEachBatchOncePerCG(t *testing.T) {
 				}
 			}
 			if wrong >= 0 {
-				t.Errorf("sample %d generated %d times, want m'·iters = %d", wrong, src.calls[wrong].Load(), want)
+				t.Errorf("sample %d generated %d times, want iters = %d", wrong, src.calls[wrong].Load(), want)
 			}
 			if total != int64(n)*want {
-				t.Errorf("%d Sample calls, want n·m'·iters = %d", total, int64(n)*want)
+				t.Errorf("%d Sample calls, want n·iters = %d", total, int64(n)*want)
 			}
 		})
 	}
