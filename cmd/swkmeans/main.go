@@ -94,11 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "swkmeans: -timeline needs the raw spans that -rollup folds away; pick one")
 		os.Exit(2)
 	}
-	if *rollup && *traceAgg == 0 {
-		// A rollup recorder has no spans to export in full; the trace
-		// output, when asked for, is the aggregate form.
-		*traceAgg = 8
-	}
 	opts := options{
 		out:    os.Stdout,
 		dsName: *dsName, scale: *scale, n: *n, d: *d, components: *components,
@@ -115,6 +110,11 @@ func main() {
 	if err := checkModeFlags(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "swkmeans:", err)
 		os.Exit(2)
+	}
+	if opts.rollup && opts.traceAgg == 0 {
+		// A rollup recorder has no spans to export in full; the trace
+		// output, when asked for, is the aggregate form.
+		opts.traceAgg = 8
 	}
 	if err := checkFaultUnits(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "swkmeans: -faults:", err)
@@ -190,14 +190,17 @@ type options struct {
 // checkModeFlags refuses a flag that the chosen mode would silently
 // drop: the simulated machine's fault, checkpoint, stride, driver and
 // summary flags under a fine-grained kernel, a host baseline or -load,
-// -save under a fine-grained kernel or -load, a -mgroup or -mprime that
-// the chosen kernel has no group for, and -ckpt or -droplost without a
+// the observability flags under a host baseline or -load (only the
+// simulated machine is traced), -save under a fine-grained kernel or
+// -load, a -mgroup or -mprime that the chosen kernel has no group for,
+// -trace-agg without -trace-out, and -ckpt or -droplost without a
 // -faults plan that injects something, the only case in which the
 // simulated machine reads them. The error names the flag.
 func checkModeFlags(o options) error {
 	infer := o.loadPath != ""
 	sim := o.algo == "sim" && !infer
 	fine := strings.HasPrefix(o.algo, "fine") && !infer
+	traced := sim || fine
 	mode := "-algo " + o.algo
 	switch {
 	case infer:
@@ -220,10 +223,19 @@ func checkModeFlags(o options) error {
 		{"-kmeanspp", infer && o.useKpp},
 		{"-mgroup", o.mgroup != 0 && !(fine && o.algo == "fine2") && !(sim && (o.level == 0 || o.level == 2))},
 		{"-mprime", o.mprime != 0 && !(fine && o.algo == "fine3") && !(sim && (o.level == 0 || o.level == 3))},
+		{"-trace-out", !traced && o.traceOut != ""},
+		{"-metrics-out", !traced && o.metricsOut != ""},
+		{"-timeline", !traced && o.timeline},
+		{"-profile-out", !traced && o.profileOut != ""},
+		{"-folded-out", !traced && o.foldedOut != ""},
+		{"-rollup", !traced && o.rollup},
 	} {
 		if f.set {
 			return fmt.Errorf("%s does not use %s; drop the flag", mode, f.name)
 		}
+	}
+	if o.traceAgg != 0 && o.traceOut == "" {
+		return fmt.Errorf("-trace-agg shapes the -trace-out export; add -trace-out or drop the flag")
 	}
 	if o.faults.Empty() && (o.ckpt != 0 || o.dropLost) {
 		name := "-ckpt"
@@ -332,15 +344,8 @@ func run(o options) error {
 	fmt.Fprintf(o.out, "dataset : %s  n=%d d=%d\n", o.dsName, src.N(), src.D())
 
 	if o.obsRequested() {
-		simulated := o.loadPath == ""
-		switch o.algo {
-		case "sim", "fine1", "fine2", "fine3":
-		default:
-			simulated = false
-		}
-		if !simulated {
-			return fmt.Errorf("-trace-out/-metrics-out/-timeline/-profile-out/-folded-out trace the simulated machine; they need -algo sim, fine1, fine2 or fine3 and training mode")
-		}
+		// checkModeFlags refused these flags outside the simulated
+		// machine's training modes.
 		if o.rollup {
 			o.rec = obs.NewRollupRecorder()
 		} else {

@@ -270,13 +270,37 @@ func TestRunObservabilityFineGrained(t *testing.T) {
 	}
 }
 
+// TestRunObservabilityRejectsHostAlgos: only the simulated machine is
+// traced, so every observability flag under a host baseline or -load
+// is refused before the run, naming the flag.
 func TestRunObservabilityRejectsHostAlgos(t *testing.T) {
-	var b strings.Builder
-	o := base(&b)
-	o.algo = "lloyd"
-	o.timeline = true
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "simulated machine") {
-		t.Errorf("host baseline with -timeline: err = %v, want a simulated-machine error", err)
+	flags := []struct {
+		name string
+		set  func(*options)
+	}{
+		{"-trace-out", func(o *options) { o.traceOut = "t.json" }},
+		{"-metrics-out", func(o *options) { o.metricsOut = "m.jsonl" }},
+		{"-timeline", func(o *options) { o.timeline = true }},
+		{"-profile-out", func(o *options) { o.profileOut = "p.json" }},
+		{"-folded-out", func(o *options) { o.foldedOut = "f.txt" }},
+		{"-rollup", func(o *options) { o.rollup = true }},
+	}
+	modes := []func(*options){
+		func(o *options) { o.algo = "lloyd" },
+		func(o *options) { o.algo = "hamerly" },
+		func(o *options) { o.algo = "elkan" },
+		func(o *options) { o.algo = "minibatch" },
+		func(o *options) { o.loadPath = "m.swkm" },
+	}
+	for _, mode := range modes {
+		for _, f := range flags {
+			o := base(&strings.Builder{})
+			mode(&o)
+			f.set(&o)
+			if err := checkModeFlags(o); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("-algo %s -load %q %s: error %v, want one naming %s", o.algo, o.loadPath, f.name, err, f.name)
+			}
+		}
 	}
 }
 
@@ -393,6 +417,16 @@ func TestCheckModeFlags(t *testing.T) {
 		{"ckpt without faults", func(o *options) { o.ckpt = 3 }, "-ckpt"},
 		{"droplost without faults", func(o *options) { o.dropLost = true }, "-droplost"},
 		{"ckpt under a seed-only plan", func(o *options) { o.faults, o.ckpt = fault.Plan{Seed: 7}, 3 }, "-ckpt"},
+		{"lloyd rollup trace-agg", func(o *options) { o.algo, o.rollup, o.traceAgg = "lloyd", true, 4 }, "-rollup"},
+		{"load metrics-out", func(o *options) { o.loadPath, o.metricsOut = "m.swkm", "m.jsonl" }, "-metrics-out"},
+		{"trace-agg without trace-out", func(o *options) { o.traceAgg = 4 }, "-trace-agg"},
+		{"fine3 trace-agg without trace-out", func(o *options) { o.algo, o.traceAgg = "fine3", 2 }, "-trace-agg"},
+		{"sim observability", func(o *options) {
+			o.rollup, o.traceOut, o.traceAgg, o.metricsOut = true, "t.json", 4, "m.jsonl"
+			o.profileOut, o.foldedOut = "p.json", "f.txt"
+		}, ""},
+		{"sim rollup alone", func(o *options) { o.rollup = true }, ""},
+		{"fine2 timeline", func(o *options) { o.algo, o.timeline = "fine2", true }, ""},
 		{"sim everything", func(o *options) {
 			o.level, o.mgroup, o.mprime, o.faults, o.ckpt, o.dropLost = 0, 8, 2, crash, 2, true
 			o.stride, o.sched, o.summary, o.savePath = 4, true, true, "m.bin"

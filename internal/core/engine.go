@@ -20,14 +20,14 @@ import (
 // the shared epoch loop (runEngine): the paper's three levels are one
 // algorithm under three dataflow plans, and this interface is exactly
 // the part that differs. An engine is stateless: an epoch's shared
-// state (its model, stripes and staged batches) lives on the
+// state (its model, stripes and sample stages) lives on the
 // epochEnv, and each rank's in the engineState its setup returns.
 type iterEngine interface {
 	// replan shapes one epoch over the surviving world ranks before the
 	// ranks start executing: it derives the epoch plan (env.eplan), the
 	// set of participating ranks (env.active), one stripe per CG-group
 	// position (env.stripes), each a row view of the epoch's model
-	// (env.model), and, at Level 3, one empty staged batch per CG group
+	// (env.model), and, at Level 3, one empty sample stage per CG group
 	// (env.staged). Cutting the model by the epoch's CG-group size is
 	// what re-stripes the centroids after a Level-3 re-plan. At epoch 0
 	// every rank of the original plan is alive and the epoch plan must
@@ -84,11 +84,11 @@ type epochEnv struct {
 	model []float64
 
 	// Outputs of iterEngine.replan:
-	eplan       Plan          // the plan this epoch executes
-	active      map[int]bool  // world ranks participating (nil: all survivors)
-	groupOwners []int         // Level-3 droplost: epoch group -> original group
-	stripes     []stripe      // the model's row views, one per CG-group position
-	staged      []stagedBatch // Level 3: each epoch CG group's shared assign batch
+	eplan       Plan             // the plan this epoch executes
+	active      map[int]bool     // world ranks participating (nil: all survivors)
+	groupOwners []int            // Level-3 droplost: epoch group -> original group
+	stripes     []stripe         // the model's row views, one per CG-group position
+	staged      []*dataset.Stage // Level 3: each epoch CG group's shared samples
 }
 
 // stripe is one CG-group position's share of the model, centroid rows

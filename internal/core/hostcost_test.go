@@ -39,9 +39,10 @@ func runAlloc(t *testing.T, cfg Config, src dataset.Source) uint64 {
 // A private centroid stripe and dense sums per rank cost 2 × 15.6 rows
 // × 256 × 8 B = 64 KB a rank, 262 MB at 4,096 ranks; position-shared
 // stripes and row-sparse sums cost a few rows per position and per
-// touched slot, next to about 6 KB a rank of batch buffers (a winner
-// regenerates its sample into its CG group's spare row, not a row of
-// its own).
+// touched slot, next to min-reduce buffers sized to the shard's
+// largest batch (10 samples, 160 B a rank) and no sample row of a
+// rank's own (a winner adds its sample from its CG group's stage):
+// about 27 MB, 2.5 KB a rank.
 func TestLevel3HostCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4,096-rank worlds in -short mode")
@@ -80,8 +81,8 @@ func TestLevel3HostCost(t *testing.T) {
 // and each rank beyond 256 less than 64 KB, under both drivers. A
 // run that copies the model into stripes and back out, and gives each
 // rank its own d-wide buffer, allocates about 186 MB at 1,024 ranks,
-// 156 KB a rank; one k·d matrix (8 MiB) and a spare row per CG group
-// cost about 43 MB, 33 KB a rank.
+// 156 KB a rank; one k·d matrix (8 MiB) and one staged row per CG
+// group cost about 28 MB, 18 KB a rank.
 func TestLevel3HostCostLargeD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,024-rank worlds at d = 16,384 in -short mode")

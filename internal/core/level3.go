@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/dataset"
@@ -72,7 +71,7 @@ func (level3Engine) replan(env *epochEnv) error {
 		env.active = active
 		env.groupOwners = owners
 		env.stripes = newStripes(env.model, env.cfg.K, env.src.D(), e.MPrimeGroup, false)
-		env.staged = make([]stagedBatch, e.Groups)
+		env.staged = newStages(env)
 		return nil
 	}
 
@@ -111,13 +110,34 @@ func (level3Engine) replan(env *epochEnv) error {
 	env.eplan = e
 	env.active = active
 	env.stripes = newStripes(env.model, env.cfg.K, env.src.D(), mPrime, false)
-	env.staged = make([]stagedBatch, groups)
+	env.staged = newStages(env)
 	return nil
+}
+
+// shard returns epoch CG group g's dataflow shard: its share of the
+// full dataset, or the original group's static shard under
+// DropLostShards.
+func shard(env *epochEnv, g int) (lo, hi int) {
+	if env.droplost {
+		return shareRange(env.src.N(), env.plan.Groups, env.groupOwners[g])
+	}
+	return shareRange(env.src.N(), env.eplan.Groups, g)
+}
+
+// newStages returns one empty sample stage per epoch CG group, sized
+// to the batches its shard visits.
+func newStages(env *epochEnv) []*dataset.Stage {
+	out := make([]*dataset.Stage, env.eplan.Groups)
+	for g := range out {
+		lo, hi := shard(env, g)
+		out[g] = dataset.NewStage(env.src, env.cfg.BatchSamples, ceilDiv(hi-lo, env.cfg.SampleStride))
+	}
+	return out
 }
 
 func (level3Engine) setup(work *mpi.Comm, env *epochEnv) (engineState, error) {
 	e := env.eplan
-	n, d, k := env.src.N(), env.src.D(), env.cfg.K
+	d, k := env.src.D(), env.cfg.K
 	mPrime, groups := e.MPrimeGroup, e.Groups
 	group := work.Rank() / mPrime
 	pos := work.Rank() % mPrime
@@ -135,25 +155,17 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv) (engineState, error) {
 	}
 
 	kLo, kHi := shareRange(k, mPrime, pos)
+	lo, hi := shard(env, group)
 
-	// The dataflow shard: the epoch group's share of the full dataset,
-	// or the original group's static shard under DropLostShards.
-	var lo, hi int
-	if env.droplost {
-		lo, hi = shareRange(n, env.plan.Groups, env.groupOwners[group])
-	} else {
-		lo, hi = shareRange(n, groups, group)
-	}
-
-	batch := env.cfg.BatchSamples
+	// The min-reduce buffers hold the largest batch the shard stages.
+	batch := min(env.cfg.BatchSamples, ceilDiv(hi-lo, env.cfg.SampleStride))
 	return &level3State{
 		env: env, work: work, groupComm: groupComm, posComm: posComm,
 		group: group, pos: pos, kLo: kLo, kHi: kHi,
-		staged: &env.staged[group],
+		staged: env.staged[group],
 		stripe: &env.stripes[pos],
 		part:   mpi.NewRowSums(kHi-kLo, d),
 		lo:     lo, hi: hi,
-		idxs: make([]int, 0, batch),
 		vals: make([]float64, batch),
 		ids:  make([]int64, batch),
 		d:    d,
@@ -168,11 +180,10 @@ type level3State struct {
 	posComm    *mpi.Comm // same stripe position across CG groups
 	group, pos int
 	kLo, kHi   int
-	staged     *stagedBatch // the CG group's shared assign batch
-	stripe     *stripe      // the position's shared centroid stripe
-	part       *mpi.RowSums // this iteration's sums of the rows it won
+	staged     *dataset.Stage // the CG group's shared samples
+	stripe     *stripe        // the position's shared centroid stripe
+	part       *mpi.RowSums   // this iteration's sums of the rows it won
 	lo, hi     int
-	idxs       []int
 	vals       []float64
 	ids        []int64
 	d          int
@@ -190,23 +201,20 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	kLocal := st.kHi - st.kLo
 	localObj := 0.0
 	localCnt := int64(0)
-	batch := cfg.BatchSamples
-	for start := st.lo; start < st.hi; start += batch * cfg.SampleStride {
-		st.idxs = st.idxs[:0]
-		for i := start; i < st.hi && len(st.idxs) < batch; i += cfg.SampleStride {
-			st.idxs = append(st.idxs, i)
-		}
-		b := len(st.idxs)
+	batch, stride := cfg.BatchSamples, cfg.SampleStride
+	for b, start := 0, st.lo; start < st.hi; b, start = b+1, start+batch*stride {
+		m := min(batch, ceilDiv(st.hi-start, stride))
+		var rows []float64
 		if kLocal == 0 {
 			// No centroids here: NearestSlice's empty-slice sentinel
 			// loses every comparison, and nothing is staged.
-			for bi := 0; bi < b; bi++ {
+			for bi := 0; bi < m; bi++ {
 				st.vals[bi] = math.Inf(1)
 				st.ids[bi] = int64(k)
 			}
 		} else {
-			rows := st.staged.load(env.src, st.idxs, d)
-			for bi := 0; bi < b; bi++ {
+			rows = st.staged.Load(iter, b, start, stride, m)
+			for bi := 0; bi < m; bi++ {
 				// Unseeded: only position-0 ranks write env.assign, so
 				// reading it here would race with them.
 				j, dist := NearestSlice(rows[bi*d:(bi+1)*d], st.stripe.cents, d, st.kLo, k)
@@ -214,11 +222,11 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				st.ids[bi] = int64(j)
 			}
 		}
-		if err := st.groupComm.AllReduceMinPairs(st.vals[:b], st.ids[:b]); err != nil {
+		if err := st.groupComm.AllReduceMinPairs(st.vals[:m], st.ids[:m]); err != nil {
 			return stepOut{}, err
 		}
-		for bi, i := range st.idxs {
-			w := int(st.ids[bi])
+		for bi := 0; bi < m; bi++ {
+			i, w := start+bi*stride, int(st.ids[bi])
 			if w < 0 || w >= k {
 				return stepOut{}, fmt.Errorf("level3: sample %d reduced to invalid centroid %d", i, w)
 			}
@@ -228,7 +236,9 @@ func (st *level3State) step(iter int) (stepOut, error) {
 				localCnt++
 			}
 			if w >= st.kLo && w < st.kHi {
-				st.staged.addSample(env.src, i, st.part, w-st.kLo, d)
+				// The batch stays staged until this rank enters the
+				// next batch's min-reduce.
+				st.part.Add(w-st.kLo, rows[bi*d:(bi+1)*d])
 			}
 		}
 	}
@@ -266,57 +276,6 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	}
 	out.movement = mv[0] / float64(e.Groups)
 	return out, nil
-}
-
-// stagedBatch is one CG group's current assign batch. Every member
-// reads every sample of the group's share (the group partitions the
-// centroids, not the samples), so the first member to reach a batch
-// generates it here and the others read the same rows in place.
-//
-// One buffer is enough. A member refills it only after the group's
-// min-reduce of the previous batch returned, and that reduction needs
-// every member to have finished reading the previous rows first. The
-// winners' sums therefore do not read it (the next batch may already
-// be refilling it): a winner regenerates its sample into the spare row.
-type stagedBatch struct {
-	mu    sync.Mutex
-	first int       // guarded by mu — index of the staged batch's first sample
-	n     int       // guarded by mu — samples staged; 0 until the first fill
-	rows  []float64 // guarded by mu — n rows of d values, reused across batches
-	spare []float64 // guarded by mu — one d-wide row for a winner's sample
-}
-
-// load returns the samples idxs as consecutive d-wide rows, generating
-// them from src unless the group already staged this batch. A batch is
-// identified by its first index and length: within an epoch the shard
-// and stride are fixed, and samples are deterministic.
-func (s *stagedBatch) load(src dataset.Source, idxs []int, d int) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n != len(idxs) || s.first != idxs[0] {
-		need := len(idxs) * d
-		if cap(s.rows) < need {
-			s.rows = make([]float64, need)
-		}
-		s.rows = s.rows[:need]
-		for bi, i := range idxs {
-			src.Sample(i, s.rows[bi*d:(bi+1)*d])
-		}
-		s.first, s.n = idxs[0], len(idxs)
-	}
-	return s.rows
-}
-
-// addSample adds sample i of src to row r of sums, generating it into
-// the spare row. No member holds the mutex across a collective.
-func (s *stagedBatch) addSample(src dataset.Source, i int, sums *mpi.RowSums, r, d int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.spare == nil {
-		s.spare = make([]float64, d)
-	}
-	src.Sample(i, s.spare)
-	sums.Add(r, s.spare)
 }
 
 // gather assembles the full model on rank 0 for a coordinated

@@ -38,10 +38,11 @@ func (c *countingSource) counts() (total, most int64) {
 }
 
 // TestLevel3StagesEachBatchOncePerGroup: a CG group generates each
-// visited sample once for all its members' assigns and once more for
-// the winning member's update — two Sample calls per sample per
-// iteration, not m'+1 — under both drivers, and the results still
-// equal sequential Lloyd. The fault rows are faultcheck's two Level-3
+// visited sample once per iteration, into its shared stage, for all
+// its members' assigns and the winning member's update — one Sample
+// call per sample per iteration, not m'+1 — under both drivers, and
+// the results still equal sequential Lloyd. A strided row stages only
+// the visited samples. The fault rows are faultcheck's two Level-3
 // plans: a crash with re-planning and a crash with DropLostShards.
 func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 	const n, d = 512, 8
@@ -50,10 +51,14 @@ func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 		name     string
 		k        int
 		iters    int
+		stride   int
 		faults   string
 		droplost bool
 	}{
 		{name: "k8", k: 8, iters: 3},
+		// Every third sample of each group's share: 86 of 256, in
+		// batches of 7 whose indices step by 3.
+		{name: "k8-stride3", k: 8, iters: 3, stride: 3},
 		// k < m': position 3 holds no centroids and never stages.
 		{name: "k3", k: 3, iters: 3},
 		{name: "crash-replan", k: 8, iters: 10, faults: "seed=5; crash=5@2e-5; msg=0.01; retries=32"},
@@ -67,7 +72,7 @@ func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 			}
 			cfg := Config{
 				Spec: machine.MustSpec(2), Level: Level3, K: tc.k, MPrimeGroup: 4,
-				BatchSamples: 7, MaxIters: tc.iters, Seed: 3,
+				BatchSamples: 7, MaxIters: tc.iters, Seed: 3, SampleStride: tc.stride,
 				Faults: plan, CheckpointInterval: 2, DropLostShards: tc.droplost,
 			}
 			init := newCountingSource(g)
@@ -88,8 +93,12 @@ func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 				total, most := src.counts()
 				if plan.Empty() {
 					// Init reads, then per iteration one staged read per
-					// sample for the group and one for its winner's update.
-					if want := initReads + int64(res.Iters*n*2); total != want {
+					// visited sample for the group.
+					visited := n
+					if tc.stride > 1 {
+						visited = 2 * ceilDiv(n/2, tc.stride)
+					}
+					if want := initReads + int64(res.Iters*visited); total != want {
 						t.Errorf("sched=%v: %d Sample calls (up to %d on one index), want %d",
 							sched, total, most, want)
 					}
@@ -98,9 +107,9 @@ func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 						t.Fatalf("sched=%v: the crash caused no re-plan", sched)
 					}
 					// Every re-plan redoes at most CheckpointInterval
-					// iterations, each attempt reading a sample twice.
+					// iterations, each attempt reading a sample once.
 					attempts := res.Iters + res.Recovery.Replans*cfg.CheckpointInterval
-					if limit := 1 + int64(2*attempts); most > limit {
+					if limit := 1 + int64(attempts); most > limit {
 						t.Errorf("sched=%v: %d Sample calls on one index, want at most %d", sched, most, limit)
 					}
 				}
@@ -117,7 +126,7 @@ func TestLevel3StagesEachBatchOncePerGroup(t *testing.T) {
 					t.Fatalf("recovery reports differ between drivers: %+v vs %+v", res.Recovery, first.Recovery)
 				}
 			}
-			if !tc.droplost {
+			if !tc.droplost && tc.stride == 0 {
 				cfg.Sched = false
 				agreeWithLloyd(t, cfg, g)
 			}

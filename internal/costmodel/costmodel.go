@@ -83,13 +83,6 @@ func log2Ceil(n int) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// residentBatch returns how many samples of dims elements fit in the
-// half of the LDM reserved for sample residency while centroid tiles
-// stream through the other half.
-func residentBatch(spec *machine.Spec, dims int) int {
-	return ldm.ResidentBatch(spec, dims)
-}
-
 // Level1 models Algorithm 1 on one CG owning nLocal samples: every
 // CPE streams its share of the samples and holds all k centroids
 // resident (guaranteed by constraint C1), and the 64 partial sum sets
@@ -136,7 +129,7 @@ func Level2(spec *machine.Spec, nLocal, k, d, mgroup, batch int) Cost {
 	// whole per-CPE centroid slice through LDM again.
 	passes := 0
 	if nPerGroup > 0 {
-		passes = ceilDiv(nPerGroup, residentBatch(spec, d)) - 1 // first pass is the load
+		passes = ceilDiv(nPerGroup, ldm.ResidentBatch(spec, d)) - 1 // first pass is the load
 		if passes < 0 {
 			passes = 0
 		}
@@ -185,7 +178,7 @@ func Level3(spec *machine.Spec, nGroup, k, d, mPrime, batch int, tiled bool) Cos
 	loadElems := int64(kLocal) * int64(d)
 	restreamElems := int64(0)
 	if tiled && nGroup > 0 {
-		passes := ceilDiv(nGroup, residentBatch(spec, dStripe)) - 1
+		passes := ceilDiv(nGroup, ldm.ResidentBatch(spec, dStripe)) - 1
 		if passes < 0 {
 			passes = 0
 		}

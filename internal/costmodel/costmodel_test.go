@@ -152,19 +152,6 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
-func TestResidentBatch(t *testing.T) {
-	s := spec()
-	if got := residentBatch(s, 8192); got != 1 {
-		t.Errorf("residentBatch(8192) = %d, want 1", got)
-	}
-	if got := residentBatch(s, 4); got != 2048 {
-		t.Errorf("residentBatch(4) = %d, want 2048", got)
-	}
-	if got := residentBatch(s, 0); got < 1 {
-		t.Errorf("residentBatch(0) = %d", got)
-	}
-}
-
 func TestCostsNonNegativeProperty(t *testing.T) {
 	s := spec()
 	f := func(nRaw, kRaw, dRaw uint16) bool {

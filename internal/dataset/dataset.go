@@ -20,9 +20,9 @@ import (
 
 // Source is a deterministic stream of d-dimensional samples.
 // Sample must be safe for concurrent use: simulated core groups read
-// disjoint and overlapping index ranges from many goroutines. Level 3
-// reads each sample once per CG group per batch for the assign, shared
-// by the group's members, and once more for the update.
+// disjoint and overlapping index ranges from many goroutines. Members
+// of a group that all read the same samples share a Stage, which
+// generates each sample once per iteration for the group.
 type Source interface {
 	// N returns the number of samples.
 	N() int

@@ -43,6 +43,10 @@ func TestResidentBatch(t *testing.T) {
 	if got := ResidentBatch(spec, 1); got != half {
 		t.Errorf("ResidentBatch(1) = %d, want %d", got, half)
 	}
+	// Half of 16,384 four-byte elements, in rows of 4.
+	if got := ResidentBatch(spec, 4); got != 2048 {
+		t.Errorf("ResidentBatch(4) = %d, want 2048", got)
+	}
 	if got := ResidentBatch(spec, half*10); got != 1 {
 		t.Errorf("huge dims batch = %d, want the floor of 1", got)
 	}

@@ -227,11 +227,11 @@ func TestRuleFixtures(t *testing.T) {
 				{"collective-match", "collective.go", 134, "may enter [Barrier] while the else arm enters [Barrier → Bcast]"},
 				{"collective-match", "collective.go", 136, "no matching Bcast in the then arm"},
 				// ThreeWayChain: the chain head and the else-if link both
-				// miss AllGatherInts; it is reported once.
+				// miss Split; it is reported once.
 				{"collective-match", "collective.go", 152, "no matching Barrier in the else arm"},
 				{"collective-match", "collective.go", 154, "no matching Bcast in the else arm"},
 				{"collective-match", "collective.go", 154, "no matching Bcast in the then arm"},
-				{"collective-match", "collective.go", 156, "no matching AllGatherInts in the then arm"},
+				{"collective-match", "collective.go", 156, "no matching Split in the then arm"},
 			},
 		},
 		{

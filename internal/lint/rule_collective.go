@@ -88,7 +88,6 @@ var collectiveOps = map[string]string{
 	"AllReduceSumRing":  "AllReduceSumRing",
 	"AllReduceRows":     "AllReduceRows",
 	"AllReduceMinPairs": "AllReduceMinPairs",
-	"AllGatherInts":     "AllGatherInts",
 	"Split":             "Split",
 	"Send":              "p2p",
 	"Recv":              "p2p",

@@ -153,7 +153,7 @@ func ThreeWayChain(c *mpi.Comm, data []float64) error {
 	} else if c.Rank() == 1 {
 		return bcastErr(c.Bcast(0, data, nil))
 	} else {
-		_, err := c.AllGatherInts(nil)
+		_, err := c.Split(0, c.Rank())
 		return err
 	}
 }

@@ -23,18 +23,18 @@ func Swapped(c *mpi.Comm, data []float64) error {
 	}
 }
 
-// EarlyExitSwapped: the non-root arm returns early after an allgather
-// then Barrier; the root's continuation runs Barrier then allgathers.
+// EarlyExitSwapped: the non-root arm returns early after a Split
+// then Barrier; the root's continuation runs Barrier then splits.
 // The sibling arm is the code after the early exit, a CFG fact.
-func EarlyExitSwapped(c *mpi.Comm, ids []int64) error {
+func EarlyExitSwapped(c *mpi.Comm, color int) error {
 	if c.Rank() != 0 {
-		c.AllGatherInts(ids) // flagged
+		c.Split(color, c.Rank()) // flagged
 		return c.Barrier()
 	}
 	if err := c.Barrier(); err != nil {
 		return err
 	}
-	_, err := c.AllGatherInts(ids)
+	_, err := c.Split(color, 0)
 	return err
 }
 

@@ -432,7 +432,6 @@ var exportAllowList = map[string]string{
 	"(*repro/internal/dataset.LandCover).Signature":        "ground truth that the land-cover tests compare clusters against",
 	"(*repro/internal/obs.Unit).EndTime":                   "the tiling invariant that the obs, core and sw26010 tests check",
 	"(*repro/internal/machine.Spec).WriteJSON":             "writes the spec file that swkmeans -spec reads",
-	"(*repro/internal/mpi.Comm).AllGatherInts":             "swlint's collective-match fixtures type-check against it; removing it is a change of its own",
 }
 
 // TestExportedFunctionsHaveCallers is the dead-code meta-test: every

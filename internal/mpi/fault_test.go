@@ -116,8 +116,8 @@ func TestMidCollectiveFailurePropagatesToAll(t *testing.T) {
 		"minpairs": func(c *Comm) error {
 			return c.AllReduceMinPairs(make([]float64, 3), make([]int64, 3))
 		},
-		"allgather-ints": func(c *Comm) error {
-			_, err := c.AllGatherInts([]int64{int64(c.Rank())})
+		"split": func(c *Comm) error {
+			_, err := c.Split(c.Rank()%2, c.Rank())
 			return err
 		},
 	}

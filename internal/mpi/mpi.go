@@ -599,41 +599,6 @@ func MinPairLess(v float64, i int64, bv float64, bi int64) bool {
 	return v < bv || (v == bv && i < bi) || (i < bi && math.IsNaN(v))
 }
 
-// AllGatherInts gathers each rank's ints contribution and returns the
-// concatenation ordered by rank, identical on every rank. All
-// contributions must have the same length.
-func (c *Comm) AllGatherInts(contrib []int64) ([]int64, error) {
-	u, m := c.obsBegin()
-	all, err := c.allGatherInts(contrib)
-	c.obsEnd(u, m, "mpi:allgather", int64(len(all)*ldm.ElemBytes))
-	if err != nil {
-		return nil, err
-	}
-	// The table is the call's one copy, shared by every rank.
-	return append(make([]int64, 0, len(all)), all...), nil
-}
-
-// allGatherInts is AllGatherInts without the private copy: every rank
-// returns the same table (on one rank, contrib itself), which nobody
-// may write. It is modelled as a gather to rank 0 followed by a
-// binomial broadcast of the table.
-func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
-	if c.size == 1 {
-		if err := c.checkSelfCrash(); err != nil {
-			return nil, err
-		}
-		return contrib, nil
-	}
-	x, err := c.rendezvous(opAllGather, 0, nil, contrib, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.settle(x); err != nil {
-		return nil, err
-	}
-	return x.table, nil
-}
-
 // Split partitions the communicator: ranks passing equal color form a
 // new communicator, ordered by (key, rank). Every rank of the parent
 // must call Split. The returned Comm is ready for collectives within
@@ -645,9 +610,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	return sub, err
 }
 
-// split gathers the (color, key) table like allGatherInts; the call's
-// replay derives the partition once, with one shared group per new
-// communicator.
+// split gathers the (color, key) table to rank 0 and broadcasts it;
+// the call's replay derives the partition once, with one shared group
+// per new communicator.
 func (c *Comm) split(color, key int) (*Comm, error) {
 	pair := []int64{int64(color), int64(key)}
 	var p *partition

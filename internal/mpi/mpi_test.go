@@ -378,29 +378,6 @@ func TestAllReduceMinPairsMismatch(t *testing.T) {
 	}
 }
 
-func TestAllGatherInts(t *testing.T) {
-	const size = 5
-	w := world(t, 2, size)
-	err := w.Run(func(c *Comm) error {
-		got, err := c.AllGatherInts([]int64{int64(c.Rank() * 10), int64(c.Rank())})
-		if err != nil {
-			return err
-		}
-		if len(got) != 2*size {
-			return fmt.Errorf("len %d", len(got))
-		}
-		for r := 0; r < size; r++ {
-			if got[2*r] != int64(r*10) || got[2*r+1] != int64(r) {
-				return fmt.Errorf("rank %d sees %v", c.Rank(), got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplit(t *testing.T) {
 	const size = 10
 	w := world(t, 4, size)

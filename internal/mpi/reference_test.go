@@ -256,7 +256,7 @@ func refAllReduceMinPairs(c *Comm, vals []float64, idxs []int64) error {
 	return err
 }
 
-// refAllGatherIntsShared is allGatherInts: gather to rank 0, then
+// refAllGatherIntsShared is Split's gather: gather to rank 0, then
 // broadcast the table, which every rank shares.
 func refAllGatherIntsShared(c *Comm, contrib []int64) ([]int64, error) {
 	n := len(contrib)
@@ -298,17 +298,6 @@ func refAllGatherIntsShared(c *Comm, contrib []int64) ([]int64, error) {
 		return nil, fmt.Errorf("mpi: allgather payload mismatch on rank %d", c.rank)
 	}
 	return all, nil
-}
-
-// refAllGatherInts is AllGatherInts.
-func refAllGatherInts(c *Comm, contrib []int64) ([]int64, error) {
-	u, m := c.obsBegin()
-	all, err := refAllGatherIntsShared(c, contrib)
-	c.obsEnd(u, m, "mpi:allgather", int64(len(all)*ldm.ElemBytes))
-	if err != nil {
-		return nil, err
-	}
-	return append(make([]int64, 0, len(all)), all...), nil
 }
 
 // refAllReduceSumRing is AllReduceSumRing: reduce-scatter, then

@@ -2,7 +2,7 @@ package mpi
 
 // One rendezvous per collective. Every collective of this package —
 // Barrier, Bcast, AllReduceSum, AllReduceSumRing, AllReduceRows,
-// AllReduceMinPairs, AllGatherInts and Split's allgather — runs as one
+// AllReduceMinPairs and Split's allgather — runs as one
 // meeting of the communicator's members instead of as point-to-point
 // packets. Each member deposits its entry clock, its scheduled crash
 // time and its buffers; the last member to arrive, or the crash or
@@ -13,7 +13,7 @@ package mpi
 // fault.Injector rolls on the same tags, the same retries, crashes and
 // poison) and with the payloads combined in place in the members' own
 // buffers, as each rank would have combined them — or, for Bcast,
-// AllReduceRows and the allgathers, into one result every member
+// AllReduceRows and Split's allgather, into one result every member
 // shares read-only. Each member then applies only its own outcome: its
 // clock, its traffic counters, its own fail-stop or error. The wait is
 // the only driver-specific part, the same one a receive has: a
@@ -41,9 +41,8 @@ const (
 	opRing             // ring reduce-scatter, then ring allgather
 	opMinPairs         // binomial min-reduce to rank 0, then broadcast
 	opBcast
-	opAllGather // gather to rank 0, then broadcast
-	opSplit     // opAllGather of (color, key), then the partition
-	opRows      // opAllReduce or opRing over row-sparse partials
+	opSplit // gather (color, key) to rank 0, broadcast, then the partition
+	opRows  // opAllReduce or opRing over row-sparse partials
 )
 
 var opNames = [...]string{
@@ -52,7 +51,6 @@ var opNames = [...]string{
 	opRing:      "ring allreduce",
 	opMinPairs:  "min-pairs",
 	opBcast:     "bcast",
-	opAllGather: "allgather",
 	opSplit:     "split",
 	opRows:      "row allreduce",
 }
@@ -302,10 +300,10 @@ func (x *call) replay(w *World) {
 		x.replayRows(w)
 	case opBcast:
 		x.bcast(w, int(x.slots[x.first()].root))
-	case opAllGather, opSplit:
+	case opSplit:
 		x.allGather(w)
 		x.bcast(w, 0)
-		if x.table != nil && x.op == opSplit {
+		if x.table != nil {
 			x.part = derivePartition(x.table, x.grp.members)
 			x.subs = make([]*group, len(x.part.groups))
 			for i, m := range x.part.groups {
@@ -550,13 +548,12 @@ func minInto(dst, src *slot) {
 // member that took the payload clean and is still alive after
 // forwarding copies the root's buffer, as bcastInto did; every other
 // collective shares one result instead: the root's own buffers in a
-// Bcast, the sum of a row allreduce, the gathered table of an
-// allgather.
+// Bcast, the sum of a row allreduce, the gathered table of a split.
 func (x *call) bcast(w *World, root int) {
 	p, src := len(x.slots), &x.slots[root]
 	var elems int
 	switch x.op {
-	case opAllGather, opSplit:
+	case opSplit:
 		elems = p * len(x.slots[x.first()].ints)
 	case opBcast:
 		// Only the root's payload is read: a root that never arrived

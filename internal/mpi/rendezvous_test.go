@@ -141,36 +141,35 @@ func collCases(pay func(r, n int) []float64) []collCase {
 			}
 			return fmt.Sprintf("%s%s seq=%d", floatBits(data), bitsInts(ints), c.seq), err
 		}},
-		{"allgather", func(c *Comm, ref bool, _ *rankInput) (string, error) {
-			contrib := []int64{int64(c.Rank() * 10), int64(-c.Rank()), 7}
-			var all []int64
-			var err error
-			if ref {
-				all, err = refAllGatherInts(c, contrib)
-			} else {
-				all, err = c.AllGatherInts(contrib)
-			}
-			return fmt.Sprintf("%v seq=%d", all, c.seq), err
-		}},
-		{"split", func(c *Comm, ref bool, _ *rankInput) (string, error) {
-			var sub *Comm
-			var err error
-			if ref {
-				sub, err = refSplit(c, c.Rank()%3, -c.Rank())
-			} else {
-				sub, err = c.Split(c.Rank()%3, -c.Rank())
-			}
-			if err != nil {
-				return fmt.Sprintf("seq=%d", c.seq), err
-			}
-			return fmt.Sprintf("%s seq=%d", commDigest(sub), c.seq), nil
-		}},
+		// allgather: Split's gather alone, since with one color the
+		// gathered keys order the whole new communicator (keys tie in
+		// pairs, broken by rank).
+		splitCase("allgather", func(int) int { return 0 }, func(r int) int { return r / 2 }),
+		splitCase("split", func(r int) int { return r % 3 }, func(r int) int { return -r }),
 		rowsCase("rows", pay, 7, 3, mixedRows),
 		rowsCase("rows-empty", pay, 5, 2, func(int, int) int { return 0 }),
 		// 1,058 rows of 61 are 65,596 dense elements, at the ring's
 		// threshold, cut mid-row into 3, 5 or 8 segments.
 		rowsCase("rows-ring", pay, 1058, 61, mixedRows),
 	}
+}
+
+// splitCase is Split with rank r passing color(r) and key(r), held to
+// the point-to-point reference through the new communicator's digest.
+func splitCase(name string, color, key func(r int) int) collCase {
+	return collCase{name, func(c *Comm, ref bool, _ *rankInput) (string, error) {
+		var sub *Comm
+		var err error
+		if ref {
+			sub, err = refSplit(c, color(c.Rank()), key(c.Rank()))
+		} else {
+			sub, err = c.Split(color(c.Rank()), key(c.Rank()))
+		}
+		if err != nil {
+			return fmt.Sprintf("seq=%d", c.seq), err
+		}
+		return fmt.Sprintf("%s seq=%d", commDigest(sub), c.seq), nil
+	}}
 }
 
 // mixedRows is how many samples rank r adds to row j: rows j%5 == 4

@@ -80,7 +80,7 @@ func intsOf(xs []int64) string { return fmt.Sprint(xs) }
 
 // TestDriverParityCollectives runs a workload exercising every
 // collective family — allreduce (tree and ring), min-pairs, barrier,
-// bcast, allgather, split with sub-communicator
+// bcast, row allreduce, split with sub-communicator
 // collectives, and tagged point-to-point — and requires bit-identical
 // payloads and clocks across the goroutine and DES drivers.
 func TestDriverParityCollectives(t *testing.T) {
@@ -120,11 +120,16 @@ func TestDriverParityCollectives(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "bcast=%s;", bitsOf(data))
 
-			all, err := c.AllGatherInts([]int64{int64(r * 10)})
+			part := NewRowSums(3, 2)
+			part.Add(r%3, []float64{float64(r) + 0.5, -float64(r)})
+			rows, err := c.AllReduceRows(part)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(&b, "ag=%s;", intsOf(all))
+			for j := 0; j < rows.Rows(); j++ {
+				row, cnt := rows.Row(j)
+				fmt.Fprintf(&b, "rows%d=%s%d;", j, bitsOf(row), cnt)
+			}
 
 			// Tagged point-to-point ring with out-of-order tags: rank r
 			// sends two messages to (r+1)%size and receives from the left

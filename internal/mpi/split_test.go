@@ -277,60 +277,6 @@ func TestAllReduceRowsSharesResult(t *testing.T) {
 	}
 }
 
-// TestAllGatherIntsResultIsPrivate: the slice AllGatherInts returns
-// belongs to the caller. Half the ranks scribble over theirs while the
-// other half wait at a barrier and then check theirs, both ways round,
-// and a Split issued afterwards still partitions correctly.
-func TestAllGatherIntsResultIsPrivate(t *testing.T) {
-	const size = 11
-	for _, d := range []Driver{DriverGoroutine, DriverSched} {
-		w := world(t, 3, size)
-		w.SetDriver(d)
-		err := w.Run(func(c *Comm) error {
-			for round := 0; round < 2; round++ {
-				all, err := c.AllGatherInts([]int64{int64(c.Rank()), int64(-c.Rank())})
-				if err != nil {
-					return err
-				}
-				scribbler := c.Rank()%2 == round
-				if scribbler {
-					for i := range all {
-						all[i] = 99
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				if !scribbler {
-					for r := 0; r < size; r++ {
-						if all[2*r] != int64(r) || all[2*r+1] != int64(-r) {
-							return fmt.Errorf("round %d rank %d sees %v", round, c.Rank(), all)
-						}
-					}
-				}
-			}
-			color := c.Rank() % 3
-			sub, err := c.Split(color, -c.Rank())
-			if err != nil {
-				return err
-			}
-			var members []int
-			for r := size - 1; r >= 0; r-- {
-				if r%3 == color {
-					members = append(members, r)
-				}
-			}
-			if !slices.Equal(sub.grp.members, members) || members[sub.Rank()] != c.Rank() {
-				return fmt.Errorf("rank %d: sub rank %d members %v, want members %v", c.Rank(), sub.Rank(), sub.grp.members, members)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
-	}
-}
-
 // TestSplitHostCostLinear is the complexity guard: one DES epoch of
 // Split(rank%32, rank) at 4,096 ranks must allocate less than eight
 // times what it does at 1,024, which a per-rank copy of the gathered

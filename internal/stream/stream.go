@@ -60,7 +60,6 @@ func KMeans(src dataset.Source, k, chunkSize, maxIters int, seed uint64) (*Resul
 	// Layer 1: cluster each chunk of raw samples to k weighted
 	// centroids.
 	level := &Weighted{D: d}
-	buf := make([]float64, d)
 	for lo := 0; lo < n; lo += chunkSize {
 		hi := lo + chunkSize
 		if hi > n {
@@ -100,7 +99,6 @@ func KMeans(src dataset.Source, k, chunkSize, maxIters int, seed uint64) (*Resul
 			level.Values = append(level.Values, chunkRes.Centroids[j*d:(j+1)*d]...)
 			level.Weights = append(level.Weights, counts[j])
 		}
-		_ = buf
 	}
 
 	// Reduce the weighted set until it fits one chunk, then cluster it
@@ -122,7 +120,7 @@ func KMeans(src dataset.Source, k, chunkSize, maxIters int, seed uint64) (*Resul
 			if hi-lo < kk {
 				kk = hi - lo
 			}
-			cents, weights, err := WeightedKMeans(part, kk, maxIters, seed+uint64(res.Levels*1000+lo))
+			cents, weights, err := WeightedKMeans(part, kk, maxIters)
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +137,7 @@ func KMeans(src dataset.Source, k, chunkSize, maxIters int, seed uint64) (*Resul
 		}
 		level = reduced
 	}
-	cents, _, err := WeightedKMeans(level, k, maxIters, seed+0xF17A1)
+	cents, _, err := WeightedKMeans(level, k, maxIters)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +150,7 @@ func KMeans(src dataset.Source, k, chunkSize, maxIters int, seed uint64) (*Resul
 // returns k centroids with their accumulated weights. Initialization
 // picks the k heaviest points deterministically (ties by index), which
 // keeps the hierarchy stable across runs.
-func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64, weights []float64, err error) {
+func WeightedKMeans(w *Weighted, k, maxIters int) (cents []float64, weights []float64, err error) {
 	n, d := w.Len(), w.D
 	if k < 1 || k > n {
 		return nil, nil, fmt.Errorf("stream: weighted k must be in [1,%d], got %d", n, k)
@@ -192,7 +190,6 @@ func WeightedKMeans(w *Weighted, k, maxIters int, seed uint64) (cents []float64,
 			}
 		}
 	}
-	_ = seed // initialization is fully deterministic in the data
 	assign := make([]int, n)
 	sums := make([]float64, k*d)
 	mass := make([]float64, k)

@@ -163,7 +163,7 @@ func TestWeightedKMeans(t *testing.T) {
 		Weights: []float64{100, 100, 1},
 		D:       2,
 	}
-	cents, mass, err := WeightedKMeans(w, 2, 20, 1)
+	cents, mass, err := WeightedKMeans(w, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +188,14 @@ func TestWeightedKMeans(t *testing.T) {
 
 func TestWeightedKMeansValidation(t *testing.T) {
 	w := &Weighted{Values: []float64{1, 2}, Weights: []float64{1}, D: 2}
-	if _, _, err := WeightedKMeans(w, 0, 5, 1); err == nil {
+	if _, _, err := WeightedKMeans(w, 0, 5); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := WeightedKMeans(w, 2, 5, 1); err == nil {
+	if _, _, err := WeightedKMeans(w, 2, 5); err == nil {
 		t.Error("k>n accepted")
 	}
 	bad := &Weighted{Values: []float64{1, 2, 3}, Weights: []float64{1}, D: 2}
-	if _, _, err := WeightedKMeans(bad, 1, 5, 1); err == nil {
+	if _, _, err := WeightedKMeans(bad, 1, 5); err == nil {
 		t.Error("inconsistent weighted set accepted")
 	}
 }
@@ -259,11 +259,11 @@ func TestWeightedKMeansZeroWeightPoints(t *testing.T) {
 		Weights: append(append([]float64{}, base.Weights...), 0, 0),
 		D:       2,
 	}
-	want, wantMass, err := WeightedKMeans(base, 2, 20, 1)
+	want, wantMass, err := WeightedKMeans(base, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotMass, err := WeightedKMeans(withZeros, 2, 20, 1)
+	got, gotMass, err := WeightedKMeans(withZeros, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestWeightedKMeansAllZeroWeights(t *testing.T) {
 		Weights: []float64{0, 0, 0},
 		D:       2,
 	}
-	cents, mass, err := WeightedKMeans(w, 2, 10, 1)
+	cents, mass, err := WeightedKMeans(w, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestWeightedKMeansOverflowingDistances(t *testing.T) {
 		Weights: []float64{1, 1, 1},
 		D:       1,
 	}
-	cents, mass, err := WeightedKMeans(w, 2, 10, 1)
+	cents, mass, err := WeightedKMeans(w, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/machine"
 )
 
-// The fine kernels' golden suite pins RunLevel3Group and RunLevel1CG to
-// recorded runs: assignments and iteration counts exactly, centroids
+// The fine kernels' golden suite pins RunLevel3Group, RunLevel2CG and
+// RunLevel1CG to recorded runs: assignments and iteration counts exactly, centroids
 // and per-iteration virtual times bit for bit. The host-side shape of a
 // kernel (how it stages samples, how the mesh allreduce sums) may
 // change; what it computes and charges may not. Regenerate with
@@ -39,7 +39,7 @@ func toBits(xs []float64) []string {
 }
 
 // TestFineKernelGolden covers the Level-3 stripe widths the kernel
-// distinguishes and one Level-1 run:
+// distinguishes, three Level-2 CPE-group shapes and one Level-1 run:
 //   - level3_d8: d=8 over 64 CPEs, so 56 stripes are empty;
 //   - level3_d12: CPEs 8–11 of the mesh's second octet hold one
 //     coordinate each and 12–15 none, so the allreduce's 8-deposit
@@ -57,12 +57,16 @@ func TestFineKernelGolden(t *testing.T) {
 		n, d, k int
 		seed    uint64
 		iters   int
-		mPrime  int // 0: RunLevel1CG
+		mPrime  int // 0: RunLevel1CG, or RunLevel2CG when mgroup is set
 		batch   int
+		mgroup  int
 	}{
 		{name: "level3_d8", n: 160, d: 8, k: 5, seed: 3, iters: 6, mPrime: 2, batch: 32},
 		{name: "level3_d12", n: 120, d: 12, k: 5, seed: 2, iters: 5, mPrime: 2, batch: 16},
 		{name: "level3_d100_batch7", n: 96, d: 100, k: 6, seed: 1, iters: 5, mPrime: 2, batch: 7},
+		{name: "level2_mgroup1", n: 160, d: 8, k: 5, seed: 4, iters: 5, mgroup: 1},
+		{name: "level2_mgroup8", n: 200, d: 12, k: 16, seed: 6, iters: 5, mgroup: 8},
+		{name: "level2_mgroup8_k13", n: 150, d: 8, k: 13, seed: 7, iters: 5, mgroup: 8},
 		{name: "level1", n: 1024, d: 8, k: 6, seed: 5, iters: 6},
 	}
 	for _, tc := range cases {
@@ -73,9 +77,12 @@ func TestFineKernelGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var res *Result
-			if tc.mPrime == 0 {
+			switch {
+			case tc.mgroup > 0:
+				res, err = RunLevel2CG(spec, g, init, tc.mgroup, tc.iters, 0)
+			case tc.mPrime == 0:
 				res, err = RunLevel1CG(spec, g, init, tc.iters, 0)
-			} else {
+			default:
 				res, err = RunLevel3Group(spec, g, init, tc.mPrime, tc.batch, tc.iters, 0)
 			}
 			if err != nil {

@@ -44,6 +44,31 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 		return nil, err
 	}
 
+	groups := machine.CPEsPerCG / mgroup
+	// LDM working set per CPE: one sample, the centroid slice, the
+	// slice sums and counters. Every CPE's budget is checked here, in
+	// CPE order, before the mesh runs: a CPE that failed inside the run
+	// would leave its group's partners waiting in the min-reduce for
+	// ever.
+	for id := 0; id < machine.CPEsPerCG; id++ {
+		kLo, kHi := share(k, mgroup, id%mgroup)
+		kLocal := kHi - kLo
+		alloc := ldm.NewAllocator(spec.LDMBytesPerCPE)
+		for _, buf := range []struct {
+			name  string
+			elems int
+		}{
+			{"sample", d},
+			{"slice", max(1, kLocal) * d},
+			{"sums", max(1, kLocal) * d},
+			{"counts", max(1, kLocal)},
+		} {
+			if err := alloc.AllocFloats(buf.name, buf.elems); err != nil {
+				return nil, fmt.Errorf("CPE %d: %w", id, err)
+			}
+		}
+	}
+
 	mesh := regcomm.NewMesh(spec, nil)
 	mesh.SetObserver(opt.rec, "")
 	engine, err := dma.New(spec, nil)
@@ -57,7 +82,14 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 		assign[i] = -1
 	}
 	res := &Result{K: k, D: d, Assign: assign}
-	groups := machine.CPEsPerCG / mgroup
+	// One stage per CPE group, one sample per batch: the group's
+	// min-reduce of a sample separates its loads, and the mesh-wide
+	// allreduce of the movement separates its iterations.
+	stages := make([]*dataset.Stage, groups)
+	for g := range stages {
+		lo, hi := share(n, groups, g)
+		stages[g] = dataset.NewStage(src, 1, hi-lo)
+	}
 
 	var runFail errOnce
 	fail := runFail.set
@@ -70,25 +102,8 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 		member := c.ID() % mgroup
 		kLo, kHi := share(k, mgroup, member)
 		kLocal := kHi - kLo
+		stage := stages[group]
 
-		// LDM working set: one sample, the centroid slice, the slice
-		// sums and counters.
-		alloc := ldm.NewAllocator(spec.LDMBytesPerCPE)
-		for _, buf := range []struct {
-			name  string
-			elems int
-		}{
-			{"sample", d},
-			{"slice", max(1, kLocal) * d},
-			{"sums", max(1, kLocal) * d},
-			{"counts", max(1, kLocal)},
-		} {
-			if err := alloc.AllocFloats(buf.name, buf.elems); err != nil {
-				fail(fmt.Errorf("CPE %d: %w", c.ID(), err))
-				return
-			}
-		}
-		sample := make([]float64, d)
 		cents := make([]float64, kLocal*d)
 		sums := make([]float64, kLocal*d)
 		counts := make([]int64, kLocal)
@@ -114,7 +129,7 @@ func RunLevel2CG(spec *machine.Spec, src dataset.Source, initial []float64, mgro
 			}
 			//swlint:hot per-sample loop: partial argmin plus group min-reduce
 			for i := lo; i < hi; i++ {
-				src.Sample(i, sample)
+				sample := stage.Load(iter, i-lo, i, 1, 1)
 				//swlint:ignore hot-path-alloc -- DMA span tracing appends to the unit's span buffer; growth is amortized and only the observed run pays it
 				engine.Charge(c.Clock(), d)
 				// Partial argmin over the local slice.

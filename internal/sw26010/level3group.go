@@ -68,7 +68,10 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 	iters := newTimeline(maxIters)
 	itersRan := 0      // written by rank 0 only, read after Run returns
 	converged := false // written by rank 0 only, read after Run returns
-	stage := newGroupStage(batch, d)
+	// The CG group's samples: batch b of an iteration is staged once
+	// for all m' ranks, whose min-reduce of a batch separates its loads
+	// and whose barrier separates its iterations.
+	stage := dataset.NewStage(src, batch, n)
 	batches := (n + batch - 1) / batch
 
 	runErr := world.Run(func(c *mpi.Comm) error {
@@ -230,7 +233,7 @@ func RunLevel3Group(spec *machine.Spec, src dataset.Source, initial []float64, m
 				if b < batches {
 					base := b * batch
 					m = min(batch, n-base)
-					rows = stage.load(src, iter*batches+b, base, m, d)
+					rows = stage.Load(iter, b, base, 1, m)
 				}
 				if b > 0 {
 					// The min-reduce result gates the accumulation:

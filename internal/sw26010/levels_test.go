@@ -1,11 +1,16 @@
 package sw26010
 
 import (
+	"errors"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ldm"
 	"repro/internal/machine"
 )
 
@@ -84,6 +89,85 @@ func TestRunLevel2CGValidation(t *testing.T) {
 	}
 	if _, err := RunLevel2CG(spec, g, init, 4, 0, 0); err == nil {
 		t.Error("maxIters=0 accepted")
+	}
+}
+
+// TestRunLevel2CGStagesEachSampleOncePerGroup: a CPE group generates
+// each sample of its share once per iteration, into its shared stage,
+// and all mgroup members read it for their partial argmins and the
+// winner's sums — n·iters Sample calls in all, each index iters times,
+// whatever mgroup. The results still equal sequential Lloyd.
+func TestRunLevel2CGStagesEachSampleOncePerGroup(t *testing.T) {
+	const n, d, k = 150, 16, 6
+	g := mixture(t, n, d, 4)
+	init, err := core.InitialCentroids(g, k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mgroup := range []int{1, 2, 8} {
+		src := &countingSource{Source: g, calls: make([]atomic.Int64, n)}
+		res, err := RunLevel2CG(machine.MustSpec(1), src, init, mgroup, 6, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesLloyd(t, "level2cg-staged", g, init, res, 6)
+		want := int64(res.Iters)
+		total, wrong := int64(0), -1
+		for i := range src.calls {
+			got := src.calls[i].Load()
+			total += got
+			if got != want && wrong < 0 {
+				wrong = i
+			}
+		}
+		if wrong >= 0 {
+			t.Errorf("mgroup %d: sample %d generated %d times, want iters = %d", mgroup, wrong, src.calls[wrong].Load(), want)
+		}
+		if total != int64(n)*want {
+			t.Errorf("mgroup %d: %d Sample calls, want n·iters = %d", mgroup, total, int64(n)*want)
+		}
+	}
+}
+
+// TestRunLevel2CGChecksEveryCPEBeforeRunning: CheckLevel2 admits these
+// shapes because it models DRAM tiling, but the resident slices
+// overflow the LDM of some CPEs (at k=15 over pairs, only the 8-row
+// members). The kernel must return CPE 0's capacity error, the same on
+// every run, instead of leaving a failed CPE's partners waiting in the
+// min-reduce. The deadline turns such a hang into a failure.
+func TestRunLevel2CGChecksEveryCPEBeforeRunning(t *testing.T) {
+	const n, d = 512, 1024
+	g := mixture(t, n, d, 4)
+	for _, tc := range []struct{ k, mgroup int }{{15, 2}, {16, 1}} {
+		init, err := core.InitialCentroids(g, tc.k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for run := 0; run < 3; run++ {
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunLevel2CG(machine.MustSpec(1), g, init, tc.mgroup, 1, 0)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("k=%d mgroup=%d: no return after a minute", tc.k, tc.mgroup)
+			}
+			var ce *ldm.CapacityError
+			if !errors.As(err, &ce) {
+				t.Fatalf("k=%d mgroup=%d: error %v, want an *ldm.CapacityError", tc.k, tc.mgroup, err)
+			}
+			if !strings.HasPrefix(err.Error(), "CPE 0: ") {
+				t.Errorf("k=%d mgroup=%d: error %q does not name CPE 0", tc.k, tc.mgroup, err)
+			}
+			if run == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("k=%d mgroup=%d: run %d error %q, run 0 %q", tc.k, tc.mgroup, run, err, first)
+			}
+		}
 	}
 }
 

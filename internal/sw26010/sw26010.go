@@ -78,7 +78,7 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 
 	// chunk is how many samples one stream buffer holds; sized so the
 	// full working set honours the LDM budget.
-	chunk := chunkSamples(spec, k, d)
+	chunk := ldm.Level1StreamChunk(spec, k, d)
 	if chunk < 1 {
 		return nil, fmt.Errorf("sw26010: no LDM budget left for sample streaming at k=%d d=%d", k, d)
 	}
@@ -191,14 +191,6 @@ func RunLevel1CG(spec *machine.Spec, src dataset.Source, initial []float64, maxI
 	res.Centroids = mainCents
 	res.IterTimes = iters.deltas(res.Iters)
 	return res, nil
-}
-
-// chunkSamples sizes the per-CPE stream buffer: the LDM must hold the
-// chunk plus the centroid set, the sums and the counters. The
-// arithmetic lives in the central capacity package next to the
-// constraint it derives from.
-func chunkSamples(spec *machine.Spec, k, d int) int {
-	return ldm.Level1StreamChunk(spec, k, d)
 }
 
 func share(n, p, r int) (int, int) {

@@ -118,18 +118,6 @@ func TestRunLevel1CGEnforcesC1(t *testing.T) {
 	}
 }
 
-func TestChunkSamples(t *testing.T) {
-	spec := machine.MustSpec(1)
-	// Tiny working set: chunk capped at 64.
-	if got := chunkSamples(spec, 4, 8); got != 64 {
-		t.Errorf("chunkSamples(4,8) = %d, want 64", got)
-	}
-	// Near the C1 boundary the chunk shrinks but stays positive.
-	if got := chunkSamples(spec, 256, 28); got < 1 {
-		t.Errorf("chunkSamples(256,28) = %d", got)
-	}
-}
-
 func TestFewerSamplesThanCPEs(t *testing.T) {
 	g := mixture(t, 20, 4, 2) // 20 samples across 64 CPEs: most idle
 	init, err := core.InitialCentroids(g, 2, 1)
