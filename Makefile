@@ -16,9 +16,9 @@ build:
 	$(GO) build ./...
 
 # vet runs go vet for this host and again for arm64, so the files that
-# build only off amd64 (internal/core's scan_other.go) keep compiling;
-# on amd64 vet's asmdecl check also holds scan_amd64.s to its Go
-# declarations.
+# build only off amd64 (the *_other.go files of internal/core,
+# internal/dataset and internal/cpuid) keep compiling; on amd64 vet's
+# asmdecl check also holds the assembly to its Go declarations.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -73,10 +73,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs all ten native fuzz targets for FUZZTIME each, one at a
+# fuzz runs all eleven native fuzz targets for FUZZTIME each, one at a
 # time (go test -fuzz takes one target per run): the fault-plan
 # grammar, swlint's suppression and baseline parsers, the
-# nearest-centroid kernel, the collective rendezvous against its
+# nearest-centroid kernel, the Gaussian deviate kernel against its
+# scalar reference, the collective rendezvous against its
 # point-to-point reference, the model loader, the daemon's /v1/assign
 # and /v1/ingest handlers, its request-body decoder against
 # encoding/json, and obsdiff's export parser.
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseIgnore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseBaseline$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzGauss$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadCentroids$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAssign$$' -fuzztime $(FUZZTIME)

@@ -30,6 +30,14 @@ const (
 	scStride = 4096
 )
 
+// scRatioLo and scRatioHi bound the gate's model/sim. This shape reads
+// 1.148; the other executed points, the headline and Figures 6b and 7,
+// read 1.006–1.11. The band is 1.148 with a margin of about 0.15 either
+// side, [1.0, 1.3], so the model or the simulator moving by more than
+// about 13% on this shape fails the gate. It was [0.3, 3.5],
+// order-of-magnitude agreement, before those points executed.
+const scRatioLo, scRatioHi = 1.0, 1.3
+
 // schedRun captures everything one gate run must reproduce bit for
 // bit: the clustering result plus the exported observability
 // artifacts.
@@ -130,16 +138,16 @@ func runSchedCheck(out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("perfmodel: %w", err)
 	}
-	// Same comparison as the perfmodel consistency suite: de-calibrate
-	// the model to the simulator's theoretical-bandwidth scale and
-	// require order-of-magnitude agreement.
+	// De-calibrate the model to the simulator's theoretical-bandwidth
+	// scale, as the perfmodel consistency suite does, and hold the
+	// ratio to the band this shape supports.
 	model := pred.Total / perfmodel.CalibrationFactor
 	ratio := model / sim
-	if ratio < 0.3 || ratio > 3.5 {
-		return fmt.Errorf("perfmodel disagrees with the DES run: model %.6f s/iter, sim %.6f s/iter, ratio %.2f outside [0.3, 3.5]",
-			model, sim, ratio)
+	if ratio < scRatioLo || ratio > scRatioHi {
+		return fmt.Errorf("perfmodel disagrees with the DES run: model %.6f s/iter, sim %.6f s/iter, ratio %.2f outside [%.2f, %.2f]",
+			model, sim, ratio, scRatioLo, scRatioHi)
 	}
-	fmt.Fprintf(out, "schedcheck: perfmodel agreement model/sim = %.2f (tolerance 0.3..3.5)\n", ratio)
+	fmt.Fprintf(out, "schedcheck: perfmodel agreement model/sim = %.2f (tolerance %.2f..%.2f)\n", ratio, scRatioLo, scRatioHi)
 
 	fcfg := base
 	fcfg.MaxIters = 2

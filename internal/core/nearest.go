@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpuid"
+)
 
 // Nearest returns the index of the centroid in cents (a k-by-d
 // row-major matrix, k ≥ 1) nearest to x under squared Euclidean
@@ -98,7 +102,7 @@ const pruneStride = 8
 // useAVX2 sends scan's blocks through the AVX2 kernel. It is set once,
 // from the CPU's features, and is false off amd64; tests clear it to
 // run the entry points through the Go chains.
-var useAVX2 = hasAVX2()
+var useAVX2 = cpuid.AVX2()
 
 // scanGo searches the centroid rows [lo, hi) of cents for one closer to
 // x than the candidate (best, bestDist) and returns the closer of the

@@ -2,9 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"os"
-	"slices"
-	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -54,28 +51,5 @@ func TestNearestStaysInsideItsSlices(t *testing.T) {
 			copy(guardedX, x)
 			checkNearest(t, guardedX, cents, d)
 		}
-	}
-}
-
-// TestAVX2DetectionMatchesCPUInfo holds the CPUID check to the kernel's
-// own report, so a host with AVX2 cannot quietly test only the Go
-// chains.
-func TestAVX2DetectionMatchesCPUInfo(t *testing.T) {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no CPU flags to compare with: %v", err)
-	}
-	want := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			want = slices.Contains(strings.Fields(flags), "avx2")
-			break
-		}
-	}
-	if got := hasAVX2(); got != want {
-		t.Fatalf("hasAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
-	}
-	if useAVX2 != want {
-		t.Fatalf("useAVX2 = %v, want %v", useAVX2, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpuid"
 	"repro/internal/mpi"
 )
 
@@ -29,7 +30,7 @@ var nearestKernels = []struct {
 // choice after. It reports false, without running f, when this CPU
 // cannot run the kernel.
 func withKernel(avx2 bool, f func()) bool {
-	if avx2 && !hasAVX2() {
+	if avx2 && !cpuid.AVX2() {
 		return false
 	}
 	saved := useAVX2

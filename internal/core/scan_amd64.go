@@ -1,30 +1,5 @@
 package core
 
-// hasAVX2 reports whether the CPU has AVX and AVX2 and the operating
-// system saves the YMM registers: CPUID's AVX, AVX2 and OSXSAVE bits,
-// and XCR0's XMM and YMM state bits. The module uses only the standard
-// library, so the check is written out here.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	const xmmYmm = 1<<1 | 1<<2
-	if xcr0, _ := xgetbv(); xcr0&xmmYmm != xmmYmm {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // scanBlocks is scanGo's block loop in AVX2 (scan_amd64.s), with one
 // row per lane of a YMM register. c points at the first of n ≥ 1 rows
 // of width d. It visits the rows four at a time, a block past row n-1

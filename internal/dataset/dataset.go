@@ -13,10 +13,7 @@
 // recover, which the quality metrics verify.
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Source is a deterministic stream of d-dimensional samples.
 // Sample must be safe for concurrent use: simulated core groups read
@@ -47,16 +44,6 @@ func unitFloat(x uint64) float64 {
 
 // symFloat maps a hash to [-1, 1).
 func symFloat(x uint64) float64 { return 2*unitFloat(x) - 1 }
-
-// gauss maps two hashes to a standard normal deviate (Box-Muller).
-func gauss(a, b uint64) float64 {
-	u := unitFloat(a)
-	if u < 1e-300 {
-		u = 1e-300
-	}
-	v := unitFloat(b)
-	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-}
 
 // Matrix is a fully materialized dataset stored row-major in one
 // allocation. It is the Source used for small functional tests and for
@@ -193,10 +180,11 @@ func (g *GaussianMixture) Sample(i int, buf []float64) {
 	c := g.TrueLabel(i)
 	cBase := splitmix64(g.seed ^ uint64(c)*0x51_7c_c1_b7_27_22_0a_95)
 	nBase := splitmix64(g.seed ^ 0xabcd_ef01 ^ uint64(i)*0x2545_f491_4f6c_dd1d)
-	for u := 0; u < g.d; u++ {
+	buf = buf[:g.d]
+	deviates(nBase, buf)
+	for u := range buf {
 		centre := g.separation * symFloat(splitmix64(cBase+uint64(u)))
-		h := splitmix64(nBase + uint64(u))
-		buf[u] = centre + g.spread*gauss(h, splitmix64(h))
+		buf[u] = centre + g.spread*buf[u]
 	}
 }
 

@@ -75,67 +75,71 @@ func TestGaussianMixtureValidation(t *testing.T) {
 }
 
 func TestGaussianMixtureDeterminism(t *testing.T) {
-	g, err := NewGaussianMixture("t", 100, 16, 4, 0.2, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]float64, 16)
-	b := make([]float64, 16)
-	for _, i := range []int{0, 7, 99} {
-		g.Sample(i, a)
-		g.Sample(i, b)
-		for u := range a {
-			if a[u] != b[u] {
-				t.Fatalf("sample %d not deterministic at dim %d", i, u)
+	forEachKernel(t, func(t *testing.T) {
+		g, err := NewGaussianMixture("t", 100, 16, 4, 0.2, 2, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make([]float64, 16)
+		b := make([]float64, 16)
+		for _, i := range []int{0, 7, 99} {
+			g.Sample(i, a)
+			g.Sample(i, b)
+			for u := range a {
+				if a[u] != b[u] {
+					t.Fatalf("sample %d not deterministic at dim %d", i, u)
+				}
 			}
 		}
-	}
-	// Different seeds produce different data.
-	g2, _ := NewGaussianMixture("t", 100, 16, 4, 0.2, 2, 43)
-	g2.Sample(0, b)
-	g.Sample(0, a)
-	same := true
-	for u := range a {
-		if a[u] != b[u] {
-			same = false
+		// Different seeds produce different data.
+		g2, _ := NewGaussianMixture("t", 100, 16, 4, 0.2, 2, 43)
+		g2.Sample(0, b)
+		g.Sample(0, a)
+		same := true
+		for u := range a {
+			if a[u] != b[u] {
+				same = false
+			}
 		}
-	}
-	if same {
-		t.Error("different seeds produced identical samples")
-	}
+		if same {
+			t.Error("different seeds produced identical samples")
+		}
+	})
 }
 
 func TestGaussianMixtureStructure(t *testing.T) {
-	// Samples must cluster around their component centres: the
-	// distance to the own centre must be far below the distance to any
-	// other centre.
-	const d = 32
-	g, err := NewGaussianMixture("t", 64, d, 4, 0.1, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Components() != 4 || g.Name() != "t" {
-		t.Fatalf("metadata wrong")
-	}
-	centers := make([][]float64, 4)
-	for c := range centers {
-		centers[c] = make([]float64, d)
-		g.Center(c, centers[c])
-	}
-	buf := make([]float64, d)
-	for i := 0; i < 64; i++ {
-		g.Sample(i, buf)
-		own := g.TrueLabel(i)
-		dOwn := dist2(buf, centers[own])
+	forEachKernel(t, func(t *testing.T) {
+		// Samples must cluster around their component centres: the
+		// distance to the own centre must be far below the distance to any
+		// other centre.
+		const d = 32
+		g, err := NewGaussianMixture("t", 64, d, 4, 0.1, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Components() != 4 || g.Name() != "t" {
+			t.Fatalf("metadata wrong")
+		}
+		centers := make([][]float64, 4)
 		for c := range centers {
-			if c == own {
-				continue
-			}
-			if dOwn >= dist2(buf, centers[c]) {
-				t.Fatalf("sample %d closer to foreign centre %d than own %d", i, c, own)
+			centers[c] = make([]float64, d)
+			g.Center(c, centers[c])
+		}
+		buf := make([]float64, d)
+		for i := 0; i < 64; i++ {
+			g.Sample(i, buf)
+			own := g.TrueLabel(i)
+			dOwn := dist2(buf, centers[own])
+			for c := range centers {
+				if c == own {
+					continue
+				}
+				if dOwn >= dist2(buf, centers[c]) {
+					t.Fatalf("sample %d closer to foreign centre %d than own %d", i, c, own)
+				}
 			}
 		}
-	}
+	})
 }
 
 func dist2(a, b []float64) float64 {

@@ -139,9 +139,10 @@ func (h *HardMixture) Sample(i int, buf []float64) {
 		return
 	}
 	cBase := splitmix64(h.seed ^ uint64(lbl)*0xA24B_AED4_963E_E407)
-	for u := 0; u < h.d; u++ {
+	buf = buf[:h.d]
+	deviates(nBase, buf)
+	for u := range buf {
 		centre := h.separation * symFloat(splitmix64(cBase+uint64(u)))
-		hh := splitmix64(nBase + uint64(u))
-		buf[u] = centre + h.dimSpread(u)*gauss(hh, splitmix64(hh))
+		buf[u] = centre + h.dimSpread(u)*buf[u]
 	}
 }

@@ -111,10 +111,11 @@ func (lc *LandCover) Sample(i int, buf []float64) {
 	c := lc.TrueLabel(i)
 	sBase := splitmix64(lc.seed ^ 0xC1A5_5E5 ^ uint64(c)*0x100_0000_01b3)
 	nBase := splitmix64(lc.seed ^ 0xB10C ^ uint64(i)*0x2545_f491_4f6c_dd1d)
-	for u := 0; u < lc.d; u++ {
+	buf = buf[:lc.d]
+	deviates(nBase, buf)
+	for u := range buf {
 		sig := 1.5 * symFloat(splitmix64(sBase+uint64(u)))
-		h := splitmix64(nBase + uint64(u))
-		buf[u] = sig + lc.spread*gauss(h, splitmix64(h))
+		buf[u] = sig + lc.spread*buf[u]
 	}
 }
 
