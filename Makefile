@@ -73,20 +73,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs all eleven native fuzz targets for FUZZTIME each, one at a
+# fuzz runs all ten native fuzz targets for FUZZTIME each, one at a
 # time (go test -fuzz takes one target per run): the fault-plan
-# grammar, swlint's suppression and baseline parsers, the
-# nearest-centroid kernel, the Gaussian deviate kernel against its
-# scalar reference, the collective rendezvous against its
-# point-to-point reference, the model loader, the daemon's /v1/assign
-# and /v1/ingest handlers, its request-body decoder against
-# encoding/json, and obsdiff's export parser.
+# grammar, swlint's suppression parser, the nearest-centroid kernel,
+# the Gaussian deviate kernel against its scalar reference, the
+# collective rendezvous against its point-to-point reference, the
+# model loader, the daemon's /v1/assign and /v1/ingest handlers, its
+# request-body decoder against encoding/json, and obsdiff's export
+# parser.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseIgnore$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzParseBaseline$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzGauss$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mpi -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME)

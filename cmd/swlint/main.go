@@ -9,14 +9,11 @@
 //	go run ./cmd/swlint ./internal/mpi ./internal/vclock
 //	go run ./cmd/swlint -format sarif ./... > swlint.sarif
 //	go run ./cmd/swlint -fix ./...
-//	go run ./cmd/swlint -update-baseline -baseline-reason "why the debt is accepted" ./...
 //	go run ./cmd/swlint -stats ./...
 //	go run ./cmd/swlint -list
 //
-// Findings recorded in .swlint-baseline.json at the module root are
-// filtered out (disable with -no-baseline); -update-baseline rewrites
-// the file from the current findings. Results are cached under
-// .swlint-cache/ keyed by package content (disable with -no-cache).
+// A finding is accepted only inline, with //swlint:ignore at the
+// offending line; every run analyzes the packages afresh.
 //
 // Exit status: 0 when clean, 1 when findings were reported, 2 on
 // load or usage errors.
@@ -27,9 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -43,14 +38,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the rules and exit")
 	format := fs.String("format", "text", "output format: text or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file (default: .swlint-baseline.json at the module root)")
-	noBaseline := fs.Bool("no-baseline", false, "report all findings, ignoring the baseline")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the baseline from the current findings and exit")
-	baselineReason := fs.String("baseline-reason", "", "justification recorded on new baseline entries (required with -update-baseline)")
 	fix := fs.Bool("fix", false, "apply available mechanical fixes, then report what remains")
-	jobs := fs.Int("jobs", 0, "packages analyzed concurrently (0 = GOMAXPROCS)")
-	noCache := fs.Bool("no-cache", false, "disable the on-disk result cache")
-	stats := fs.Bool("stats", false, "print per-rule finding counts, package count and cache hit rate to stderr")
+	stats := fs.Bool("stats", false, "print the package count, per-rule finding counts and the suppression census to stderr")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: swlint [flags] <package patterns>")
 		fs.PrintDefaults()
@@ -60,10 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *format != "text" && *format != "sarif" {
 		fmt.Fprintf(stderr, "swlint: unknown format %q (want text or sarif)\n", *format)
-		return 2
-	}
-	if *updateBaseline && strings.TrimSpace(*baselineReason) == "" {
-		fmt.Fprintln(stderr, "swlint: -update-baseline requires -baseline-reason: justify the accepted findings or fix them")
 		return 2
 	}
 
@@ -91,15 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := lint.RunOptions{Jobs: *jobs}
-	if !*noCache {
-		opts.CacheDir = lint.DefaultCacheDir(cfg.ModuleRoot)
-	}
-	// Stats are always collected: the suppression census feeds the
-	// SARIF run properties whether or not -stats prints it.
-	var runStats lint.RunStats
-	opts.Stats = &runStats
-	findings, err := lint.RunWithOptions(cfg, patterns, opts)
+	// The suppression census in runStats feeds the SARIF run
+	// properties whether or not -stats prints it.
+	findings, runStats, err := lint.Run(cfg, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "swlint:", err)
 		return 2
@@ -116,47 +95,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if len(changed) > 0 {
 			fmt.Fprintf(stderr, "swlint: applied %d fix(es) across %d file(s)\n", len(applied), len(changed))
-			// Rewritten files invalidate this run's findings (and the
-			// cache entries of every dependent); re-analyze to report
-			// what the fixes did not cover.
-			findings, err = lint.RunWithOptions(cfg, patterns, opts)
+			// Rewritten files invalidate this run's findings and the
+			// packages its loader type-checked; re-analyze from a
+			// fresh loader to report what the fixes did not cover.
+			findings, runStats, err = lint.Run(cfg, patterns)
 			if err != nil {
 				fmt.Fprintln(stderr, "swlint:", err)
 				return 2
 			}
-		}
-	}
-
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(cfg.ModuleRoot, lint.BaselineFile)
-	}
-
-	if *updateBaseline {
-		prev, err := lint.LoadBaseline(bpath)
-		if err != nil {
-			fmt.Fprintln(stderr, "swlint:", err)
-			return 2
-		}
-		next := lint.UpdateBaseline(prev, findings, cfg.ModuleRoot, strings.TrimSpace(*baselineReason))
-		if err := next.Save(bpath); err != nil {
-			fmt.Fprintln(stderr, "swlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "swlint: wrote %d baseline entry(s) to %s\n", len(next.Entries), bpath)
-		return 0
-	}
-
-	if !*noBaseline {
-		b, err := lint.LoadBaseline(bpath)
-		if err != nil {
-			fmt.Fprintln(stderr, "swlint:", err)
-			return 2
-		}
-		var stale []lint.BaselineEntry
-		findings, stale = b.Filter(findings, cfg.ModuleRoot)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "swlint: stale baseline entry (%s in %s) matches nothing; run -update-baseline\n", e.Rule, e.File)
 		}
 	}
 
@@ -181,15 +127,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // printStats reports the run's shape: how many packages were analyzed,
-// how many came from the cache, the per-rule finding counts after
-// baseline filtering, and the suppression census — which rules are
-// most often //swlint:ignore'd module-wide, largest debt first.
+// the per-rule finding counts, and the suppression census — which
+// rules are most often //swlint:ignore'd module-wide, largest debt
+// first.
 func printStats(w io.Writer, s lint.RunStats, findings []lint.Finding) {
-	rate := 0.0
-	if s.Packages > 0 {
-		rate = 100 * float64(s.CacheHits) / float64(s.Packages)
-	}
-	fmt.Fprintf(w, "swlint: stats: %d package(s) analyzed, %d cache hit(s) (%.0f%%)\n", s.Packages, s.CacheHits, rate)
+	fmt.Fprintf(w, "swlint: stats: %d package(s) analyzed\n", s.Packages)
 	counts := make(map[string]int)
 	for _, f := range findings {
 		counts[f.RuleID]++

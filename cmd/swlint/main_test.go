@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,7 +49,7 @@ func TestUnknownFormatExitsTwo(t *testing.T) {
 
 func TestCleanPackageExitsZero(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-cache", "./internal/vclock"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"./internal/vclock"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("clean package exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	if stdout.Len() != 0 {
@@ -68,7 +67,7 @@ func TestSeededViolationExitsNonZero(t *testing.T) {
 	}
 	fixture := filepath.Join(cfg.ModuleRoot, "internal", "lint", "testdata", "src", "floateq")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-cache", "-no-baseline", fixture}, &stdout, &stderr); code != 1 {
+	if code := run([]string{fixture}, &stdout, &stderr); code != 1 {
 		t.Fatalf("seeded violations exited %d, want 1\nstdout: %s\nstderr: %s",
 			code, stdout.String(), stderr.String())
 	}
@@ -90,7 +89,7 @@ func TestSARIFOutput(t *testing.T) {
 	}
 	fixture := filepath.Join(cfg.ModuleRoot, "internal", "lint", "testdata", "src", "floateq")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-cache", "-no-baseline", "-format", "sarif", fixture}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-format", "sarif", fixture}, &stdout, &stderr); code != 1 {
 		t.Fatalf("sarif run exited %d, want 1\nstderr: %s", code, stderr.String())
 	}
 	var doc struct {
@@ -109,48 +108,5 @@ func TestSARIFOutput(t *testing.T) {
 	}
 	if len(doc.Runs) != 1 || len(doc.Runs[0].Results) == 0 || doc.Runs[0].Results[0].RuleID != "float-eq" {
 		t.Errorf("unexpected results: %+v", doc.Runs)
-	}
-}
-
-// TestBaselineFlow pins -update-baseline and -baseline: recording the
-// seeded findings makes the next run exit clean.
-func TestBaselineFlow(t *testing.T) {
-	cfg, err := lint.DefaultConfig(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixture := filepath.Join(cfg.ModuleRoot, "internal", "lint", "testdata", "src", "floateq")
-	bpath := filepath.Join(t.TempDir(), "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-cache", "-baseline", bpath, "-update-baseline", fixture}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-update-baseline without -baseline-reason exited %d, want 2 (usage error)\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-baseline-reason") {
-		t.Errorf("missing-reason error does not name the flag:\n%s", stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-no-cache", "-baseline", bpath, "-update-baseline",
-		"-baseline-reason", "fixture debt accepted for the test", fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-update-baseline exited %d\nstderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(bpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "fixture debt accepted for the test") {
-		t.Errorf("baseline entries do not carry the supplied reason:\n%s", data)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-no-cache", "-baseline", bpath, fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exited %d, want 0\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("baselined run still reports findings:\n%s", stdout.String())
 	}
 }

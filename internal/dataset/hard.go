@@ -12,16 +12,17 @@ import (
 // of uniform background outliers labelled as component `Components()`
 // (one past the true components).
 type HardMixture struct {
-	name            string
-	n, d            int
-	components      int
-	spread          float64
-	separation      float64
-	anisotropyRatio float64
-	outlierFrac     float64
-	imbalanceBase   float64
-	seed            uint64
+	name          string
+	n, d          int
+	components    int
+	separation    float64
+	outlierFrac   float64
+	imbalanceBase float64
+	seed          uint64
 
+	// scale[u] is the noise scale of dimension u, a geometric ramp
+	// from spread to spread*anisotropyRatio, computed once.
+	scale []float64
 	// cut[c] is the first sample index of component c+1; outliers
 	// occupy the tail range.
 	cut []int
@@ -53,9 +54,15 @@ func NewHardMixture(name string, n, d, components int, spread, separation, aniso
 	}
 	h := &HardMixture{
 		name: name, n: n, d: d, components: components,
-		spread: spread, separation: separation,
-		anisotropyRatio: anisotropyRatio, outlierFrac: outlierFrac,
+		separation: separation, outlierFrac: outlierFrac,
 		imbalanceBase: imbalanceBase, seed: seed,
+		scale: make([]float64, d),
+	}
+	for u := range h.scale {
+		h.scale[u] = spread
+		if d > 1 {
+			h.scale[u] = spread * math.Pow(anisotropyRatio, float64(u)/float64(d-1))
+		}
 	}
 	// Partition the index space: components first (geometric masses),
 	// outliers in the tail.
@@ -109,16 +116,6 @@ func (h *HardMixture) TrueLabel(i int) int {
 	return h.components
 }
 
-// dimSpread returns the noise scale of dimension u (geometric ramp
-// from spread to spread*anisotropyRatio).
-func (h *HardMixture) dimSpread(u int) float64 {
-	if h.d == 1 {
-		return h.spread
-	}
-	frac := float64(u) / float64(h.d-1)
-	return h.spread * math.Pow(h.anisotropyRatio, frac)
-}
-
 // Center writes the centre of component c into buf.
 func (h *HardMixture) Center(c int, buf []float64) {
 	base := splitmix64(h.seed ^ uint64(c)*0xA24B_AED4_963E_E407)
@@ -143,6 +140,6 @@ func (h *HardMixture) Sample(i int, buf []float64) {
 	deviates(nBase, buf)
 	for u := range buf {
 		centre := h.separation * symFloat(splitmix64(cBase+uint64(u)))
-		buf[u] = centre + h.dimSpread(u)*buf[u]
+		buf[u] = centre + h.scale[u]*buf[u]
 	}
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"unicode"
@@ -51,54 +50,6 @@ func FuzzParseIgnore(f *testing.F) {
 		}
 		if strings.TrimSpace(reason) != reason || reason == "" {
 			t.Fatalf("parseIgnore(%q) returned untrimmed or blank reason %q", rest, reason)
-		}
-	})
-}
-
-// FuzzParseBaseline drives the baseline JSON loader with arbitrary
-// bytes: whatever parses must satisfy the validation contract (every
-// entry complete, every reason non-blank) and survive a write/re-parse
-// round trip, so a hand-edited or corrupted .swlint-baseline.json can
-// never smuggle an unvalidated entry past CI.
-func FuzzParseBaseline(f *testing.F) {
-	for _, seed := range [][]byte{
-		[]byte(`{"entries":[]}`),
-		[]byte(`{"entries":[{"rule":"float-eq","file":"a/b.go","message":"m","reason":"accepted debt"}]}`),
-		[]byte(`{"entries":[{"rule":"","file":"","message":""}]}`),
-		[]byte(`{"entries":[{"rule":"x","file":"y.go","message":"z","reason":"  "}]}`),
-		[]byte(`null`),
-		[]byte(`{}`),
-		[]byte(`[]`),
-		[]byte(`{"entries":null}`),
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := ParseBaseline(data)
-		if err != nil {
-			if b != nil {
-				t.Fatalf("ParseBaseline returned both a baseline and error %v", err)
-			}
-			return
-		}
-		if b == nil {
-			t.Fatal("ParseBaseline returned nil baseline without error")
-		}
-		for i, e := range b.Entries {
-			if e.Rule == "" || e.File == "" || e.Message == "" || strings.TrimSpace(e.Reason) == "" {
-				t.Fatalf("entry %d passed validation incomplete: %+v", i, e)
-			}
-		}
-		var buf bytes.Buffer
-		if err := b.Write(&buf); err != nil {
-			t.Fatalf("re-encoding a valid baseline failed: %v", err)
-		}
-		b2, err := ParseBaseline(buf.Bytes())
-		if err != nil {
-			t.Fatalf("round trip failed to re-parse: %v", err)
-		}
-		if len(b2.Entries) != len(b.Entries) {
-			t.Fatalf("round trip changed entry count: %d != %d", len(b2.Entries), len(b.Entries))
 		}
 	})
 }

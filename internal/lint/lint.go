@@ -20,12 +20,10 @@
 // LDM-capacity taint through parameters and returns, package-variable
 // writes, blocking points and allocation behavior, and every semantic
 // rule consults them, so findings reach through helper calls with the
-// call chain in the message. On top sits the tooling layer of a
-// real analyzer: SARIF 2.1.0 export (sarif.go), a checked-in findings
-// baseline (baseline.go), mechanical autofixes (fix.go) and a
-// content-hash keyed result cache with parallel per-package analysis
-// (cache.go); function summaries join the same on-disk cache, keyed so
-// a callee edit invalidates its callers.
+// call chain in the message. On top sits the tooling layer: Run,
+// which checks packages in parallel over one Loader that type-checks
+// each package once, SARIF 2.1.0 export (sarif.go) and mechanical
+// autofixes (fix.go).
 //
 // The package is stdlib-only (go/parser + go/types with a source
 // importer); go.mod stays dependency-free. Rules are unit-testable
@@ -42,8 +40,10 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Finding is one rule violation at one source position. A finding may
@@ -152,12 +152,7 @@ func DefaultConfig(dir string) (Config, error) {
 // interprocedural summarizer and the CFG layer, and the two
 // pseudo-rules the suppression machinery reports through.
 func AllRules(cfg Config) []Rule {
-	return allRules(cfg, NewSummarizer(cfg))
-}
-
-// allRules builds the rule set around one shared Summarizer, so the
-// driver can wire its disk cache in before the rules are constructed.
-func allRules(cfg Config, sums *Summarizer) []Rule {
+	sums := NewSummarizer(cfg)
 	return []Rule{
 		NoWallclockRule{SimPackages: cfg.SimPackages},
 		FloatEqRule{},
@@ -189,6 +184,65 @@ func (m metaRule) Doc() string { return m.doc }
 
 // Check implements Rule.
 func (m metaRule) Check(*Package) []Finding { return nil }
+
+// RunStats carries a run's counters for the CLI's -stats output.
+type RunStats struct {
+	// Packages is the number of package directories analyzed.
+	Packages int
+	// Suppressions is the module-wide per-rule //swlint:ignore census,
+	// aggregated across packages.
+	Suppressions map[string]int
+}
+
+// Run loads the packages selected by patterns, runs every rule over
+// them, GOMAXPROCS packages at a time, and returns the surviving
+// (non-suppressed) findings with the run's counters. One Loader serves
+// the whole run, the Summarizer included, so each package is parsed
+// and type-checked once; a later Run starts a fresh one and sees the
+// files as they are then. Findings are returned sorted by position
+// regardless of completion order, so output is deterministic — the
+// analyzer holds itself to the invariant it enforces.
+func Run(cfg Config, patterns []string) ([]Finding, RunStats, error) {
+	loader := NewLoader(cfg.ModuleRoot, cfg.ModulePath)
+	dirs, err := loader.ResolveDirs(patterns)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	rules := AllRules(cfg)
+	results := make([][]Finding, len(dirs))
+	supps := make([]map[string]int, len(dirs))
+	errs := make([]error, len(dirs))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, dir := range dirs {
+		wg.Add(1)
+		go func(i int, dir string) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			p, err := loader.LoadDir(dir, "")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i], supps[i] = checkPackageWithSupp(rules, p)
+		}(i, dir)
+	}
+	wg.Wait()
+	stats := RunStats{Packages: len(dirs), Suppressions: make(map[string]int)}
+	var findings []Finding
+	for i := range dirs {
+		if errs[i] != nil {
+			return nil, RunStats{}, errs[i]
+		}
+		findings = append(findings, results[i]...)
+		for rule, n := range supps[i] {
+			stats.Suppressions[rule] += n
+		}
+	}
+	sortFindings(findings)
+	return findings, stats, nil
+}
 
 // checkPackageWithSupp runs the rules over one loaded package, filters
 // suppressed findings, and appends the suppression machinery's own

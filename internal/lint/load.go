@@ -26,14 +26,20 @@ type Package struct {
 	Files []*ast.File
 	Info  *types.Info
 	Pkg   *types.Package
+
+	// loader type-checked the package; the Summarizer reads the
+	// package's module-local dependencies from it.
+	loader *Loader
 }
 
 // Loader parses and type-checks packages of one module using only the
 // standard library: module-local import paths resolve directly to
 // directories under the module root, everything else (the standard
-// library) goes through go/importer's source importer. One Loader
-// caches dependencies across Load calls, so loading the whole module
-// type-checks each stdlib package once.
+// library) goes through go/importer's source importer. A module-local
+// package is parsed and type-checked once, with full type information,
+// whether a rule run or an importing package asks for it first, and
+// every later request returns that same Package; each standard-library
+// package is type-checked once too.
 //
 // The loader is safe for concurrent LoadDir calls: Import deduplicates
 // in-flight work per path (first caller computes, others wait on the
@@ -52,10 +58,12 @@ type Loader struct {
 }
 
 // importEntry is one per-path singleflight slot in the import cache.
+// pkg is set for module-local paths only.
 type importEntry struct {
-	done chan struct{}
-	pkg  *types.Package
-	err  error
+	done     chan struct{}
+	typesPkg *types.Package
+	pkg      *Package
+	err      error
 }
 
 // NewLoader returns a loader for the module rooted at root with the
@@ -74,29 +82,55 @@ func NewLoader(root, module string) *Loader {
 // Import implements types.Importer for dependency resolution during
 // type checking.
 func (l *Loader) Import(path string) (*types.Package, error) {
+	e := l.entry(path)
+	return e.typesPkg, e.err
+}
+
+// entry returns path's slot in the import cache, filling it on first
+// demand: a module-local path is loaded as a whole Package, anything
+// else comes from the source importer.
+func (l *Loader) entry(path string) *importEntry {
 	l.mu.Lock()
 	if e, ok := l.cache[path]; ok {
 		l.mu.Unlock()
 		<-e.done
-		return e.pkg, e.err
+		return e
 	}
 	e := &importEntry{done: make(chan struct{})}
 	l.cache[path] = e
 	l.mu.Unlock()
 	defer close(e.done)
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
-		e.pkg, e.err = l.check(path, l.dirOf(path), nil)
-		return e.pkg, e.err
+		e.pkg, e.err = l.load(path, l.dirOf(path))
+		if e.err == nil {
+			e.typesPkg = e.pkg.Pkg
+		}
+		return e
 	}
 	l.stdMu.Lock()
-	p, err := l.std.ImportFrom(path, l.root, 0)
+	e.typesPkg, e.err = l.std.ImportFrom(path, l.root, 0)
 	l.stdMu.Unlock()
-	if err != nil {
-		e.err = fmt.Errorf("lint: importing %s: %w", path, err)
-		return nil, e.err
+	if e.err != nil {
+		e.err = fmt.Errorf("lint: importing %s: %w", path, e.err)
 	}
-	e.pkg = p
-	return p, nil
+	return e
+}
+
+// loaded returns the module-local Package this loader type-checked as
+// pkg, or nil when pkg is not one of them (a standard-library package,
+// or a fixture loaded under an import path of its own choosing).
+func (l *Loader) loaded(pkg *types.Package) *Package {
+	l.mu.Lock()
+	e, ok := l.cache[pkg.Path()]
+	l.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	<-e.done
+	if e.pkg == nil || e.pkg.Pkg != pkg {
+		return nil
+	}
+	return e.pkg
 }
 
 // dirOf maps a module-local import path to its directory.
@@ -157,45 +191,15 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// check type-checks the package in dir under import path. When info is
-// non-nil the use/def/selection maps are filled for rule checking.
-func (l *Loader) check(path, dir string, info *types.Info) (*types.Package, error) {
+// load parses and type-checks the package in dir under import path,
+// with the use/def/selection maps the rules read.
+func (l *Loader) load(path, dir string) (*Package, error) {
 	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
-	}
-	return pkg, nil
-}
-
-// LoadDir loads the single package in dir, rooted anywhere under the
-// module, with full type information. importPath overrides the derived
-// path when non-empty (fixture trees under testdata/ use this to pose
-// as arbitrary packages).
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	path := importPath
-	if path == "" {
-		if path, err = l.pathOf(abs); err != nil {
-			return nil, err
-		}
-	}
-	files, err := l.parseDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no buildable Go files in %s", abs)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -208,7 +212,29 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Fset: l.fset, Path: path, Dir: abs, Files: files, Info: info, Pkg: pkg}, nil
+	return &Package{Fset: l.fset, Path: path, Dir: dir, Files: files, Info: info, Pkg: pkg, loader: l}, nil
+}
+
+// LoadDir loads the single package in dir, rooted anywhere under the
+// module, with full type information: the same Package Import loaded
+// for its import path, if any. importPath overrides the derived path
+// when non-empty; fixture trees under testdata/ use this to pose as
+// arbitrary packages, and such a load is type-checked afresh each time
+// and never cached.
+func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	if importPath != "" {
+		return l.load(importPath, abs)
+	}
+	path, err := l.pathOf(abs)
+	if err != nil {
+		return nil, err
+	}
+	e := l.entry(path)
+	return e.pkg, e.err
 }
 
 // ResolveDirs expands package patterns — "./...", "dir/...", or plain

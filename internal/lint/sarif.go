@@ -85,9 +85,9 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// ToolVersion identifies the analyzer in SARIF output and keys the
-// result cache; bump it whenever rule behavior changes so stale cache
-// entries and code-scanning alert identities roll over together.
+// ToolVersion identifies the analyzer in SARIF output; bump it
+// whenever rule behavior changes, so code scanning can tell findings
+// of the new rules from the old.
 const ToolVersion = "5.1.0"
 
 // WriteSARIF writes the findings as a SARIF 2.1.0 document. The rule

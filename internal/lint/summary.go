@@ -1,14 +1,9 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -37,79 +32,78 @@ import (
 // in v2, so every propagated fact still traces to a definition the
 // analysis saw.
 //
-// The Summarizer owns a private Loader world: rule fixtures pose as
-// arbitrary import paths, so summaries for the package under analysis
-// are computed from that package's own AST (keyed by its *types.Func
-// objects), while cross-package callees resolve by real import path
-// through the private loader. Summaries are JSON-serializable and join
-// the on-disk cache keyed by the package's transitive module-local
-// closure hash — editing a callee invalidates every caller's entry.
+// The Summarizer reads packages from the Loader that type-checked the
+// package under analysis: a callee in another module package resolves
+// to the Package that loader holds for it, whose declarations carry
+// the very *types.Func objects the caller's type information refers
+// to. So a package's summaries form one table keyed by *types.Func,
+// computed once per analysis pass and read by callers in that package
+// and in every package that imports it. Rule fixtures pose as
+// arbitrary import paths; their own summaries come from their own AST,
+// like any package's.
 
 // CollectiveUse is one communicator collective a function reaches,
 // directly or transitively.
 type CollectiveUse struct {
 	// Key is the collective-match key (see collectiveOps).
-	Key string `json:"key"`
+	Key string
 	// Name is the Comm method name actually invoked.
-	Name string `json:"name"`
+	Name string
 	// Chain is the call path from the summarized function to the
 	// operation, " → "-separated; for a direct call it is the method
 	// name itself.
-	Chain string `json:"chain"`
+	Chain string
 }
 
 // EffectUse is one behavior fact (shared write, order-sensitive effect
 // or allocation) with the call chain that reaches it. An empty chain
 // means the function does it directly.
 type EffectUse struct {
-	Detail string `json:"detail"`
-	Chain  string `json:"chain,omitempty"`
+	Detail string
+	Chain  string
 }
 
 // FuncSummary is the bottom-up summary of one function declaration.
 type FuncSummary struct {
-	// Key is the stable cross-package identifier:
-	// pkgpath.[Type.]Name.
-	Key string `json:"key"`
 	// Name is the short display form pkg.[Type.]Name used in chains
 	// and finding messages.
-	Name string `json:"name"`
+	Name string
 
 	// Collectives lists the communicator collectives the function
 	// transitively enters.
-	Collectives []CollectiveUse `json:"collectives,omitempty"`
+	Collectives []CollectiveUse
 	// SharedWrites lists writes to package-level variables, the
 	// conservative core of impurity for goroutine-purity.
-	SharedWrites []EffectUse `json:"shared_writes,omitempty"`
+	SharedWrites []EffectUse
 	// Effects lists order-sensitive effects for map-order: channel
 	// sends, virtual-clock advancement, communicator traffic.
-	Effects []EffectUse `json:"effects,omitempty"`
+	Effects []EffectUse
 	// Allocs lists allocation behavior for hot-path-alloc.
-	Allocs []EffectUse `json:"allocs,omitempty"`
+	Allocs []EffectUse
 	// Blocks lists the scheduler blocking points the function
 	// transitively reaches outside the communicator: Task.Park
 	// (blocking collectives are already in Collectives).
 	// The lock-across-park rule consults it at call sites.
-	Blocks []EffectUse `json:"blocks,omitempty"`
+	Blocks []EffectUse
 	// ParksUnchecked lists Task.Park sites the function reaches with no
 	// re-check loop of its own around them — the obligation to re-check
 	// the guard transfers to the caller (rule park-recheck). A helper
 	// that parks inside its own loop discharges the obligation and does
 	// not propagate it.
-	ParksUnchecked []EffectUse `json:"parks_unchecked,omitempty"`
+	ParksUnchecked []EffectUse
 
 	// RankReturn marks a function whose (basic-typed) return value
 	// derives from the calling rank.
-	RankReturn bool `json:"rank_return,omitempty"`
+	RankReturn bool
 	// LDMReturn marks a function whose return value derives from the
 	// internal/ldm capacity model.
-	LDMReturn bool `json:"ldm_return,omitempty"`
+	LDMReturn bool
 	// ChecksLDM marks a function that calls an ldm.Check* feasibility
 	// check, directly or transitively.
-	ChecksLDM bool `json:"checks_ldm,omitempty"`
+	ChecksLDM bool
 	// TaintParams are the parameter indices whose values flow into the
 	// function's return values.
-	TaintParams []int `json:"taint_params,omitempty"`
+	TaintParams []int
 }
 
 const (
@@ -135,52 +129,37 @@ func mergeChain(callee, sub string) string {
 }
 
 // Summarizer computes and caches function summaries for one module. It
-// is safe for concurrent use from the parallel driver: per-path
-// summaries are deduplicated singleflight-style, and the private loader
-// serializes its own imports.
+// is safe for concurrent use by Run's parallel package checks: each
+// package's table is computed once, singleflight-style, and every
+// caller waits for that one computation.
 type Summarizer struct {
-	root, module string
-	commPkg      string
-	vclockPkg    string
-	ldmPkg       string
-	dmaPkg       string
-	schedPkg     string
-	cacheDir     string
+	module    string
+	commPkg   string
+	vclockPkg string
+	ldmPkg    string
+	schedPkg  string
 
-	loaderOnce sync.Once
-	loader     *Loader
-	hasher     *depHasher
-
-	mu    sync.Mutex
-	paths map[string]*sumEntry
-	pkgs  map[*Package]map[*types.Func]*FuncSummary
+	mu     sync.Mutex
+	tables map[*Package]*summaryTable
 }
 
-// sumEntry is one per-path singleflight slot.
-type sumEntry struct {
-	done  chan struct{}
-	byKey map[string]*FuncSummary
+// summaryTable is one package's summaries, filled once.
+type summaryTable struct {
+	once sync.Once
+	fns  map[*types.Func]*FuncSummary
 }
 
 // NewSummarizer returns a summarizer for the module described by cfg.
 func NewSummarizer(cfg Config) *Summarizer {
 	return &Summarizer{
-		root:      cfg.ModuleRoot,
 		module:    cfg.ModulePath,
 		commPkg:   cfg.CommPackage,
 		vclockPkg: cfg.VClockPackage,
 		ldmPkg:    cfg.LDMPackage,
-		dmaPkg:    cfg.DMAPackage,
 		schedPkg:  cfg.SchedPackage,
-		hasher:    newDepHasher(cfg.ModuleRoot, cfg.ModulePath),
-		paths:     make(map[string]*sumEntry),
-		pkgs:      make(map[*Package]map[*types.Func]*FuncSummary),
+		tables:    make(map[*Package]*summaryTable),
 	}
 }
-
-// SetCacheDir enables the on-disk summary store under dir (shared with
-// the findings cache; summary entries are prefixed "sum-").
-func (s *Summarizer) SetCacheDir(dir string) { s.cacheDir = dir }
 
 // ForCall resolves the summary of the function a call statically
 // invokes, or nil when the callee is unresolvable (interface method,
@@ -211,6 +190,9 @@ func (s *Summarizer) lookupCallee(p *Package, call *ast.CallExpr, local map[*typ
 		// scope.
 		return nil
 	}
+	// A method of an instantiated generic type is a distinct object;
+	// its summary is its generic declaration's.
+	fn = fn.Origin()
 	if fn.Pkg() == p.Pkg {
 		if local != nil {
 			return local[fn]
@@ -220,72 +202,27 @@ func (s *Summarizer) lookupCallee(p *Package, call *ast.CallExpr, local map[*typ
 	if path != s.module && !strings.HasPrefix(path, s.module+"/") {
 		return nil
 	}
-	return s.byPath(path)[funcKey(fn)]
+	dep := p.loader.loaded(fn.Pkg())
+	if dep == nil {
+		return nil
+	}
+	return s.packageTable(dep)[fn]
 }
 
 // packageTable returns the summaries of p's own function declarations,
-// computed from p's already-loaded AST (fixtures pose as arbitrary
-// import paths, so the package under analysis is never re-loaded by
-// path).
+// computed from p's AST on first demand (fixtures pose as arbitrary
+// import paths, so a package is always summarized as loaded, never
+// re-loaded by path).
 func (s *Summarizer) packageTable(p *Package) map[*types.Func]*FuncSummary {
 	s.mu.Lock()
-	if t, ok := s.pkgs[p]; ok {
-		s.mu.Unlock()
-		return t
+	t, ok := s.tables[p]
+	if !ok {
+		t = &summaryTable{}
+		s.tables[p] = t
 	}
 	s.mu.Unlock()
-	t := s.computePackage(p)
-	s.mu.Lock()
-	s.pkgs[p] = t
-	s.mu.Unlock()
-	return t
-}
-
-// byPath returns the summaries of a module-local package by import
-// path, loading it in the summarizer's private world on first demand.
-// Failures degrade to an empty table: the summaries are an accelerant
-// for the rules, never a load-order correctness dependency.
-func (s *Summarizer) byPath(path string) map[string]*FuncSummary {
-	s.mu.Lock()
-	if e, ok := s.paths[path]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.byKey
-	}
-	e := &sumEntry{done: make(chan struct{})}
-	s.paths[path] = e
-	s.mu.Unlock()
-	defer close(e.done)
-	e.byKey = s.computePath(path)
-	return e.byKey
-}
-
-func (s *Summarizer) computePath(path string) map[string]*FuncSummary {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, s.module), "/")
-	dir := filepath.Join(s.root, filepath.FromSlash(rel))
-	var key string
-	if s.cacheDir != "" {
-		if k, err := s.diskKey(dir); err == nil {
-			key = k
-			if m, ok := s.loadDisk(key); ok {
-				return m
-			}
-		}
-	}
-	s.loaderOnce.Do(func() { s.loader = NewLoader(s.root, s.module) })
-	p, err := s.loader.LoadDir(dir, path)
-	if err != nil {
-		return map[string]*FuncSummary{}
-	}
-	table := s.computePackage(p)
-	byKey := make(map[string]*FuncSummary, len(table))
-	for _, sum := range table {
-		byKey[sum.Key] = sum
-	}
-	if key != "" {
-		s.saveDisk(key, byKey)
-	}
-	return byKey
+	t.once.Do(func() { t.fns = s.computePackage(p) })
+	return t.fns
 }
 
 // computePackage iterates summarizeFunc over the package's function
@@ -329,7 +266,7 @@ func (s *Summarizer) computePackage(p *Package) map[*types.Func]*FuncSummary {
 // table. Function-literal bodies are included: their effects run under
 // the function's dynamic extent.
 func (s *Summarizer) summarizeFunc(p *Package, fn *types.Func, unit funcUnit, local map[*types.Func]*FuncSummary) *FuncSummary {
-	out := &FuncSummary{Key: funcKey(fn), Name: funcShortName(fn)}
+	out := &FuncSummary{Name: funcShortName(fn)}
 	seenCol := make(map[string]bool)
 	seenSW := make(map[string]bool)
 	seenEff := make(map[string]bool)
@@ -552,65 +489,6 @@ func (s *Summarizer) LDMTaint(p *Package) func(*ast.CallExpr) (bool, []int) {
 	return s.taintOracle(p, nil, func(sum *FuncSummary) bool { return sum.LDMReturn })
 }
 
-// diskKey digests the summary-relevant configuration plus the
-// package's transitive module-local closure, so editing any callee —
-// however deep — rolls the key of every dependent package.
-func (s *Summarizer) diskKey(dir string) (string, error) {
-	lines, err := s.hasher.closure(dir)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	for _, part := range []string{"swlint-summary", ToolVersion, s.module, s.commPkg, s.vclockPkg, s.ldmPkg, s.dmaPkg, s.schedPkg} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func (s *Summarizer) diskPath(key string) string {
-	return filepath.Join(s.cacheDir, "sum-"+key+".json")
-}
-
-func (s *Summarizer) loadDisk(key string) (map[string]*FuncSummary, bool) {
-	data, err := os.ReadFile(s.diskPath(key))
-	if err != nil {
-		return nil, false
-	}
-	var m map[string]*FuncSummary
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, false
-	}
-	return m, true
-}
-
-func (s *Summarizer) saveDisk(key string, m map[string]*FuncSummary) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(s.cacheDir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.cacheDir, "sum-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.diskPath(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
 // calleeFunc resolves the function object a call statically invokes:
 // a plain function, a method, or a qualified pkg.Func reference.
 func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
@@ -633,25 +511,6 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// funcKey is the stable cross-package identity of a function:
-// pkgpath.[Type.]Name.
-func funcKey(fn *types.Func) string {
-	key := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			key = named.Obj().Name() + "." + key
-		}
-	}
-	if fn.Pkg() != nil {
-		key = fn.Pkg().Path() + "." + key
-	}
-	return key
 }
 
 // funcShortName is the display form pkg.[Type.]Name used in chains.

@@ -41,7 +41,7 @@ const (
 // rule set AllRules builds.
 var knownRules = func() map[string]bool {
 	ids := make(map[string]bool)
-	for _, r := range allRules(Config{}, nil) {
+	for _, r := range AllRules(Config{}) {
 		ids[r.ID()] = true
 	}
 	return ids

@@ -89,81 +89,6 @@ func TestApplyFixes(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip covers the baseline lifecycle: update from
-// findings, multiset filtering, stale-entry detection, reason
-// carry-forward and the on-disk round trip.
-func TestBaselineRoundTrip(t *testing.T) {
-	_, cfg := fixtureLoader(t)
-	mk := func(rule, file, msg string, line int) Finding {
-		f := Finding{RuleID: rule, Message: msg}
-		f.Pos.Filename = filepath.Join(cfg.ModuleRoot, file)
-		f.Pos.Line = line
-		return f
-	}
-	findings := []Finding{
-		mk("map-order", "internal/obs/metrics.go", "map iteration order reaches simulation state", 10),
-		mk("map-order", "internal/obs/metrics.go", "map iteration order reaches simulation state", 40),
-		mk(BadSuppressID, "internal/obs/metrics.go", "malformed suppression", 5),
-	}
-
-	prev := &Baseline{Entries: []BaselineEntry{{
-		Rule:    "map-order",
-		File:    "internal/obs/metrics.go",
-		Message: "map iteration order reaches simulation state",
-		Reason:  "pre-existing; tracked for cleanup",
-	}}}
-	b := UpdateBaseline(prev, findings, cfg.ModuleRoot, "accepted while the metrics rework lands")
-	if len(b.Entries) != 2 {
-		t.Fatalf("baseline has %d entries, want 2 (bad-suppress is never baselined): %+v", len(b.Entries), b.Entries)
-	}
-	if b.Entries[0].Reason != "pre-existing; tracked for cleanup" {
-		t.Errorf("first entry reason = %q, want carried-forward reason", b.Entries[0].Reason)
-	}
-	if b.Entries[1].Reason != "accepted while the metrics rework lands" {
-		t.Errorf("second entry reason = %q, want the supplied -baseline-reason", b.Entries[1].Reason)
-	}
-	if noReason := UpdateBaseline(prev, findings, cfg.ModuleRoot, ""); noReason.Entries[1].Reason != "TODO: justify or fix" {
-		t.Errorf("empty reason stamped %q, want the placeholder", noReason.Entries[1].Reason)
-	}
-
-	kept, stale := b.Filter(findings, cfg.ModuleRoot)
-	if len(stale) != 0 {
-		t.Errorf("fresh baseline reports stale entries: %+v", stale)
-	}
-	if len(kept) != 1 || kept[0].RuleID != BadSuppressID {
-		t.Errorf("kept = %v, want only the bad-suppress finding", kept)
-	}
-
-	// One finding fixed: its entry goes stale, the other still filters.
-	kept, stale = b.Filter(findings[1:], cfg.ModuleRoot)
-	if len(kept) != 1 || len(stale) != 1 {
-		t.Errorf("after fixing one finding: kept %d, stale %d; want 1 and 1", len(kept), len(stale))
-	}
-
-	path := filepath.Join(t.TempDir(), BaselineFile)
-	if err := b.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Entries, b.Entries) {
-		t.Errorf("round trip mismatch:\nsaved  %+v\nloaded %+v", b.Entries, loaded.Entries)
-	}
-
-	// A missing file is an empty baseline; a reason-free entry is an error.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || len(empty.Entries) != 0 {
-		t.Errorf("missing baseline: entries=%d err=%v, want empty and nil", len(empty.Entries), err)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte(`{"entries":[{"rule":"map-order","file":"a.go","message":"m","reason":" "}]}`), 0o644)
-	if _, err := LoadBaseline(bad); err == nil {
-		t.Error("baseline entry without a reason loaded without error")
-	}
-}
-
 // TestWriteSARIF checks the exported document's shape: schema header,
 // rule table, result wiring and module-root-relative URIs.
 func TestWriteSARIF(t *testing.T) {
@@ -236,56 +161,83 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// TestCacheRoundTrip runs the parallel driver twice over the suppress
-// fixture with a shared cache directory and demands identical findings:
-// the second run is served from disk and must not change results.
-func TestCacheRoundTrip(t *testing.T) {
+// TestRunCensus runs Run over two fixture packages and pins
+// what it reports: the surviving findings of both, in position order,
+// and the per-rule suppression census summed across them, which
+// -stats prints and the SARIF run properties carry.
+func TestRunCensus(t *testing.T) {
 	_, cfg := fixtureLoader(t)
-	pattern := filepath.Join("internal", "lint", "testdata", "src", "suppress")
-	cacheDir := t.TempDir()
-
-	var liveStats RunStats
-	first, err := RunWithOptions(cfg, []string{pattern}, RunOptions{CacheDir: cacheDir, Stats: &liveStats})
+	fixtures := filepath.Join("internal", "lint", "testdata", "src")
+	findings, stats, err := Run(cfg, []string{filepath.Join(fixtures, "suppress"), filepath.Join(fixtures, "interproc")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) == 0 {
-		t.Fatal("suppress fixture produced no findings; the cache test needs a non-empty result")
+	checkFindings(t, findings, []expect{
+		{"collective-match", "interproc.go", 40, "reached via interproc.broadcast → Bcast"},
+		{"collective-match", "interproc.go", 48, "reached via interproc.sumAll → interproc.reduceHelper → AllReduceSum"},
+		{"collective-match", "interproc.go", 57, "no matching Barrier"},
+		{"unused-suppress", "suppress.go", 19, "err-wrap"},
+		{"unused-suppress", "suppress.go", 25, "no-wallclock"},
+		{"float-eq", "suppress.go", 26, "floating-point"},
+		{"bad-suppress", "suppress.go", 32, "malformed"},
+		{"float-eq", "suppress.go", 33, "floating-point"},
+		{"unused-suppress", "suppress.go", 39, "float-eq"},
+		{"float-eq", "suppress.go", 41, "floating-point"},
+		{"bad-suppress", "suppress.go", 47, "unknown rule flaot-eq"},
+		{"float-eq", "suppress.go", 48, "floating-point"},
+		{"bad-suppress", "suppress.go", 53, "unknown rule collective-order"},
+		{"float-eq", "suppress.go", 54, "floating-point"},
+	})
+	if stats.Packages != 2 {
+		t.Errorf("Packages = %d, want 2", stats.Packages)
 	}
-	ents, err := os.ReadDir(cacheDir)
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("cache dir not populated (entries=%d, err=%v)", len(ents), err)
+	want := map[string]int{"float-eq": 4, "err-wrap": 1, "no-wallclock": 1, "collective-match": 1}
+	if !reflect.DeepEqual(stats.Suppressions, want) {
+		t.Errorf("suppression census = %v, want %v", stats.Suppressions, want)
 	}
+}
 
-	var cachedStats RunStats
-	second, err := RunWithOptions(cfg, []string{pattern}, RunOptions{CacheDir: cacheDir, Stats: &cachedStats})
+// TestLoaderTypeChecksEachPackageOnce holds the loader to one
+// type-check per module package: loading a package directory twice
+// returns the same Package, its types.Package is the one Import hands
+// to importers, and each module-local import it records is that
+// dependency's own loaded types.Package, not a second copy.
+func TestLoaderTypeChecksEachPackageOnce(t *testing.T) {
+	l, cfg := fixtureLoader(t)
+	dirs, err := l.packageDirs(cfg.ModuleRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("cached run differs from live run:\nlive   %v\ncached %v", first, second)
-	}
-	if len(liveStats.Suppressions) == 0 {
-		t.Error("live run reported no suppressions; the suppress fixture should have some")
-	}
-	if !reflect.DeepEqual(liveStats.Suppressions, cachedStats.Suppressions) {
-		t.Errorf("suppression census differs between live and cached runs:\nlive   %v\ncached %v",
-			liveStats.Suppressions, cachedStats.Suppressions)
-	}
-
-	uncached, err := RunWithOptions(cfg, []string{pattern}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, uncached) {
-		t.Errorf("cache-enabled run differs from uncached run:\nuncached %v\ncached   %v", uncached, first)
+	for _, dir := range dirs {
+		p, err := l.LoadDir(dir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := l.LoadDir(dir, ""); err != nil || again != p {
+			t.Errorf("%s: second LoadDir returned %p (err %v), want the first Package %p", p.Path, again, err, p)
+		}
+		if imported, err := l.Import(p.Path); err != nil || imported != p.Pkg {
+			t.Errorf("%s: Import returned %p (err %v), want the loaded Pkg %p", p.Path, imported, err, p.Pkg)
+		}
+		for _, imp := range p.Pkg.Imports() {
+			if !strings.HasPrefix(imp.Path()+"/", cfg.ModulePath+"/") {
+				continue
+			}
+			dep, err := l.LoadDir(l.dirOf(imp.Path()), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dep.Pkg != imp {
+				t.Errorf("%s imports a second copy of %s", p.Path, imp.Path())
+			}
+		}
 	}
 }
 
 // TestLoaderKeepsOnlyBuildFiles loads a package whose files declare
 // the same names under a GOARCH suffix and under a //go:build line and
-// its negation: the loader, the package walk and the cache's hasher
-// must each keep exactly the files go build compiles here.
+// its negation: the loader and the package walk must each keep exactly
+// the files go build compiles here.
 func TestLoaderKeepsOnlyBuildFiles(t *testing.T) {
 	l, cfg := fixtureLoader(t)
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", "buildfiles"))
@@ -309,56 +261,27 @@ func TestLoaderKeepsOnlyBuildFiles(t *testing.T) {
 	if dirs, err := l.packageDirs(dir); err != nil || !reflect.DeepEqual(dirs, []string{dir}) {
 		t.Errorf("packageDirs = %v, %v; want [%s]", dirs, err, dir)
 	}
-	info := newDepHasher(cfg.ModuleRoot, cfg.ModulePath).scan(dir)
-	if info.scanErr != nil {
-		t.Fatal(info.scanErr)
-	}
-	var hashed []string
-	for _, line := range info.files {
-		name, _, _ := strings.Cut(line, "\x00")
-		hashed = append(hashed, filepath.Base(name))
-	}
-	if !reflect.DeepEqual(hashed, want) {
-		t.Errorf("hashed %v, want %v", hashed, want)
-	}
 }
 
 // TestSimPackageScopeCoversVClockImporters is the scope meta-test: any
 // package under internal/ that imports the virtual clock participates
 // in simulated time and must be inside the determinism rules' scope.
 func TestSimPackageScopeCoversVClockImporters(t *testing.T) {
-	_, cfg := fixtureLoader(t)
-	l := NewLoader(cfg.ModuleRoot, cfg.ModulePath)
+	l, cfg := fixtureLoader(t)
 	dirs, err := l.packageDirs(filepath.Join(cfg.ModuleRoot, "internal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newDepHasher(cfg.ModuleRoot, cfg.ModulePath)
-	vclockDir := filepath.Join(cfg.ModuleRoot, "internal", "vclock")
 	for _, dir := range dirs {
-		if dir == vclockDir {
-			continue
-		}
-		info := h.scan(dir)
-		if info.scanErr != nil {
-			t.Fatalf("scanning %s: %v", dir, info.scanErr)
-		}
-		imports := false
-		for _, d := range info.deps {
-			if d == vclockDir {
-				imports = true
-			}
-		}
-		if !imports {
-			continue
-		}
-		path, err := l.pathOf(dir)
+		p, err := l.LoadDir(dir, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasSuffixPath(path, cfg.SimPackages) {
-			t.Errorf("%s imports internal/vclock but is missing from simPackageSuffixes; "+
-				"the determinism rules (no-wallclock, map-order, goroutine-purity) do not cover it", path)
+		for _, imp := range p.Pkg.Imports() {
+			if imp.Path() == cfg.VClockPackage && !hasSuffixPath(p.Path, cfg.SimPackages) {
+				t.Errorf("%s imports internal/vclock but is missing from simPackageSuffixes; "+
+					"the determinism rules (no-wallclock, map-order, goroutine-purity) do not cover it", p.Path)
+			}
 		}
 	}
 }
@@ -454,7 +377,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	dead, declared := uncalledExports(t, l, pkgs, cfg.ModulePath+"/internal/")
+	dead, declared := uncalledExports(pkgs, cfg.ModulePath+"/internal/")
 	for _, name := range sortedKeys(dead) {
 		if _, ok := exportAllowList[name]; !ok {
 			pos := dead[name]
@@ -481,8 +404,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 // wrappers, methods the standard library calls by name, and methods
 // through which their type implements an interface type that module
 // code names or gives a field, parameter or variable.
-func uncalledExports(t *testing.T, l *Loader, pkgs []*Package, internal string) (map[string]token.Position, map[string]bool) {
-	t.Helper()
+func uncalledExports(pkgs []*Package, internal string) (map[string]token.Position, map[string]bool) {
 	type decl struct {
 		fn  *types.Func
 		pos token.Position
@@ -514,9 +436,9 @@ func uncalledExports(t *testing.T, l *Loader, pkgs []*Package, internal string) 
 					called[name] = true
 				}
 			case *types.TypeName:
-				addInterface(t, l, ifaces, obj.Type())
+				addInterface(ifaces, obj.Type())
 			case *types.Var:
-				addInterface(t, l, ifaces, obj.Type())
+				addInterface(ifaces, obj.Type())
 			}
 		}
 	}
@@ -527,7 +449,7 @@ func uncalledExports(t *testing.T, l *Loader, pkgs []*Package, internal string) 
 		if called[name] || strings.HasPrefix(d.fn.Name(), "Must") || calledByName(d.fn.Name()) {
 			continue
 		}
-		if recv := d.fn.Type().(*types.Signature).Recv(); recv != nil && implementsNamed(t, l, recv.Type(), d.fn.Name(), ifaces) {
+		if recv := d.fn.Type().(*types.Signature).Recv(); recv != nil && implementsNamed(recv.Type(), d.fn.Name(), ifaces) {
 			continue
 		}
 		dead[name] = d.pos
@@ -538,18 +460,12 @@ func uncalledExports(t *testing.T, l *Loader, pkgs []*Package, internal string) 
 // addInterface records typ in ifaces if it is a named interface type:
 // one that module code names, or the type of a field, parameter or
 // variable that module code uses (types.Config{Importer: l}).
-func addInterface(t *testing.T, l *Loader, ifaces map[string]*types.Interface, typ types.Type) {
+func addInterface(ifaces map[string]*types.Interface, typ types.Type) {
 	named, ok := typ.(*types.Named)
 	if !ok || !types.IsInterface(named) {
 		return
 	}
-	key := types.TypeString(named, nil)
-	if _, seen := ifaces[key]; seen {
-		return
-	}
-	if c := canonicalType(t, l, named.Obj()); c != nil {
-		ifaces[key] = c.Underlying().(*types.Interface)
-	}
+	ifaces[types.TypeString(named, nil)] = named.Underlying().(*types.Interface)
 }
 
 // calledByName reports whether the standard library calls a method of
@@ -564,45 +480,19 @@ func calledByName(name string) bool {
 
 // implementsNamed reports whether the receiver type, or a pointer to
 // it, implements one of ifaces that declares a method called name.
-func implementsNamed(t *testing.T, l *Loader, recv types.Type, name string, ifaces map[string]*types.Interface) bool {
+func implementsNamed(recv types.Type, name string, ifaces map[string]*types.Interface) bool {
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	typ := canonicalType(t, l, named.Obj())
-	if typ == nil {
-		return false
 	}
 	for _, iface := range ifaces {
 		for i := 0; i < iface.NumMethods(); i++ {
 			if iface.Method(i).Name() == name &&
-				(types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// canonicalType returns the package-level type named by obj as the
-// loader's import cache holds it, so types from separately loaded
-// packages compare by identity; nil for function-local types.
-func canonicalType(t *testing.T, l *Loader, obj *types.TypeName) types.Type {
-	t.Helper()
-	if obj.Pkg() == nil {
-		return obj.Type()
-	}
-	pkg, err := l.Import(obj.Pkg().Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, ok := pkg.Scope().Lookup(obj.Name()).(*types.TypeName); ok {
-		return o.Type()
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
